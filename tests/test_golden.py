@@ -1,0 +1,100 @@
+"""Golden referee: sha256 digests of what the CLI writes at a small, fixed
+size.  For each of the nine presets, `experiment preset <name> --n 2000
+--seeds 2 --gnuplot --check` must write the same files with the same bytes
+and end with the same exit code and stderr (most presets fail their check
+at this size, which pins the failure messages).  Two `theory` tables, one
+subcritical and one supercritical, are pinned the same way.
+
+Refactors that keep the generator's RNG stream must keep every digest.  A
+deliberate stream change regenerates the file once, with a CHANGES.md note:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from panet.cli import main
+from panet.experiments import PRESETS
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+THEORY_ARGS = {
+    "A0.2": ["--m", "2", "--A", "0.2", "--D", "0.3"],
+    "A0.6": ["--m", "2", "--A", "0.6", "--D", "0.2"],
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    # numpy's RuntimeWarnings (a correlation over one size) carry install
+    # paths; only the CLI's own stderr lines are pinned.
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def preset_digest(name: str, out_dir: Path) -> dict:
+    code, err = _run(
+        [
+            "experiment", "preset", name, "--n", "2000", "--seeds", "2",
+            "--gnuplot", "--check", "--out-dir", str(out_dir),
+        ]
+    )
+    files = {p.name: _sha(p.read_bytes()) for p in sorted(out_dir.iterdir())}
+    return {"exit": code, "stderr": _sha(err.encode()), "files": files}
+
+
+def theory_digest(key: str, out_dir: Path) -> str:
+    out = out_dir / f"theory_{key}.csv"
+    code, _ = _run(
+        ["theory", *THEORY_ARGS[key], "--n", "1000", "10000", "--d-max", "200", "--out", str(out)]
+    )
+    assert code == 0
+    return _sha(out.read_bytes())
+
+
+def _golden() -> dict:
+    return json.loads(DIGESTS.read_text())
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_preset_outputs_and_check(name, tmp_path):
+    assert preset_digest(name, tmp_path) == _golden()["presets"][name]
+
+
+@pytest.mark.parametrize("key", sorted(THEORY_ARGS))
+def test_theory_table(key, tmp_path):
+    assert theory_digest(key, tmp_path) == _golden()["theory"][key]
+
+
+def _regenerate() -> None:
+    out = {"presets": {}, "theory": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in PRESETS:
+            d = Path(tmp) / name
+            d.mkdir()
+            out["presets"][name] = preset_digest(name, d)
+        for key in sorted(THEORY_ARGS):
+            out["theory"][key] = theory_digest(key, Path(tmp))
+    DIGESTS.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    n_files = sum(len(v["files"]) for v in out["presets"].values())
+    print(f"wrote {DIGESTS} ({n_files} preset files, {len(out['theory'])} theory tables)")
+
+
+if __name__ == "__main__":
+    sys.exit(_regenerate())
