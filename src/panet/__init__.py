@@ -2,7 +2,8 @@
 
 Generation (shifted preferential attachment + edge-copy), exact graph
 metrics, closed-form degree/neighbor-degree theory, recurrence-based
-numeric oracles and a figure-reproduction experiment harness.
+numeric oracles and a figure-reproduction experiment harness.  The names
+below are the public entry points; everything else lives in its module.
 """
 
 from .params import (
@@ -10,52 +11,16 @@ from .params import (
     ModelParams,
     derive_generator_params,
     derive_model_params,
-    feasible_attachment_interval,
     make_model_params,
 )
-from .graphgen import (
-    Multigraph,
-    child_seed,
-    export_edge_list,
-    generate,
-    import_edge_list,
-    seed_graph,
-)
-from .metrics import (
-    ClusteringProfile,
-    DegreeProfile,
-    brute_force_profile,
-    clustering,
-    degree_profile,
-    dnn_empirical,
-    log_binned_curve,
-    pearson_assortativity,
-    sum_squares,
-)
-from .theory import (
-    ErrorExponents,
-    TheoryCurve,
-    M_exact,
-    X_const,
-    Y_term,
-    build_theory_curve,
-    c_asymptotic,
-    c_exact,
-    dnn_asymptotic,
-    dnn_hypothesis_critical,
-    dnn_hypothesis_supercritical,
-    dnn_theory,
-    error_exponents,
-    expected_degree_count,
-    expected_sum_squares,
-)
-from .oracle import RecurrenceTable, compare_closed_form, integrate_N, integrate_S
+from .graphgen import child_seed, export_edge_list, generate, import_edge_list
+from .metrics import clustering, degree_profile, pearson_assortativity
+from .theory import M_exact, build_theory_curve, dnn_asymptotic, dnn_overlay, dnn_theory
+from .oracle import compare_closed_form, integrate_S
 from .experiments import (
     PRESETS,
     Scenario,
     ScenarioResult,
-    fit_hypothesis_constant,
-    fit_power_exponent,
     make_preset,
     run_scenario,
     theory_tables,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from .experiments import (
     PRESETS,
     Scenario,
     ScenarioResult,
-    fit_power_exponent,
+    check_preset,
     make_preset,
     run_scenario,
     theory_tables,
@@ -35,16 +36,12 @@ from .metrics import clustering, degree_profile, pearson_assortativity
 from .oracle import compare_closed_form, integrate_S
 from .params import (
     GeneratorParams,
+    ModelParams,
     derive_generator_params,
     derive_model_params,
     make_model_params,
 )
-from .theory import (
-    build_theory_curve,
-    dnn_hypothesis_critical,
-    dnn_hypothesis_supercritical,
-    dnn_theory,
-)
+from .theory import dnn_overlay
 
 _EXIT_OK = 0
 _EXIT_INVALID = 2
@@ -109,20 +106,17 @@ def _cmd_metrics(args) -> int:
     return _EXIT_OK
 
 
+def _write_theory_table(p: ModelParams, d_max: int, n_list, path: Path) -> int:
+    """theory_tables as CSV, one column per row key; returns the row count."""
+    rows = theory_tables(p, d_max, n_list=n_list)
+    _write_csv(path, list(rows[0]), [r.values() for r in rows])
+    return len(rows)
+
+
 def _cmd_theory(args) -> int:
     p = make_model_params(args.m, args.A, args.D)
-    rows = theory_tables(p, args.d_max, n_list=args.n or ())
-    if p.A < 0.5:
-        header = ["d", "c_exact", "c_asym", "M", "dnn_theory", "dnn_asym"]
-        out = [
-            (r["d"], r["c_exact"], r["c_asym"], r["M"], r["dnn_theory"], r["dnn_asym"])
-            for r in rows
-        ]
-    else:
-        header = ["d", "n", "c_exact", "dnn_hyp", "dnn_hyp_asym"]
-        out = [(r["d"], r["n"], r["c_exact"], r["dnn_hyp"], r["dnn_hyp_asym"]) for r in rows]
-    _write_csv(Path(args.out), header, out)
-    print(f"wrote {len(out)} theory rows to {args.out}")
+    count = _write_theory_table(p, args.d_max, args.n or (), Path(args.out))
+    print(f"wrote {count} theory rows to {args.out}")
     return _EXIT_OK
 
 
@@ -145,23 +139,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _dnn_vs_d_rows(res: ScenarioResult, n: int):
-    s = res.scenario
-    p = s.model
     ds = res.populated_degrees(n)
-    subcritical = p.A < 0.5
-    if subcritical:
-        curve = build_theory_curve(p, ds)
-    rows = []
-    for i, d in enumerate(ds):
-        emp = res.dnn_pooled(n, d)
-        if subcritical:
-            theory = float(curve.dnn_exact[i])
-        elif p.A > 0.5:
-            theory = dnn_hypothesis_supercritical(p, d, n, res.fitted_constant or 1.0)
-        else:
-            theory = dnn_hypothesis_critical(s.m, n, res.fitted_constant or 1.0, d=d)
-        rows.append((d, res.pooled_N[n][d], emp, theory))
-    return rows
+    theory = dnn_overlay(res.scenario.model, np.asarray(ds), n, res.fitted_constant or 1.0)
+    return [
+        (d, res.pooled_N[n][d], res.dnn_pooled(n, d), float(t)) for d, t in zip(ds, theory)
+    ]
 
 
 def _write_scenario_outputs(res: ScenarioResult, out_dir: Path) -> list[Path]:
@@ -176,19 +158,8 @@ def _write_scenario_outputs(res: ScenarioResult, out_dir: Path) -> list[Path]:
         rows = []
         for n in s.n_list:
             mean = res.probe_mean(n)
-            stderr = res.probe_stderr(n)
-            if s.A < 0.5:
-                overlay = dnn_theory(s.model, d0)
-                err = abs(mean - overlay)
-            elif s.A > 0.5:
-                overlay = dnn_hypothesis_supercritical(
-                    s.model, d0, n, res.fitted_constant or 1.0
-                )
-                err = abs(mean - overlay)
-            else:
-                overlay = dnn_hypothesis_critical(s.m, n, res.fitted_constant or 1.0, d=d0)
-                err = abs(mean - overlay)
-            rows.append((n, d0, mean, stderr, overlay, err))
+            overlay = dnn_overlay(s.model, d0, n, res.fitted_constant or 1.0)
+            rows.append((n, d0, mean, res.probe_stderr(n), overlay, abs(mean - overlay)))
         path = out_dir / f"{s.name}_dnn_vs_n.csv"
         _write_csv(path, ["n", "d0", "dnn_mean", "dnn_stderr", "overlay", "err"], rows)
         written.append(path)
@@ -240,137 +211,24 @@ def _emit_gnuplot(csv_paths: list[Path], out_dir: Path, preset: str) -> Path:
     return path
 
 
-# ---------------------------------------------------------------------------
-# Preset --check rules (the invariants each figure is meant to exhibit).
-
-
-def _check_preset(preset: str, results: list[ScenarioResult]) -> list[str]:
-    """Return a list of failure messages (empty = pass)."""
-    fails: list[str] = []
-
-    def expect(ok: bool, msg: str) -> None:
-        if not ok:
-            fails.append(msg)
-
-    if preset == "fig1a":
-        res = results[0]
-        s = res.scenario
-        n = s.n_list[-1]
-        ds = [d for d in res.populated_degrees(n, threshold=500)]
-        curve = build_theory_curve(s.model, ds)
-        for i, d in enumerate(ds):
-            rel = abs(res.dnn_pooled(n, d) / curve.dnn_exact[i] - 1.0)
-            expect(rel <= 0.10, f"d={d}: dnn off theory by {rel:.1%} (> 10%)")
-    elif preset == "fig1b":
-        res = results[0]
-        s = res.scenario
-        n = s.n_list[-1]
-        ds = res.populated_degrees(n)
-        curve = build_theory_curve(s.model, ds)
-        below = sum(
-            1 for i, d in enumerate(ds) if res.dnn_pooled(n, d) <= curve.dnn_exact[i]
-        )
-        frac = below / len(ds)
-        expect(frac >= 0.90, f"only {frac:.0%} of bins below theory (< 90%)")
-    elif preset == "fig2":
-        final_errs = {}
-        for res in results:
-            s = res.scenario
-            t = dnn_theory(s.model, s.probe_degree)
-            errs = [abs(res.probe_mean(n) - t) for n in s.n_list]
-            expect(
-                all(a > b for a, b in zip(errs, errs[1:])),
-                f"{s.name}: err(m+1) not strictly decreasing: {errs}",
-            )
-            final_errs[s.A] = errs[-1]
-        if 0.2 in final_errs and 0.4 in final_errs:
-            expect(
-                final_errs[0.4] > final_errs[0.2],
-                "A=0.4 error not above A=0.2 error at the largest n",
-            )
-    elif preset == "fig4":
-        n = results[0].scenario.n_list[-1]
-        pts = [(res.scenario.D, res.probe_mean(n)) for res in results]
-        vals = [y for _, y in pts]
-        rel_var = (max(vals) - min(vals)) / min(vals)
-        expect(rel_var <= 0.15, f"dnn(d0) varies {rel_var:.1%} across D (> 15%)")
-        slope = np.polyfit([x for x, _ in pts], vals, 1)[0]
-        expect(abs(slope) <= 1.0, f"dnn(d0)-vs-D slope {slope:.3f} not small")
-    elif preset in ("fig5a", "fig6a"):
-        res = results[0]
-        s = res.scenario
-        if preset == "fig5a":
-            n = s.n_list[-1]
-            pts = [
-                (d, res.dnn_pooled(n, d))
-                for d in res.populated_degrees(n)
-                if 15 <= d <= 150
-            ]
-            slope, _, _ = fit_power_exponent(pts)
-            expect(abs(slope) <= 0.08, f"critical d-slope {slope:.3f} (|.| > 0.08)")
-        else:
-            xs = np.log(np.asarray(s.n_list, dtype=float))
-            ys = np.array([res.probe_mean(n) for n in s.n_list])
-            corr = float(np.corrcoef(xs, ys)[0, 1])
-            expect(corr >= 0.99, f"corr(dnn, ln n) = {corr:.4f} (< 0.99)")
-    elif preset in ("fig5b", "fig6b"):
-        res = results[0]
-        s = res.scenario
-        if preset == "fig5b":
-            n = s.n_list[-1]
-            pts = [
-                (d, res.dnn_pooled(n, d))
-                for d in res.populated_degrees(n)
-                if 4 <= d <= 100
-            ]
-            slope, _, _ = fit_power_exponent(pts)
-            target = 1.0 / s.A - 2.0
-            expect(
-                abs(slope - target) <= 0.15,
-                f"supercritical d-slope {slope:.3f} vs {target:.3f} +/- 0.15",
-            )
-        else:
-            pts = [(n, res.probe_mean(n)) for n in s.n_list]
-            slope, _, _ = fit_power_exponent(pts)
-            target = 2.0 * s.A - 1.0
-            expect(
-                abs(slope - target) <= 0.1,
-                f"supercritical n-slope {slope:.3f} vs {target:.3f} +/- 0.1",
-            )
-    # fig1a also doubles as the CCDF sanity figure; fig3 is theory-only.
-    return fails
-
-
 def _cmd_experiment(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.mode == "run":
-        text = Path(args.scenario).read_text()
-        import json as _json
-
-        payload = _json.loads(text)
+        payload = json.loads(Path(args.scenario).read_text())
         payload = payload if isinstance(payload, list) else [payload]
-        scenarios = [Scenario.from_json(_json.dumps(p)) for p in payload]
+        scenarios = [Scenario.from_json(json.dumps(p)) for p in payload]
         preset = None
     else:
         scenarios = make_preset(args.name, full=args.full, n=args.n, seeds=args.seeds)
         preset = args.name
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     results: list[ScenarioResult] = []
     written: list[Path] = []
     for s in scenarios:
         if "theory_only" in s.outputs:
-            rows = theory_tables(s.model, d_max=10**4 if s.A < 0.5 else 100)
             path = out_dir / f"{s.name}_theory.csv"
-            if s.A < 0.5:
-                _write_csv(
-                    path,
-                    ["d", "c_exact", "c_asym", "M", "dnn_theory", "dnn_asym"],
-                    [
-                        (r["d"], r["c_exact"], r["c_asym"], r["M"], r["dnn_theory"], r["dnn_asym"])
-                        for r in rows
-                    ],
-                )
+            _write_theory_table(s.model, 10**4 if s.A < 0.5 else 100, s.n_list, path)
             written.append(path)
             print(f"{s.name}: wrote {path}")
             continue
@@ -396,7 +254,7 @@ def _cmd_experiment(args) -> int:
         if not preset:
             print("--check requires a named preset", file=sys.stderr)
             return _EXIT_INVALID
-        fails = _check_preset(preset, results)
+        fails = check_preset(preset, results)
         if fails:
             for msg in fails:
                 print(f"CHECK FAIL [{preset}]: {msg}", file=sys.stderr)
@@ -471,7 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
 

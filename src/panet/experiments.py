@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .theory import (
     c_exact,
     dnn_hypothesis_critical,
     dnn_hypothesis_supercritical,
-    dnn_theory,
+    dnn_overlay,
 )
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "pooled_ccdf",
     "PRESETS",
     "make_preset",
+    "check_preset",
 ]
 
 
@@ -90,6 +91,15 @@ class Scenario:
     @staticmethod
     def from_json(text: str) -> "Scenario":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("a scenario must be a JSON object")
+        known = {f.name: f for f in fields(Scenario)}
+        for key in d:
+            if key not in known:
+                raise ValueError(f"unknown scenario key {key!r}")
+        for key, f in known.items():
+            if key not in d and f.default is MISSING:
+                raise ValueError(f"scenario key {key!r} is missing")
         d["n_list"] = tuple(d["n_list"])
         if isinstance(d.get("seeds"), list):
             d["seeds"] = tuple(d["seeds"])
@@ -167,10 +177,8 @@ def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
         res.W_per_seed.setdefault(n, []).append(W)
         res.probe_per_seed.setdefault(n, []).append(probe)
 
-    if s.A > 0.5:
-        res.fitted_constant = fit_hypothesis_constant(res, "supercritical")
-    elif s.A == 0.5:
-        res.fitted_constant = fit_hypothesis_constant(res, "critical")
+    if s.A >= 0.5:
+        res.fitted_constant = fit_hypothesis_constant(res)
     return res
 
 
@@ -200,28 +208,19 @@ def fit_power_exponent(points, weights=None) -> tuple[float, float, float]:
     return slope, intercept, stderr
 
 
-def fit_hypothesis_constant(res: ScenarioResult, regime: str) -> float:
-    """Least-squares scale factor of the hypothesis predictor against the
-    pooled empirical curve over every populated (d, n) cell.  One constant
-    serves both the d-sweep and the n-sweep outputs."""
-    s = res.scenario
-    p = s.model
-    if regime == "supercritical":
-        if p.A <= 0.5:
-            raise ValueError(f"supercritical fit needs A > 1/2, got A={p.A}")
-        unit = lambda d, n: dnn_hypothesis_supercritical(p, d, n, 1.0)
-    elif regime == "critical":
-        if p.A != 0.5:
-            raise ValueError(f"critical fit needs A = 1/2, got A={p.A}")
-        unit = lambda d, n: dnn_hypothesis_critical(s.m, n, 1.0, d=d)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
+def fit_hypothesis_constant(res: ScenarioResult) -> float:
+    """Least-squares scale factor of the hypothesis predictor (A >= 1/2)
+    against the pooled empirical curve over every populated (d, n) cell.
+    One constant serves both the d-sweep and the n-sweep outputs."""
+    p = res.scenario.model
+    if p.A < 0.5:
+        raise ValueError(f"hypothesis fit needs A >= 1/2, got A={p.A}")
     num = den = 0.0
     cells = 0
     for n in res.pooled_N:
         for d in res.populated_degrees(n):
             y = res.dnn_pooled(n, d)
-            u = unit(d, n)
+            u = dnn_overlay(p, d, n, 1.0)
             num += u * y
             den += u * u
             cells += 1
@@ -231,8 +230,11 @@ def fit_hypothesis_constant(res: ScenarioResult, regime: str) -> float:
 
 
 def theory_tables(p: ModelParams, d_max: int, n_list=(), C1: float = 1.0, C2: float = 1.0):
-    """Theory-only rows per degree: subcritical closed forms for A < 1/2,
-    hypothesis predictor columns for A >= 1/2 (one block per n)."""
+    """Theory-only rows per degree d in [m, d_max]: subcritical closed
+    forms for A < 1/2; for A >= 1/2 the hypothesis predictor (constant C1
+    above 1/2, C2 at 1/2) and its asymptotic form, one block per n."""
+    if d_max < p.m:
+        raise ValueError(f"d_max must be >= m = {p.m}, got {d_max}")
     d_values = np.arange(p.m, d_max + 1)
     rows = []
     if p.A < 0.5:
@@ -249,19 +251,21 @@ def theory_tables(p: ModelParams, d_max: int, n_list=(), C1: float = 1.0, C2: fl
                 }
             )
         return rows
-    n_list = tuple(n_list) or (10**5,)
-    for n in n_list:
-        for d in d_values:
-            row = {"d": int(d), "n": int(n), "c_exact": c_exact(p, float(d))}
-            if p.A > 0.5:
-                row["dnn_hyp"] = dnn_hypothesis_supercritical(p, int(d), n, C1)
-                row["dnn_hyp_asym"] = dnn_hypothesis_supercritical(
-                    p, int(d), n, C1, form="asymptotic"
-                )
-            else:
-                row["dnn_hyp"] = dnn_hypothesis_critical(p.m, n, C2, d=int(d))
-                row["dnn_hyp_asym"] = dnn_hypothesis_critical(p.m, n, C2)
-            rows.append(row)
+    hyp, C = (dnn_hypothesis_supercritical, C1) if p.A > 0.5 else (dnn_hypothesis_critical, C2)
+    c = c_exact(p, d_values)
+    for n in tuple(n_list) or (10**5,):
+        y = dnn_overlay(p, d_values, n, C)
+        y_asym = hyp(p, d_values, n, C, form="asymptotic")
+        for i, d in enumerate(d_values):
+            rows.append(
+                {
+                    "d": int(d),
+                    "n": int(n),
+                    "c_exact": float(c[i]),
+                    "dnn_hyp": float(y[i]),
+                    "dnn_hyp_asym": float(y_asym[i]),
+                }
+            )
     return rows
 
 
@@ -337,12 +341,13 @@ def make_preset(name: str, full: bool = False, n: int | None = None, seeds: int 
         return [sc("", 2, 0.6, 0.2, [base_n], 10)]
     if name in ("fig6a", "fig6b"):
         A = 0.5 if name == "fig6a" else 0.6
-        ns = (
-            _sizes(full, 10**4, 2 * 10**4, 4 * 10**4, 7 * 10**4, 10**5)
-            if n is None
-            else (base_n,)
-        )
-        return [sc("", 2, A, 0.2, ns, 10, outputs=("dnn_vs_n",))]
+        if n is not None:
+            return [sc("", 2, A, 0.2, (base_n,), 10, outputs=("dnn_vs_n",))]
+        ns = _sizes(full, 10**4, 2 * 10**4, 4 * 10**4, 7 * 10**4, 10**5)
+        # fig6a's ln-n correlation needs AC11's per-size schedule to clear
+        # its 0.99 gate at the default root seed by more than luck.
+        schedule = (150, 100, 60, 50, 45) if name == "fig6a" else 10
+        return [sc("", 2, A, 0.2, ns, schedule, outputs=("dnn_vs_n",))]
     raise ValueError(f"unknown preset {name!r}")
 
 
@@ -357,3 +362,96 @@ PRESETS = (
     "fig6a",
     "fig6b",
 )
+
+
+# ---------------------------------------------------------------------------
+# Preset --check rules (the invariants each figure is meant to exhibit).
+
+
+def check_preset(preset: str, results: list[ScenarioResult]) -> list[str]:
+    """Failure messages of a preset's figure invariants (empty = pass).
+
+    fig1a also doubles as the CCDF sanity figure; fig3 is theory-only and
+    has no rule.
+    """
+    fails: list[str] = []
+
+    def expect(ok: bool, msg: str) -> None:
+        if not ok:
+            fails.append(msg)
+
+    if preset == "fig1a":
+        res = results[0]
+        n = res.scenario.n_list[-1]
+        ds = res.populated_degrees(n, threshold=500)
+        theory = dnn_overlay(res.scenario.model, np.asarray(ds), n, 1.0)
+        for d, t in zip(ds, theory):
+            rel = abs(res.dnn_pooled(n, d) / t - 1.0)
+            expect(rel <= 0.10, f"d={d}: dnn off theory by {rel:.1%} (> 10%)")
+    elif preset == "fig1b":
+        res = results[0]
+        n = res.scenario.n_list[-1]
+        ds = res.populated_degrees(n)
+        theory = dnn_overlay(res.scenario.model, np.asarray(ds), n, 1.0)
+        below = sum(1 for d, t in zip(ds, theory) if res.dnn_pooled(n, d) <= t)
+        frac = below / len(ds)
+        expect(frac >= 0.90, f"only {frac:.0%} of bins below theory (< 90%)")
+    elif preset == "fig2":
+        final_errs = {}
+        for res in results:
+            s = res.scenario
+            t = dnn_overlay(s.model, s.probe_degree, s.n_list[-1], 1.0)
+            errs = [abs(res.probe_mean(n) - t) for n in s.n_list]
+            expect(
+                all(a > b for a, b in zip(errs, errs[1:])),
+                f"{s.name}: err(m+1) not strictly decreasing: {errs}",
+            )
+            final_errs[s.A] = errs[-1]
+        if 0.2 in final_errs and 0.4 in final_errs:
+            expect(
+                final_errs[0.4] > final_errs[0.2],
+                "A=0.4 error not above A=0.2 error at the largest n",
+            )
+    elif preset == "fig4":
+        n = results[0].scenario.n_list[-1]
+        pts = [(res.scenario.D, res.probe_mean(n)) for res in results]
+        vals = [y for _, y in pts]
+        rel_var = (max(vals) - min(vals)) / min(vals)
+        expect(rel_var <= 0.15, f"dnn(d0) varies {rel_var:.1%} across D (> 15%)")
+        slope = np.polyfit([x for x, _ in pts], vals, 1)[0]
+        expect(abs(slope) <= 1.0, f"dnn(d0)-vs-D slope {slope:.3f} not small")
+    elif preset == "fig5a":
+        res = results[0]
+        n = res.scenario.n_list[-1]
+        pts = [(d, res.dnn_pooled(n, d)) for d in res.populated_degrees(n) if 15 <= d <= 150]
+        slope, _, _ = fit_power_exponent(pts)
+        expect(abs(slope) <= 0.08, f"critical d-slope {slope:.3f} (|.| > 0.08)")
+    elif preset == "fig5b":
+        res = results[0]
+        s = res.scenario
+        n = s.n_list[-1]
+        pts = [(d, res.dnn_pooled(n, d)) for d in res.populated_degrees(n) if 4 <= d <= 100]
+        slope, _, _ = fit_power_exponent(pts)
+        target = 1.0 / s.A - 2.0
+        expect(
+            abs(slope - target) <= 0.15,
+            f"supercritical d-slope {slope:.3f} vs {target:.3f} +/- 0.15",
+        )
+    elif preset == "fig6a":
+        res = results[0]
+        s = res.scenario
+        xs = np.log(np.asarray(s.n_list, dtype=float))
+        ys = np.array([res.probe_mean(n) for n in s.n_list])
+        corr = float(np.corrcoef(xs, ys)[0, 1])
+        expect(corr >= 0.99, f"corr(dnn, ln n) = {corr:.4f} (< 0.99)")
+    elif preset == "fig6b":
+        res = results[0]
+        s = res.scenario
+        pts = [(n, res.probe_mean(n)) for n in s.n_list]
+        slope, _, _ = fit_power_exponent(pts)
+        target = 2.0 * s.A - 1.0
+        expect(
+            abs(slope - target) <= 0.1,
+            f"supercritical n-slope {slope:.3f} vs {target:.3f} +/- 0.1",
+        )
+    return fails

@@ -155,5 +155,6 @@ def derive_model_params(g: GeneratorParams) -> ModelParams:
     # 2mA + B = 2k*beta + s = m holds algebraically; round B onto the
     # constraint so downstream identities see it exactly.
     B_exact = g.m * (1.0 - 2.0 * A)
-    assert math.isclose(B, B_exact, rel_tol=1e-9, abs_tol=1e-9)
+    if not math.isclose(B, B_exact, rel_tol=1e-9, abs_tol=1e-9):
+        raise ValueError(f"knobs {g} break 2mA + B = m: B = {B}, m(1-2A) = {B_exact}")
     return ModelParams(m=g.m, A=A, B=B_exact, D=D)

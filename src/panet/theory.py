@@ -3,8 +3,9 @@
 Everything here is a pure function of ModelParams.  The degree-distribution
 coefficient c(m,d) is evaluated through log-gamma differences (direct gamma
 ratios overflow past d ~ 170).  The neighbor-degree-sum coefficient M(d)
-needs a prefix sum of Y(i) terms from i = m+1; large-d queries run that sum
-in vectorized chunks, and TheoryCurve caches it for tabulated ranges.
+needs a prefix sum of Y(i) terms from i = m+1; build_theory_curve runs that
+sum in vectorized chunks, and every M and dnn entry point is a view of it.
+dnn_overlay picks the d_nn curve of the regime A falls in.
 
 "log" means the natural logarithm throughout.
 """
@@ -33,6 +34,7 @@ __all__ = [
     "expected_triangles",
     "dnn_hypothesis_supercritical",
     "dnn_hypothesis_critical",
+    "dnn_overlay",
     "error_exponents",
     "build_theory_curve",
 ]
@@ -125,33 +127,17 @@ def X_const(p: ModelParams) -> float:
     return m / (A * (m - 1) + B + 1.0) * bracket
 
 
-def _y_sum(p: ModelParams, d: int) -> float:
-    """Sum of Y(i) for i in [m+1, d], chunked so d ~ 1e7 stays cheap."""
-    total = 0.0
-    lo = p.m + 1
-    while lo <= d:
-        hi = min(d, lo + _CHUNK - 1)
-        total += float(np.sum(Y_term(p, np.arange(lo, hi + 1))))
-        lo = hi + 1
-    return total
-
-
 def M_exact(p: ModelParams, d: int) -> float:
-    """Limiting coefficient M(d) of the expected neighbor-degree sum.
+    """Limiting coefficient M(d) of the expected neighbor-degree sum, A < 1/2.
 
-    For repeated queries over a range of degrees build a TheoryCurve
-    instead; this entry point recomputes the Y prefix sum from scratch.
+    A one-degree TheoryCurve; for a range of degrees build the curve once.
     """
-    _check_subcritical(p, "M(d)")
-    _check_degree(p, d)
-    m, A, B = p.m, p.A, p.B
-    inner = X_const(p) / (A * m + B + 1.0) + _y_sum(p, int(d))
-    return (A * d + B + 1.0) * inner * c_exact(p, d)
+    return build_theory_curve(p, [d]).M_at(d)
 
 
 def dnn_theory(p: ModelParams, d: int) -> float:
     """Expected average neighbor degree M(d)/(d*c(m,d)) for A < 1/2."""
-    return M_exact(p, d) / (d * c_exact(p, d))
+    return build_theory_curve(p, [d]).dnn_at(d)
 
 
 def dnn_asymptotic(p: ModelParams, d) -> float:
@@ -231,20 +217,45 @@ def dnn_hypothesis_supercritical(
     return float(out) if out.ndim == 0 else out
 
 
-def dnn_hypothesis_critical(m: int, n: int, C2: float, d=None):
-    """Critical (A = 1/2) predictor C2/(2(m+1)) * log(n).
+def dnn_hypothesis_critical(
+    p: ModelParams, d, n: int, C2: float, form: str = "preasymptotic"
+):
+    """Critical (A = 1/2) average-neighbor-degree predictor.
 
-    The leading form is degree-independent; passing d applies the finite-d
-    correction factor (d+2)/d.
+    form="asymptotic" is the degree-independent C2/(2(m+1)) * log(n);
+    form="preasymptotic" applies the finite-d factor (d+2)/d to it.
     """
+    if p.A != 0.5:
+        raise ValueError(f"critical predictor needs A = 1/2, got A={p.A}")
     if C2 <= 0:
         raise ValueError(f"C2 must be > 0, got {C2}")
-    base = C2 / (2.0 * (m + 1.0)) * np.log(n)
-    if d is None:
-        return base
+    _check_degree(p, d)
     d = np.asarray(d, dtype=float)
-    out = base * (d + 2.0) / d
+    base = C2 / (2.0 * (p.m + 1.0)) * np.log(n)
+    if form == "asymptotic":
+        out = np.full_like(d, base)
+    elif form == "preasymptotic":
+        out = base * (d + 2.0) / d
+    else:
+        raise ValueError(f"unknown form {form!r}")
     return float(out) if out.ndim == 0 else out
+
+
+def dnn_overlay(p: ModelParams, d, n: int, C: float):
+    """The d_nn(d) curve of the regime A falls in, at size n.
+
+    A < 1/2: the exact closed form (n and C unused).  A = 1/2: the
+    critical predictor with its (d+2)/d factor.  A > 1/2: the
+    preasymptotic supercritical predictor.  C scales the hypothesis
+    predictors.  Accepts a scalar or array of degrees d >= m.
+    """
+    if p.A < 0.5:
+        curve = build_theory_curve(p, np.atleast_1d(d))
+        out = curve.dnn_exact[np.searchsorted(curve.d_values, d)]
+        return float(out) if out.ndim == 0 else out
+    if p.A > 0.5:
+        return dnn_hypothesis_supercritical(p, d, n, C)
+    return dnn_hypothesis_critical(p, d, n, C)
 
 
 @dataclass(frozen=True)
@@ -283,17 +294,17 @@ class TheoryCurve:
     dnn_asymptotic: np.ndarray
     y_prefix: np.ndarray = field(repr=False)
 
-    def M_at(self, d: int) -> float:
+    def _index(self, d: int) -> int:
         idx = int(np.searchsorted(self.d_values, d))
         if idx >= len(self.d_values) or self.d_values[idx] != d:
             raise KeyError(f"degree {d} not tabulated")
-        return float(self.M_exact[idx])
+        return idx
+
+    def M_at(self, d: int) -> float:
+        return float(self.M_exact[self._index(d)])
 
     def dnn_at(self, d: int) -> float:
-        idx = int(np.searchsorted(self.d_values, d))
-        if idx >= len(self.d_values) or self.d_values[idx] != d:
-            raise KeyError(f"degree {d} not tabulated")
-        return float(self.dnn_exact[idx])
+        return float(self.dnn_exact[self._index(d)])
 
 
 def build_theory_curve(p: ModelParams, d_values) -> TheoryCurve:

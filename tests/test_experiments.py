@@ -62,19 +62,20 @@ class TestFitHypothesisConstant:
         for n in s.n_list:
             res.pooled_N[n] = {d: 100 for d in range(2, 8)}
             res.pooled_S[n] = {
-                d: int(round(dnn_hypothesis_critical(2, n, 2.0, d=d) * 100 * d * 1e6))
+                d: int(round(dnn_hypothesis_critical(s.model, d, n, 2.0) * 100 * d * 1e6))
                 for d in range(2, 8)
             }
             for d in range(2, 8):
                 res.pooled_N[n][d] = 100 * 10**6
-        c = fit_hypothesis_constant(res, "critical")
+        c = fit_hypothesis_constant(res)
         assert c == pytest.approx(2.0, rel=1e-6)
 
-    def test_regime_mismatch(self):
-        s = Scenario(name="x", m=2, A=0.5, D=0.2, n_list=(1000,), seeds=1)
+    def test_subcritical_rejected(self):
+        # The regime follows from A; below 1/2 there is no constant to fit.
+        s = Scenario(name="x", m=2, A=0.4, D=0.2, n_list=(1000,), seeds=1)
         res = ScenarioResult(scenario=s)
-        with pytest.raises(ValueError, match="A > 1/2"):
-            fit_hypothesis_constant(res, "supercritical")
+        with pytest.raises(ValueError, match="A >= 1/2"):
+            fit_hypothesis_constant(res)
 
     def test_empty_grid(self):
         s = Scenario(name="x", m=2, A=0.5, D=0.2, n_list=(1000,), seeds=1)
@@ -82,7 +83,7 @@ class TestFitHypothesisConstant:
         res.pooled_N[1000] = {}
         res.pooled_S[1000] = {}
         with pytest.raises(ValueError, match="no populated"):
-            fit_hypothesis_constant(res, "critical")
+            fit_hypothesis_constant(res)
 
 
 class TestScenario:
@@ -117,6 +118,11 @@ class TestPresets:
         desk = make_preset("fig1a")[0]
         full = make_preset("fig1a", full=True)[0]
         assert full.n_list == (10 * desk.n_list[0],)
+
+    def test_fig6a_seed_schedule(self):
+        s = make_preset("fig6a")[0]
+        assert s.seeds_for_n == (150, 100, 60, 50, 45)
+        assert make_preset("fig6a", n=800)[0].seeds == 10
 
     def test_overrides(self):
         s = make_preset("fig6a", n=500, seeds=2)[0]
@@ -178,6 +184,10 @@ class TestTheoryTables:
         rows = theory_tables(make_model_params(2, 0.5, 0.2), d_max=3, n_list=(100, 200))
         assert len(rows) == 4
         assert "dnn_hyp" in rows[0] and "M" not in rows[0]
+
+    def test_d_max_below_m_rejected(self):
+        with pytest.raises(ValueError, match="d_max must be >= m = 3"):
+            theory_tables(make_model_params(3, 0.2, 0.3), d_max=2)
 
     def test_asymptotic_ratio_approaches_one_slowly(self):
         # dnn_theory/dnn_asym is still far from 1 at d ~ 1e3 and close
@@ -272,3 +282,50 @@ class TestCLI:
         assert fa == fb
         for name in fa:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    def _run_captured(self, capsys, *argv):
+        code = self._run(*argv)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400], "bogus": 1}, "bogus"),
+            ({"name": "s", "m": 2, "A": 0.25, "D": 0.3}, "n_list"),
+            ({"m": 2, "A": 0.25, "D": 0.3, "n_list": [400]}, "name"),
+            ([1, 2], "JSON object"),
+        ],
+    )
+    def test_bad_scenario_file_exit_2(self, tmp_path, capsys, payload, key):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        code, err = self._run_captured(capsys, "experiment", "run", str(f), "--out-dir", str(out))
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_theory_d_max_below_m_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code, err = self._run_captured(
+            capsys, "theory", "--m", "3", "--A", "0.2", "--D", "0.3",
+            "--d-max", "2", "--out", str(out),
+        )
+        assert code == 2
+        assert err == "error: d_max must be >= m = 3, got 2\n"
+        assert not out.exists()
+
+    def test_theory_only_supercritical_writes_table(self, tmp_path):
+        s = Scenario(
+            name="hyp", m=2, A=0.6, D=0.2, n_list=(1000, 5000), seeds=1,
+            outputs=("theory_only",),
+        )
+        f = tmp_path / "s.json"
+        f.write_text(s.to_json())
+        assert self._run("experiment", "run", str(f), "--out-dir", str(tmp_path)) == 0
+        with open(tmp_path / "hyp_theory.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["d", "n", "c_exact", "dnn_hyp", "dnn_hyp_asym"]
+        assert [(r["d"], r["n"]) for r in rows[:1] + rows[-1:]] == [("2", "1000"), ("100", "5000")]
+        assert len(rows) == 2 * 99

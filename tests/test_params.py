@@ -67,6 +67,12 @@ class TestDeriveGeneratorParams:
         assert p.D == pytest.approx(0.8)
         assert p.B == pytest.approx(3 * (1 - 0.7))
 
+    def test_constraint_checked_without_assert(self):
+        # An infinite shift makes B = s*c/(2m+c) NaN; the check must raise
+        # ValueError even under python -O.
+        with pytest.raises(ValueError, match="2mA \\+ B = m"):
+            derive_model_params(GeneratorParams(m=2, beta=0.1, c=float("inf")))
+
     def test_lower_bound_rejected(self):
         with pytest.raises(ValueError, match="feasibility bound"):
             derive_generator_params(2, 0.15, 0.3)

@@ -24,6 +24,7 @@ from panet.theory import (
     dnn_asymptotic,
     dnn_hypothesis_critical,
     dnn_hypothesis_supercritical,
+    dnn_overlay,
     dnn_theory,
     error_exponents,
     expected_degree_count,
@@ -83,11 +84,14 @@ class TestNeighborSumCoefficient:
         assert np.allclose(inner[1:] - inner[:-1], Y_term(P, d[1:]), rtol=1e-10)
 
     def test_curve_matches_pointwise_entry_points(self):
-        # The curve tabulates c by recursion while the scalar entry points
-        # go through log-gamma; they agree to ~1e-10, not machine epsilon.
+        # M_exact and dnn_theory are one-degree views of the curve, whose
+        # prefix sums run in order, so a wider table gives the same bits.
+        # The curve tabulates c by recursion while c_exact goes through
+        # log-gamma; they agree to ~1e-10, not machine epsilon.
         curve = build_theory_curve(P, [2, 17, 900])
-        assert curve.M_at(17) == pytest.approx(M_exact(P, 17), rel=1e-9)
-        assert curve.dnn_at(900) == pytest.approx(dnn_theory(P, 900), rel=1e-9)
+        assert curve.M_at(17) == M_exact(P, 17)
+        assert curve.dnn_at(900) == dnn_theory(P, 900)
+        assert curve.c_exact == pytest.approx(c_exact(P, curve.d_values), rel=1e-9)
         with pytest.raises(KeyError):
             curve.M_at(18)
 
@@ -180,12 +184,48 @@ class TestHypothesisPredictors:
             dnn_hypothesis_supercritical(P, 3, 1000, 1.0)
 
     def test_critical_value_and_finite_d_factor(self):
-        base = dnn_hypothesis_critical(2, 10**4, 3.0)
+        p = make_model_params(2, 0.5, 0.2)
+        base = dnn_hypothesis_critical(p, 4, 10**4, 3.0, form="asymptotic")
         assert base == pytest.approx(3.0 / 6.0 * np.log(10**4), rel=1e-12)
-        assert dnn_hypothesis_critical(2, 10**4, 3.0, d=4) == pytest.approx(
+        assert dnn_hypothesis_critical(p, 4, 10**4, 3.0) == pytest.approx(
             base * 1.5, rel=1e-12
         )
+        flat = dnn_hypothesis_critical(p, np.array([2, 9]), 10**4, 3.0, form="asymptotic")
+        assert flat.tolist() == [base, base]
+
+    def test_critical_gate(self):
+        with pytest.raises(ValueError, match="A = 1/2"):
+            dnn_hypothesis_critical(P, 3, 1000, 1.0)
 
     def test_constant_must_be_positive(self):
         with pytest.raises(ValueError, match="C2"):
-            dnn_hypothesis_critical(2, 100, -1.0)
+            dnn_hypothesis_critical(make_model_params(2, 0.5, 0.2), 3, 100, -1.0)
+
+
+class TestOverlay:
+    D = np.array([2, 3, 7, 40])
+
+    def test_subcritical_is_the_exact_curve(self):
+        # n and C play no part below A = 1/2.
+        expect = build_theory_curve(P, self.D).dnn_exact
+        assert dnn_overlay(P, self.D, 10**4, 5.0).tolist() == expect.tolist()
+        assert dnn_overlay(P, np.array([7, 3]), 1, 1.0).tolist() == [expect[2], expect[1]]
+        assert dnn_overlay(P, 7, 10**9, 2.0) == dnn_theory(P, 7)
+
+    def test_critical_and_supercritical_predictors(self):
+        crit = make_model_params(2, 0.5, 0.2)
+        sup = make_model_params(2, 0.6, 0.2)
+        for p, f in ((crit, dnn_hypothesis_critical), (sup, dnn_hypothesis_supercritical)):
+            assert dnn_overlay(p, self.D, 10**4, 2.0).tolist() == f(p, self.D, 10**4, 2.0).tolist()
+            assert dnn_overlay(p, 7, 10**4, 2.0) == f(p, 7, 10**4, 2.0)
+
+    def test_scalar_and_array_agree(self):
+        for A in (0.25, 0.5, 0.6):
+            p = make_model_params(2, A, 0.2)
+            arr = dnn_overlay(p, self.D, 5000, 1.5)
+            assert [dnn_overlay(p, int(d), 5000, 1.5) for d in self.D] == arr.tolist()
+
+    def test_degree_below_m_rejected(self):
+        for A in (0.25, 0.5, 0.6):
+            with pytest.raises(ValueError, match="degree must be >= m"):
+                dnn_overlay(make_model_params(2, A, 0.2), 1, 100, 1.0)
