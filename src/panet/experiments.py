@@ -67,6 +67,8 @@ class Scenario:
             raise ValueError("seeds must be >= 1")
         if any(n < self.m + 1 for n in self.n_list):
             raise ValueError(f"all sizes must be >= seed size m+1 = {self.m + 1}")
+        if self.root_seed < 0:
+            raise ValueError(f"root_seed must be >= 0, got {self.root_seed}")
 
     @property
     def probe_degree(self) -> int:
@@ -372,8 +374,16 @@ def check_preset(preset: str, results: list[ScenarioResult]) -> list[str]:
     """Failure messages of a preset's figure invariants (empty = pass).
 
     fig1a also doubles as the CCDF sanity figure; fig3 is theory-only and
-    has no rule.
+    has no rule.  A rule that cannot be computed (too few sizes, degrees
+    or points, as at a small --n) fails with one message saying why.
     """
+    try:
+        return _rule_failures(preset, results)
+    except ValueError as exc:
+        return [f"cannot compute the check: {exc}"]
+
+
+def _rule_failures(preset: str, results: list[ScenarioResult]) -> list[str]:
     fails: list[str] = []
 
     def expect(ok: bool, msg: str) -> None:
@@ -384,6 +394,8 @@ def check_preset(preset: str, results: list[ScenarioResult]) -> list[str]:
         res = results[0]
         n = res.scenario.n_list[-1]
         ds = res.populated_degrees(n, threshold=500)
+        if not ds:
+            raise ValueError(f"no degree with pooled N >= 500 at n={n}")
         theory = dnn_overlay(res.scenario.model, np.asarray(ds), n, 1.0)
         for d, t in zip(ds, theory):
             rel = abs(res.dnn_pooled(n, d) / t - 1.0)
@@ -440,6 +452,8 @@ def check_preset(preset: str, results: list[ScenarioResult]) -> list[str]:
     elif preset == "fig6a":
         res = results[0]
         s = res.scenario
+        if len(s.n_list) < 3:
+            raise ValueError(f"corr(dnn, ln n) needs at least 3 sizes, got {len(s.n_list)}")
         xs = np.log(np.asarray(s.n_list, dtype=float))
         ys = np.array([res.probe_mean(n) for n in s.n_list])
         corr = float(np.corrcoef(xs, ys)[0, 1])

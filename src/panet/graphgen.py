@@ -1,5 +1,5 @@
 """Growing multigraph generator: shifted preferential attachment plus an
-edge-copy triangle step.
+edge-copy triangle step, drawn in a few numpy calls per graph.
 
 Each new vertex places m edges through k = floor(m/2) pair-slots and
 r = m - 2k single slots.  A pair-slot is, with probability beta, an
@@ -11,16 +11,22 @@ copying a neighbor of the PA target because its per-vertex marginal is
 exactly degree-proportional, which keeps the single-step increment
 probability at A*d/n + B/n with no order-d/n bias.
 
-All draws within one step read a frozen snapshot of the pre-step state;
-degree updates are applied only after every slot of the step is drawn.
-Multi-edges are kept (degrees count multiplicity) and self-loops cannot
-occur, since a new vertex only connects to older vertices.
+Every vertex u owns the m edge slots u*m ... u*m+m-1 (the doubled-clique
+seed is oriented that way), so edge e has source e // m, E = m*n exactly
+and deg(v) + c = in(v) + (m + c).  A shifted-PA draw from the first t
+vertices is therefore, with probability m/(2m+c), the target of a uniform
+slot j < m*t, and otherwise a uniform vertex < t: one branch for every
+c > -m.  An edge-copy draws a uniform slot f < m*t and takes its endpoints
+(f // m, target of f).  Each draw is a literal vertex or a pointer to an
+earlier slot and none depends on the graph grown so far, so all steps are
+drawn at once and the pointers are then resolved by pointer jumping (the
+copy-model trick of Batagelj & Brandes, PRE 71, 036113, 2005).  All draws
+of one step read the graph before that step.  Multi-edges are kept
+(degrees count multiplicity) and self-loops cannot occur, since a new
+vertex only connects to older vertices.
 """
 
 from __future__ import annotations
-
-import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +34,9 @@ from .params import GeneratorParams
 
 __all__ = [
     "Multigraph",
-    "StepSnapshot",
     "seed_graph",
-    "sample_shifted_pa",
-    "sample_uniform_edge",
-    "add_vertex_step",
+    "draw_slots",
+    "resolve_pointers",
     "generate",
     "export_edge_list",
     "import_edge_list",
@@ -41,216 +45,98 @@ __all__ = [
 
 
 class Multigraph:
-    """Append-only multigraph with a token array for O(1) degree sampling.
+    """n vertices and an edge multiset: edge e joins u[e] and v[e].
 
-    tokens holds each edge endpoint once, so a uniform token is a
-    degree-proportional vertex draw.
+    m is the number of edges per vertex, or None where it is unknown
+    (import_edge_list sets it when the edge count is a multiple of n).
     """
 
-    def __init__(self):
-        self.n = 0
-        self.m = None  # edges per vertex, set by seed_graph / import
-        self.edges_u: list[int] = []
-        self.edges_v: list[int] = []
-        self.degrees: list[int] = []
-        self.tokens: list[int] = []
+    def __init__(self, n: int, m: int | None, u, v):
+        self.n = n
+        self.m = m
+        self.u = np.asarray(u, dtype=np.int64)
+        self.v = np.asarray(v, dtype=np.int64)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges_u)
-
-    def add_vertex(self) -> int:
-        self.degrees.append(0)
-        self.n += 1
-        return self.n - 1
-
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        self.edges_u.append(u)
-        self.edges_v.append(v)
-        self.tokens.append(u)
-        self.tokens.append(v)
-        self.degrees[u] += 1
-        self.degrees[v] += 1
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return list(zip(self.edges_u, self.edges_v))
+        return len(self.u)
 
     def degree_array(self) -> np.ndarray:
-        return np.asarray(self.degrees, dtype=np.int64)
+        return np.bincount(self.u, minlength=self.n) + np.bincount(self.v, minlength=self.n)
 
     def adjacency(self) -> list[list[int]]:
         """Neighbor lists with multiplicity."""
         adj = [[] for _ in range(self.n)]
-        for u, v in zip(self.edges_u, self.edges_v):
-            adj[u].append(v)
-            adj[v].append(u)
+        for a, b in zip(self.u.tolist(), self.v.tolist()):
+            adj[a].append(b)
+            adj[b].append(a)
         return adj
-
-    def simple_adjacency(self) -> list[set[int]]:
-        """Neighbor sets of the simple projection (parallel edges collapsed)."""
-        adj = [set() for _ in range(self.n)]
-        for u, v in zip(self.edges_u, self.edges_v):
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-
-@dataclass(frozen=True)
-class StepSnapshot:
-    """Frozen view of the graph state before a growth step.
-
-    Samplers index only the first num_edges edges / 2*num_edges tokens and
-    the first n degrees, so appends made later in the same step are
-    invisible to them.
-    """
-
-    graph: Multigraph
-    n: int
-    num_edges: int
-
-    @staticmethod
-    def of(g: Multigraph) -> "StepSnapshot":
-        return StepSnapshot(graph=g, n=g.n, num_edges=g.num_edges)
 
 
 def seed_graph(m: int) -> Multigraph:
     """Doubled complete graph on m+1 vertices: every pair joined by two
-    parallel edges, so each degree is 2m and there are m(m+1) edges."""
+    parallel edges, so each degree is 2m and there are m(m+1) edges.
+    Vertex u's slots u*m ... u*m+m-1 point at the other m vertices in
+    order, so each pair's two edges have opposite owners."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    g = Multigraph()
-    g.m = m
-    for _ in range(m + 1):
-        g.add_vertex()
-    for u in range(m + 1):
-        for v in range(u + 1, m + 1):
-            g.add_edge(u, v)
-            g.add_edge(u, v)
-    return g
+    u = np.repeat(np.arange(m + 1), m)
+    j = np.tile(np.arange(m), m + 1)
+    return Multigraph(m + 1, m, u, j + (j >= u))
 
 
-def sample_shifted_pa(snapshot: StepSnapshot, c: float, rng: random.Random) -> int:
-    """Draw a vertex with probability (deg(v)+c)/(2E+cn) from the snapshot.
+def draw_slots(gp: GeneratorParams, t, rng: np.random.Generator) -> np.ndarray:
+    """The m slot draws of one growth step per entry of t, each step
+    reading a graph of t[i] vertices: shape (len(t), m), holding a vertex
+    id where the slot's target is that vertex and ~j (negative) where it
+    is the target of edge slot j < m*t[i]."""
+    m, k, beta = gp.m, gp.k, gp.beta
+    p_ptr = m / (2 * m + gp.c)
+    out = rng.integers(np.repeat(m * np.asarray(t, dtype=np.int64), m)).reshape(-1, m)
+    x = rng.random(out.shape)
+    ptr = x < p_ptr
+    if k:
+        # Column 2i decides the pair: an edge-copy below beta, else its own
+        # PA draw with x rescaled from [beta, 1).  An edge-copy's pair is
+        # (j // m, ~j) for column 2i's uniform slot j.
+        a = x[:, 0 : 2 * k : 2]
+        copy = a < beta
+        ptr[:, 0 : 2 * k : 2] = (a >= beta) & (a < beta + p_ptr * (1.0 - beta))
+        np.copyto(out[:, 1 : 2 * k : 2], out[:, 0 : 2 * k : 2], where=copy)
+        ptr[:, 1 : 2 * k : 2] |= copy
+    np.floor_divide(out, m, out=out, where=~ptr)
+    np.invert(out, out=out, where=ptr)
+    return out
 
-    c >= 0 uses a token/uniform mixture; -m < c < 0 uses rejection against
-    uniform tokens, accepting with probability (deg(v)+c)/deg(v) (the
-    acceptance rate is at least (m+c)/m, so termination is geometric).
+
+def resolve_pointers(v: np.ndarray) -> None:
+    """Replace, in place, every pointer ~j in v by the vertex its chain of
+    pointers ends at (pointers must form a forest).
+
+    Synchronous pointer jumping: each round gathers v at the pointed-to
+    slots into a temporary before writing any of them, so every chain
+    still open halves in length.
     """
-    n = snapshot.n
-    two_e = 2 * snapshot.num_edges
-    if n == 0 or two_e == 0:
-        raise ValueError("cannot sample from an empty snapshot")
-    tokens = snapshot.graph.tokens
-    if c == 0.0:
-        return tokens[rng.randrange(two_e)]
-    if c > 0.0:
-        if rng.random() * (two_e + c * n) < two_e:
-            return tokens[rng.randrange(two_e)]
-        return rng.randrange(n)
-    degrees = snapshot.graph.degrees
-    while True:
-        v = tokens[rng.randrange(two_e)]
-        d = degrees[v]
-        if d + c <= 0:
-            continue
-        if rng.random() * d < d + c:
-            return v
-
-
-def sample_uniform_edge(
-    snapshot: StepSnapshot, rng: random.Random
-) -> tuple[int, int]:
-    """Uniform draw from the edge multiset of the snapshot."""
-    if snapshot.num_edges == 0:
-        raise ValueError("cannot sample an edge from an empty snapshot")
-    e = rng.randrange(snapshot.num_edges)
-    return snapshot.graph.edges_u[e], snapshot.graph.edges_v[e]
-
-
-def add_vertex_step(g: Multigraph, gp: GeneratorParams, rng: random.Random) -> Multigraph:
-    """Add one vertex and m edges, sampling every slot from the pre-step
-    snapshot and applying all mutations afterwards."""
-    snap = StepSnapshot.of(g)
-    targets: list[int] = []
-    for _ in range(gp.k):
-        if rng.random() < gp.beta:
-            u, v = sample_uniform_edge(snap, rng)
-            targets.append(u)
-            targets.append(v)
-        else:
-            targets.append(sample_shifted_pa(snap, gp.c, rng))
-            targets.append(sample_shifted_pa(snap, gp.c, rng))
-    for _ in range(gp.r):
-        targets.append(sample_shifted_pa(snap, gp.c, rng))
-    new = g.add_vertex()
-    for t in targets:
-        g.add_edge(new, t)
-    return g
+    idx = np.flatnonzero(v < 0)
+    while idx.size:
+        nxt = v[~v[idx]]
+        v[idx] = nxt
+        idx = idx[nxt < 0]
 
 
 def generate(gp: GeneratorParams, n: int, seed) -> Multigraph:
     """Grow a graph to n vertices; a fixed (gp, n, seed) gives a
-    bit-identical edge list."""
+    bit-identical edge list.  seed is a non-negative int (or None for
+    fresh entropy)."""
     m = gp.m
     if n < m + 1:
         raise ValueError(f"n must be >= seed size m+1 = {m + 1}, got {n}")
-    rng = random.Random(seed)
-    g = seed_graph(m)
-
-    # Hot loop: inlined sampling with local bindings; mirrors
-    # add_vertex_step exactly (single-writer, snapshot-disciplined).
-    k, r, beta, c = gp.k, gp.r, gp.beta, gp.c
-    edges_u = g.edges_u
-    edges_v = g.edges_v
-    tokens = g.tokens
-    degrees = g.degrees
-    rnd = rng.random
-    randrange = rng.randrange
-    c_zero = c == 0.0
-    c_pos = c > 0.0
-    targets: list[int] = []
-    for new in range(m + 1, n):
-        n_old = new
-        two_e = 2 * len(edges_u)
-        num_e = len(edges_u)
-        total = two_e + c * n_old
-        targets.clear()
-        pa_draws = r
-        for _ in range(k):
-            if rnd() < beta:
-                e = randrange(num_e)
-                targets.append(edges_u[e])
-                targets.append(edges_v[e])
-            else:
-                pa_draws += 2
-        if c_zero:
-            for _ in range(pa_draws):
-                targets.append(tokens[randrange(two_e)])
-        elif c_pos:
-            for _ in range(pa_draws):
-                if rnd() * total < two_e:
-                    targets.append(tokens[randrange(two_e)])
-                else:
-                    targets.append(randrange(n_old))
-        else:
-            for _ in range(pa_draws):
-                while True:
-                    v = tokens[randrange(two_e)]
-                    d = degrees[v]
-                    if d + c > 0 and rnd() * d < d + c:
-                        targets.append(v)
-                        break
-        degrees.append(m)
-        g.n += 1
-        for t in targets:
-            edges_u.append(new)
-            edges_v.append(t)
-            tokens.append(new)
-            tokens.append(t)
-            degrees[t] += 1
-    return g
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    v = np.concatenate([seed_graph(m).v, draw_slots(gp, np.arange(m + 1, n), rng).ravel()])
+    resolve_pointers(v)
+    return Multigraph(n, m, np.repeat(np.arange(n), m), v)
 
 
 def export_edge_list(g: Multigraph, sink) -> None:
@@ -260,8 +146,8 @@ def export_edge_list(g: Multigraph, sink) -> None:
         sink = open(sink, "w")
         close = True
     try:
-        for u, v in zip(g.edges_u, g.edges_v):
-            sink.write(f"{u} {v}\n")
+        for a, b in zip(g.u.tolist(), g.v.tolist()):
+            sink.write(f"{a} {b}\n")
     finally:
         if close:
             sink.close()
@@ -277,8 +163,8 @@ def import_edge_list(source) -> Multigraph:
         source = open(source)
         close = True
     try:
-        pairs: list[tuple[int, int]] = []
-        max_id = -1
+        us: list[int] = []
+        vs: list[int] = []
         for lineno, line in enumerate(source, start=1):
             line = line.strip()
             if not line:
@@ -294,21 +180,15 @@ def import_edge_list(source) -> Multigraph:
                 raise ValueError(f"line {lineno}: negative vertex id")
             if u == v:
                 raise ValueError(f"line {lineno}: self-loop at {u}")
-            pairs.append((u, v))
-            max_id = max(max_id, u, v)
+            us.append(u)
+            vs.append(v)
     finally:
         if close:
             source.close()
-    if not pairs:
+    if not us:
         raise ValueError("empty edge list")
-    g = Multigraph()
-    for _ in range(max_id + 1):
-        g.add_vertex()
-    for u, v in pairs:
-        g.add_edge(u, v)
-    if len(pairs) % g.n == 0:
-        g.m = len(pairs) // g.n
-    return g
+    n = max(max(us), max(vs)) + 1
+    return Multigraph(n, len(us) // n if len(us) % n == 0 else None, us, vs)
 
 
 def child_seed(root_seed: int, *key: int) -> int:

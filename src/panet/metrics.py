@@ -55,11 +55,9 @@ def degree_profile(g: Multigraph) -> DegreeProfile:
     """Single-pass N, S, W.  Each edge (u,v) contributes deg(v) to the
     S-bucket of deg(u) and vice versa, once per parallel edge."""
     deg = g.degree_array()
-    u = np.asarray(g.edges_u, dtype=np.int64)
-    v = np.asarray(g.edges_v, dtype=np.int64)
     nbr_sum = np.zeros(g.n, dtype=np.int64)
-    np.add.at(nbr_sum, u, deg[v])
-    np.add.at(nbr_sum, v, deg[u])
+    np.add.at(nbr_sum, g.u, deg[g.v])
+    np.add.at(nbr_sum, g.v, deg[g.u])
     counts = np.bincount(deg)
     sums = np.bincount(deg, weights=nbr_sum).astype(np.int64)
     N = {int(d): int(c) for d, c in enumerate(counts) if c > 0}
@@ -103,11 +101,17 @@ def clustering(g: Multigraph) -> ClusteringProfile:
     """Global C1, average local C2 and per-degree C(d) on the simple
     projection.  Vertices with fewer than two distinct neighbors contribute
     local coefficient 0.  C_by_degree is keyed by multigraph degree."""
-    adj = g.simple_adjacency()
+    # One list conversion serves both passes: a second would allocate a
+    # second set of int objects, which the neighbor sets keep alive.
+    us, vs = g.u.tolist(), g.v.tolist()
+    adj = [set() for _ in range(g.n)]
+    for a, b in zip(us, vs):
+        adj[a].add(b)
+        adj[b].add(a)
     tri = [0] * g.n
 
     seen = set()
-    for u, v in zip(g.edges_u, g.edges_v):
+    for u, v in zip(us, vs):
         key = (u, v) if u < v else (v, u)
         if key in seen:
             continue
@@ -134,7 +138,7 @@ def clustering(g: Multigraph) -> ClusteringProfile:
     C2 = sum(local) / g.n if g.n > 0 else 0.0
 
     by_degree: dict[int, list[float]] = {}
-    for v, d in enumerate(g.degrees):
+    for v, d in enumerate(g.degree_array().tolist()):
         by_degree.setdefault(d, []).append(local[v])
     C_by_degree = {d: sum(vals) / len(vals) for d, vals in sorted(by_degree.items())}
     return ClusteringProfile(C1=C1, C2=C2, C_by_degree=C_by_degree)
@@ -144,8 +148,8 @@ def pearson_assortativity(g: Multigraph) -> float:
     """Pearson correlation of the symmetrized edge-endpoint degree pairs;
     NaN when the degree variance over endpoints is zero (regular graphs)."""
     deg = g.degree_array().astype(float)
-    du = deg[np.asarray(g.edges_u, dtype=np.int64)]
-    dv = deg[np.asarray(g.edges_v, dtype=np.int64)]
+    du = deg[g.u]
+    dv = deg[g.v]
     x = np.concatenate([du, dv])
     y = np.concatenate([dv, du])
     vx = np.var(x)

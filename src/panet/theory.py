@@ -308,13 +308,15 @@ class TheoryCurve:
 
 
 def build_theory_curve(p: ModelParams, d_values) -> TheoryCurve:
-    """Tabulate c, M and dnn at the given degrees (sorted, all >= m).
+    """Tabulate c, M and dnn at the given degrees (at least one, all >= m).
 
     The Y prefix sum is accumulated once up to max(d_values) in chunks, so
     the cost is O(max d) regardless of how many degrees are requested.
     """
     _check_subcritical(p, "TheoryCurve")
     d_values = np.unique(np.asarray(d_values, dtype=np.int64))
+    if d_values.size == 0:
+        raise ValueError("no degrees to tabulate the theory curve at")
     _check_degree(p, d_values)
     m, A, B = p.m, p.A, p.B
 

@@ -4,6 +4,7 @@ and end-to-end command behavior at small sizes."""
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,7 @@ class TestCLI:
             ({"name": "s", "m": 2, "A": 0.25, "D": 0.3}, "n_list"),
             ({"m": 2, "A": 0.25, "D": 0.3, "n_list": [400]}, "name"),
             ([1, 2], "JSON object"),
+            ({"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400], "root_seed": -1}, "root_seed"),
         ],
     )
     def test_bad_scenario_file_exit_2(self, tmp_path, capsys, payload, key):
@@ -305,6 +307,39 @@ class TestCLI:
         assert err.count("\n") == 1 and err.startswith("error: ") and key in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        code, err = self._run_captured(
+            capsys, "generate", "--m", "2", "--A", "0.25", "--D", "0.3",
+            "--n", "100", "--seed", "-1", "--out", str(out),
+        )
+        assert code == 2
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, why",
+        [
+            ("fig1a", "no degree with pooled N >= 500"),
+            ("fig5a", "need at least 3 points"),
+            ("fig6a", "needs at least 3 sizes"),
+            ("fig6b", "need at least 3 points"),
+        ],
+    )
+    def test_uncomputable_check_fails_cleanly(self, tmp_path, capsys, name, why):
+        # One size and few degrees at --n 200: the rule cannot be computed,
+        # which is a failed check (exit 3, one line), not a traceback, an
+        # "invalid parameters" exit or a nan statistic.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self._run_captured(
+                capsys, "experiment", "preset", name, "--n", "200", "--seeds", "1",
+                "--check", "--out-dir", str(tmp_path),
+            )
+        assert code == 3
+        assert err.startswith(f"CHECK FAIL [{name}]: cannot compute the check: ")
+        assert err.count("\n") == 1 and why in err
 
     def test_theory_d_max_below_m_exit_2(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -1,23 +1,22 @@
 """Generator: seed graph shape, determinism, structural invariants, the
-sampling distributions behind the attachment conditions, and edge-list IO."""
+slot draws behind the attachment conditions, pointer resolution against a
+sequential reference, and edge-list IO."""
 
 import io
 import math
-import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from panet.graphgen import (
-    Multigraph,
-    StepSnapshot,
-    add_vertex_step,
     child_seed,
+    draw_slots,
     export_edge_list,
     generate,
     import_edge_list,
-    sample_shifted_pa,
-    sample_uniform_edge,
+    resolve_pointers,
     seed_graph,
 )
 from panet.metrics import clustering
@@ -26,13 +25,26 @@ from panet.params import GeneratorParams, derive_generator_params
 GP = derive_generator_params(2, 0.2, 0.3)  # beta = 0.3, c = 24
 
 
+def _resolved_steps(g, gp, steps, seed):
+    """Targets of `steps` independent growth steps, each drawn from the
+    whole of g: shape (steps, m)."""
+    d = draw_slots(gp, np.full(steps, g.n), np.random.default_rng(seed))
+    return np.where(d >= 0, d, g.v[~d])
+
+
 class TestSeedGraph:
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_doubled_clique_shape(self, m):
         g = seed_graph(m)
         assert g.n == m + 1
         assert g.num_edges == m * (m + 1)
-        assert all(d == 2 * m for d in g.degrees)
+        assert (g.degree_array() == 2 * m).all()
+        # Vertex u owns slots u*m ... u*m+m-1, and every pair is joined by
+        # two parallel edges with opposite owners.
+        assert g.u.tolist() == [e // m for e in range(m * (m + 1))]
+        assert Counter(zip(g.u.tolist(), g.v.tolist())) == {
+            (a, b): 1 for a in range(m + 1) for b in range(m + 1) if a != b
+        }
 
     def test_invalid_m(self):
         with pytest.raises(ValueError):
@@ -44,40 +56,43 @@ class TestGenerate:
         g = generate(GP, 500, seed=1)
         assert g.n == 500
         assert g.num_edges == 2 * 500
-        assert len(g.tokens) == 2 * g.num_edges
-        assert sum(g.degrees) == 2 * g.num_edges
+        assert (g.u == np.arange(g.num_edges) // 2).all()
+        assert g.degree_array().sum() == 2 * g.num_edges
 
     def test_determinism_and_seed_sensitivity(self):
-        a = generate(GP, 300, seed=42).edge_list()
-        b = generate(GP, 300, seed=42).edge_list()
-        c = generate(GP, 300, seed=43).edge_list()
-        assert a == b
-        assert a != c
+        a = generate(GP, 300, seed=42)
+        b = generate(GP, 300, seed=42)
+        c = generate(GP, 300, seed=43)
+        assert a.v.tolist() == b.v.tolist()
+        assert a.v.tolist() != c.v.tolist()
 
     def test_new_edges_point_backwards(self):
-        # Snapshot discipline: every non-seed edge joins the new vertex to a
-        # strictly older one, so no self-loops and no intra-step targets.
+        # Every non-seed edge joins the new vertex to a strictly older one,
+        # so no self-loops and no intra-step targets.
         g = generate(GP, 200, seed=3)
-        m = GP.m
-        seed_edges = m * (m + 1)
-        for u, v in g.edge_list()[seed_edges:]:
-            assert v < u
+        seed_edges = GP.m * (GP.m + 1)
+        assert (g.v[seed_edges:] < g.u[seed_edges:]).all()
+        assert (g.v >= 0).all()
 
     def test_matches_stepwise_reference(self):
-        # The inlined hot loop must be a pure refactoring of
-        # add_vertex_step: same structure and statistics (streams differ
-        # only in RNG call order, so compare structure, not bits).
-        rng = random.Random(5)
-        g = seed_graph(GP.m)
-        for _ in range(200):
-            add_vertex_step(g, GP, rng)
-        h = generate(GP, g.n, seed=5)
-        assert g.n == h.n and g.num_edges == h.num_edges
-        assert sorted(g.degrees)[-5:] != [0] * 5  # both grew real hubs
+        # generate must equal growing the graph one slot at a time from the
+        # same draws, each pointer read from the slots already placed.
+        n = 400
+        for A, D in ((0.2, 0.3), (0.6, 0.2)):
+            gp = derive_generator_params(2, A, D)
+            draws = draw_slots(gp, np.arange(3, n), np.random.default_rng(5))
+            targets = seed_graph(2).v.tolist()
+            for x in draws.ravel().tolist():
+                targets.append(x if x >= 0 else targets[~x])
+            assert generate(gp, n, seed=5).v.tolist() == targets
 
     def test_too_small_n(self):
         with pytest.raises(ValueError, match="n must be"):
             generate(GP, 2, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            generate(GP, 10, seed=-1)
 
     @pytest.mark.parametrize("A, D", [(0.25, 0.0), (0.5, 0.2), (0.6, 0.2)])
     def test_other_regimes_run(self, A, D):
@@ -100,66 +115,76 @@ class TestGenerate:
         assert c1[0] < c1[1] < c1[2]
 
 
+class TestResolvePointers:
+    @pytest.mark.parametrize("literal_frac", [0.0, 0.1, 0.5, 0.9])
+    def test_matches_sequential_on_random_forests(self, literal_frac):
+        """Exactly equal to following each slot's chain one pointer at a
+        time, on forests whose pointers run both ways."""
+        rng = np.random.default_rng(17)
+        size = 2000
+        for _ in range(5):
+            # A forest with every pointer aimed at an earlier slot, then its
+            # slots shuffled so pointers also point forward.
+            v = rng.integers(0, 10**6, size)
+            ptr = rng.random(size) >= literal_frac
+            ptr[0] = False
+            v[ptr] = ~rng.integers(0, np.flatnonzero(ptr))
+            pos = rng.permutation(size)  # slot i moves to pos[i]
+            shuffled = np.empty_like(v)
+            shuffled[pos] = np.where(v >= 0, v, ~pos[~np.minimum(v, -1)])
+            expected = []
+            for x in shuffled.tolist():
+                while x < 0:
+                    x = int(shuffled[~x])
+                expected.append(x)
+            resolve_pointers(shuffled)
+            assert shuffled.tolist() == expected
+
+    def test_long_chain(self):
+        v = np.array([7] + [~i for i in range(999)])
+        resolve_pointers(v)
+        assert (v == 7).all()
+
+
 class TestShiftedPASampling:
     @pytest.mark.parametrize("c", [24.0, 0.0, -1.5])
     def test_marginal_distribution(self, c):
         """Chi-square test of P(v) = (deg(v)+c)/(2E+cn) on a fixed graph."""
         g = generate(GP, 50, seed=11)
-        snap = StepSnapshot.of(g)
-        rng = random.Random(1234)
-        draws = 200_000
-        counts = [0] * g.n
-        for _ in range(draws):
-            counts[sample_shifted_pa(snap, c, rng)] += 1
+        hits = _resolved_steps(g, GeneratorParams(m=2, beta=0.0, c=c), 100_000, 1234).ravel()
+        counts = np.bincount(hits, minlength=g.n)
         total = 2 * g.num_edges + c * g.n
-        expected = [draws * (d + c) / total for d in g.degrees]
+        expected = hits.size * (g.degree_array() + c) / total
         stat, p = chisquare(counts, expected)
         assert p > 0.01, f"c={c}: chi2={stat:.1f}, p={p:.4f}"
 
     def test_uniform_edge(self):
-        g = seed_graph(2)  # 6 edges
-        snap = StepSnapshot.of(g)
-        rng = random.Random(0)
-        seen = {sample_uniform_edge(snap, rng) for _ in range(500)}
-        assert seen == {(0, 1), (0, 2), (1, 2)}
+        """An edge-copy takes both endpoints of a uniform edge."""
+        g = seed_graph(2)  # 6 edges, two per vertex pair
+        pairs = np.sort(_resolved_steps(g, GeneratorParams(m=2, beta=1.0, c=0.0), 3000, 0), axis=1)
+        counts = Counter(map(tuple, pairs.tolist()))
+        assert set(counts) == {(0, 1), (0, 2), (1, 2)}
+        stat, p = chisquare(list(counts.values()))
+        assert p > 0.01, f"chi2={stat:.1f}, p={p:.4f}"
 
     def test_empty_snapshot_rejected(self):
-        g = Multigraph()
         with pytest.raises(ValueError):
-            sample_shifted_pa(StepSnapshot.of(g), 0.0, random.Random(0))
+            draw_slots(GP, [0], np.random.default_rng(0))
 
 
 class TestStepIncrementProbabilities:
-    def _step_targets(self, snap, gp, rng):
-        targets = []
-        for _ in range(gp.k):
-            if rng.random() < gp.beta:
-                u, v = sample_uniform_edge(snap, rng)
-                targets += [u, v]
-            else:
-                targets.append(sample_shifted_pa(snap, gp.c, rng))
-                targets.append(sample_shifted_pa(snap, gp.c, rng))
-        for _ in range(gp.r):
-            targets.append(sample_shifted_pa(snap, gp.c, rng))
-        return targets
-
     def test_marginal_increment_probability(self):
         """One growth step hits vertex v with probability A*d(v)/n + B/n
         up to O(1/n^2); checked for a low- and a high-degree vertex."""
         g = generate(GP, 1000, seed=21)
-        snap = StepSnapshot.of(g)
-        rng = random.Random(77)
-        degs = g.degrees
-        lo = degs.index(2)
-        hi = max(range(g.n), key=lambda v: degs[v])
+        degs = g.degree_array()
+        lo = int(np.flatnonzero(degs == 2)[0])
+        hi = int(np.argmax(degs))
         trials = 400_000
-        hit_lo = hit_hi = 0
-        for _ in range(trials):
-            t = set(self._step_targets(snap, GP, rng))
-            hit_lo += lo in t
-            hit_hi += hi in t
+        targets = _resolved_steps(g, GP, trials, 77)
         A, B, n = 0.2, 1.2, g.n
-        for v, hits in ((lo, hit_lo), (hi, hit_hi)):
+        for v in (lo, hi):
+            hits = int((targets == v).any(axis=1).sum())
             p0 = (A * degs[v] + B) / n
             se = math.sqrt(p0 * (1 - p0) / trials)
             assert abs(hits / trials - p0) < 3 * se + 0.02 * p0, (
@@ -170,20 +195,11 @@ class TestStepIncrementProbabilities:
         """Both endpoints of an existing edge (i,j) gain degree together
         with probability ~ e_ij * D / (m*n)."""
         g = generate(GP, 2000, seed=31)
-        snap = StepSnapshot.of(g)
-        i, j = g.edges_u[500], g.edges_v[500]
-        e_ij = sum(
-            1
-            for u, v in zip(g.edges_u, g.edges_v)
-            if (u, v) == (i, j) or (u, v) == (j, i)
-        )
-        rng = random.Random(99)
+        i, j = int(g.u[500]), int(g.v[500])
+        e_ij = int((((g.u == i) & (g.v == j)) | ((g.u == j) & (g.v == i))).sum())
         trials = 1_000_000
-        joint = 0
-        for _ in range(trials):
-            t = self._step_targets(snap, GP, rng)
-            if i in t and j in t:
-                joint += 1
+        targets = _resolved_steps(g, GP, trials, 99)
+        joint = int(((targets == i).any(axis=1) & (targets == j).any(axis=1)).sum())
         p0 = e_ij * 0.3 / (2 * g.n)
         se = math.sqrt(p0 * (1 - p0) / trials)
         assert abs(joint / trials - p0) < 3 * se + 0.05 * p0, (
@@ -197,8 +213,8 @@ class TestEdgeListIO:
         path = str(tmp_path / "g.txt")
         export_edge_list(g, path)
         h = import_edge_list(path)
-        assert h.edge_list() == g.edge_list()
-        assert h.degrees == g.degrees
+        assert h.u.tolist() == g.u.tolist() and h.v.tolist() == g.v.tolist()
+        assert h.degree_array().tolist() == g.degree_array().tolist()
         assert h.m == GP.m
 
     @pytest.mark.parametrize(

@@ -20,12 +20,8 @@ from panet.params import derive_generator_params
 
 
 def _graph(n, edges):
-    g = Multigraph()
-    for _ in range(n):
-        g.add_vertex()
-    for u, v in edges:
-        g.add_edge(u, v)
-    return g
+    u, v = zip(*edges)
+    return Multigraph(n, None, u, v)
 
 
 @pytest.fixture

@@ -229,3 +229,12 @@ class TestOverlay:
         for A in (0.25, 0.5, 0.6):
             with pytest.raises(ValueError, match="degree must be >= m"):
                 dnn_overlay(make_model_params(2, A, 0.2), 1, 100, 1.0)
+
+    def test_empty_degree_list_rejected(self):
+        # fig1a --check at a tiny n reached the curve with no degree and
+        # ended in an IndexError traceback.
+        for d in ([], np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError, match="no degrees"):
+                build_theory_curve(P, d)
+            with pytest.raises(ValueError, match="no degrees"):
+                dnn_overlay(P, d, 100, 1.0)
