@@ -7,8 +7,8 @@ Subcommands:
   oracle      recurrence integration vs closed form, as CSV
   experiment  run a scenario file or a named figure preset
 
+Experiment tables follow each scenario's output tags; presets add --check.
 Exit codes: 0 success, 2 invalid parameters, 3 check failure (--check).
-Worker count for experiment runs comes from the PANET_WORKERS env var.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .experiments import (
     theory_tables,
 )
 from .graphgen import export_edge_list, generate, import_edge_list
-from .metrics import clustering, degree_profile, pearson_assortativity
+from .metrics import clustering, degree_profile, dnn_empirical, pearson_assortativity
 from .oracle import compare_closed_form, integrate_S
 from .params import (
     GeneratorParams,
@@ -95,7 +95,7 @@ def _cmd_metrics(args) -> int:
     prof = degree_profile(g)
     cp = clustering(g)
     rows = [
-        (d, prof.N[d], prof.S[d], prof.S[d] / (prof.N[d] * d), cp.C_by_degree.get(d, 0.0))
+        (d, prof.N[d], prof.S[d], dnn_empirical(prof, d), cp.C_by_degree.get(d, 0.0))
         for d in sorted(prof.N)
     ]
     _write_csv(Path(args.out), ["d", "N", "S", "dnn", "C_of_d"], rows)
@@ -166,16 +166,17 @@ def _write_scenario_outputs(res: ScenarioResult, out_dir: Path) -> list[Path]:
     return written
 
 
-def _write_sweep_csv(results: list[ScenarioResult], out_dir: Path, preset: str) -> Path | None:
-    """fig4: one row per D value at the probe degree."""
-    if preset != "fig4":
-        return None
+def _write_sweep_csv(results: list[ScenarioResult], out_dir: Path, label: str) -> Path | None:
+    """One row per `dnn_vs_D` scenario: d_nn at its probe degree and largest size."""
     rows = []
     for res in results:
         s = res.scenario
-        n = s.n_list[-1]
-        rows.append((s.D, s.probe_degree, res.probe_mean(n), res.probe_stderr(n)))
-    path = out_dir / "fig4_dnn_vs_D.csv"
+        if "dnn_vs_D" in s.outputs:
+            n = s.n_list[-1]
+            rows.append((s.D, s.probe_degree, res.probe_mean(n), res.probe_stderr(n)))
+    if not rows:
+        return None
+    path = out_dir / f"{label}_dnn_vs_D.csv"
     _write_csv(path, ["D", "d0", "dnn_mean", "dnn_stderr"], rows)
     return path
 
@@ -198,7 +199,7 @@ _GNUPLOT_TEMPLATES = {
 }
 
 
-def _emit_gnuplot(csv_paths: list[Path], out_dir: Path, preset: str) -> Path:
+def _emit_gnuplot(csv_paths: list[Path], out_dir: Path, label: str) -> Path:
     lines = ["set terminal pngcairo size 800,600", ""]
     for p in csv_paths:
         for kind, tpl in _GNUPLOT_TEMPLATES.items():
@@ -206,7 +207,7 @@ def _emit_gnuplot(csv_paths: list[Path], out_dir: Path, preset: str) -> Path:
                 lines.append(f'set output "{p.stem}.png"')
                 lines.append(tpl.format(csv=p.name))
                 break
-    path = out_dir / f"{preset}.gp"
+    path = out_dir / f"{label}.gp"
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -216,10 +217,10 @@ def _cmd_experiment(args) -> int:
         payload = json.loads(Path(args.scenario).read_text())
         payload = payload if isinstance(payload, list) else [payload]
         scenarios = [Scenario.from_json(json.dumps(p)) for p in payload]
-        preset = None
+        label = "scenario"
     else:
         scenarios = make_preset(args.name, full=args.full, n=args.n, seeds=args.seeds)
-        preset = args.name
+        label = args.name
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -241,25 +242,21 @@ def _cmd_experiment(args) -> int:
             extra = f" (fitted constant {res.fitted_constant:.4g})"
         print(f"{s.name}: wrote {', '.join(p.name for p in paths)}{extra}")
 
-    if preset:
-        sweep = _write_sweep_csv(results, out_dir, preset)
-        if sweep:
-            written.append(sweep)
-            print(f"wrote {sweep}")
+    sweep = _write_sweep_csv(results, out_dir, label)
+    if sweep:
+        written.append(sweep)
+        print(f"wrote {sweep}")
     if args.gnuplot:
-        gp = _emit_gnuplot(written, out_dir, preset or "scenario")
+        gp = _emit_gnuplot(written, out_dir, label)
         print(f"wrote {gp}")
 
-    if args.check:
-        if not preset:
-            print("--check requires a named preset", file=sys.stderr)
-            return _EXIT_INVALID
-        fails = check_preset(preset, results)
+    if args.mode == "preset" and args.check:
+        fails = check_preset(label, results)
         if fails:
             for msg in fails:
-                print(f"CHECK FAIL [{preset}]: {msg}", file=sys.stderr)
+                print(f"CHECK FAIL [{label}]: {msg}", file=sys.stderr)
             return _EXIT_CHECK_FAILED
-        print(f"CHECK PASS [{preset}]")
+        print(f"CHECK PASS [{label}]")
     return _EXIT_OK
 
 
@@ -315,12 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     pre_p.add_argument("--full", action="store_true", help="reference sizes (n = 1e6)")
     pre_p.add_argument("--n", type=int, help="override every size (desk testing)")
     pre_p.add_argument("--seeds", type=int, help="override seed count")
+    pre_p.add_argument("--check", action="store_true", help="verify figure invariants")
     for p in (run_p, pre_p):
         p.add_argument("--out-dir", default=".")
         p.add_argument("--gnuplot", action="store_true", help="emit a gnuplot script")
-        p.add_argument("--check", action="store_true", help="verify figure invariants")
-    run_p.set_defaults(func=_cmd_experiment, full=False, n=None, seeds=None)
-    pre_p.set_defaults(func=_cmd_experiment)
+        p.set_defaults(func=_cmd_experiment)
 
     return ap
 

@@ -5,8 +5,8 @@ the original sizes).
 
 Determinism: every (n, seed-index) run derives its generator seed from the
 scenario root seed, and aggregation folds results in (n, seed-index) order,
-so output bytes do not depend on worker scheduling.  Worker count comes
-from the PANET_WORKERS environment variable (default: serial).
+so output bytes do not depend on worker scheduling.  Jobs run on one
+worker per CPU in the process's affinity mask (`taskset` narrows it).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .graphgen import child_seed, generate
-from .metrics import degree_profile, log_binned_curve
+from .metrics import degree_profile, dnn_empirical, log_binned_curve
 from .params import ModelParams, derive_generator_params, make_model_params
 from .theory import (
     build_theory_curve,
@@ -42,6 +42,8 @@ __all__ = [
     "make_preset",
     "check_preset",
 ]
+
+OUTPUTS = ("dnn_vs_d", "dnn_vs_n", "err_vs_n", "dnn_vs_D", "theory_only")
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,9 @@ class Scenario:
             raise ValueError(f"all sizes must be >= seed size m+1 = {self.m + 1}")
         if self.root_seed < 0:
             raise ValueError(f"root_seed must be >= 0, got {self.root_seed}")
+        for tag in self.outputs:
+            if tag not in OUTPUTS:
+                raise ValueError(f"unknown outputs tag {tag!r} (known: {', '.join(OUTPUTS)})")
 
     @property
     def probe_degree(self) -> int:
@@ -146,22 +151,22 @@ def _run_one(args) -> tuple[int, int, dict[int, int], dict[int, int], int, float
     gp = derive_generator_params(m, A, D)
     g = generate(gp, n, seed)
     prof = degree_profile(g)
-    probe = math.nan
-    if prof.N.get(d0, 0) > 0:
-        probe = prof.S[d0] / (prof.N[d0] * d0)
-    return n, seed, prof.N, prof.S, prof.W, probe
+    return n, seed, prof.N, prof.S, prof.W, dnn_empirical(prof, d0)
 
 
 def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
     """Generate seeds x sizes graphs, pool per-degree statistics, keep
-    per-seed probe values for error bars."""
-    if workers is None:
-        workers = int(os.environ.get("PANET_WORKERS", "1"))
+    per-seed probe values for error bars.  workers=None: one per CPU in
+    the affinity mask (os.cpu_count() off Linux), at most one per job."""
     d0 = s.probe_degree
     tasks = []
     for n, n_seeds in zip(s.n_list, s.seeds_for_n):
         for i in range(n_seeds):
             tasks.append((s.m, s.A, s.D, n, child_seed(s.root_seed, n, i), d0))
+    if workers is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        workers = min(cpus, len(tasks))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -293,7 +298,7 @@ def ccdf_slope(res: ScenarioResult, n: int, d_min: int = 10, min_count: int = 20
 
 
 # ---------------------------------------------------------------------------
-# Figure presets (desk scale; full=True restores the reference sizes).
+# Figure presets, defined only here (desk scale; full=True: reference sizes).
 
 def _sizes(full: bool, *desk: int) -> tuple[int, ...]:
     return tuple(10 * x for x in desk) if full else desk

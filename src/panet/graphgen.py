@@ -156,7 +156,8 @@ def export_edge_list(g: Multigraph, sink) -> None:
 def import_edge_list(source) -> Multigraph:
     """Read an edge list written by export_edge_list.
 
-    Rejects malformed lines, self-loops, negative ids and empty inputs.
+    Rejects malformed lines, self-loops, negative ids, empty inputs and ids
+    >= 2E (a graph with no isolated vertex has fewer than 2E vertices).
     """
     close = False
     if isinstance(source, str):
@@ -187,7 +188,10 @@ def import_edge_list(source) -> Multigraph:
             source.close()
     if not us:
         raise ValueError("empty edge list")
-    n = max(max(us), max(vs)) + 1
+    top = max(max(us), max(vs))
+    if top >= 2 * len(us):
+        raise ValueError(f"vertex id {top} is not below 2E = {2 * len(us)} (twice the edge count)")
+    n = top + 1
     return Multigraph(n, len(us) // n if len(us) % n == 0 else None, us, vs)
 
 

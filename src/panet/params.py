@@ -79,12 +79,6 @@ class GeneratorParams:
 
 def make_model_params(m: int, A: float, D: float) -> ModelParams:
     """Build ModelParams with B derived from the constraint 2mA + B = m."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 0.0 <= A <= 1.0:
-        raise ValueError(f"A must lie in [0, 1], got {A}")
-    if D < 0.0:
-        raise ValueError(f"D must be >= 0, got {D}")
     return ModelParams(m=m, A=A, B=m * (1.0 - 2.0 * A), D=D)
 
 

@@ -133,28 +133,16 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset"):
             make_preset("fig99")
 
-    def test_checked_in_files_match_presets(self):
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[1] / "scenarios"
-        for name in PRESETS:
-            payload = json.loads((root / f"{name}.json").read_text())
-            payload = payload if isinstance(payload, list) else [payload]
-            built = make_preset(name)
-            assert len(payload) == len(built)
-            for raw, s in zip(payload, built):
-                assert Scenario.from_json(json.dumps(raw)) == s
-
 
 class TestRunScenario:
     S = Scenario(name="small", m=2, A=0.25, D=0.3, n_list=(500, 1500), seeds=3)
 
     def test_deterministic_and_worker_independent(self):
         a = run_scenario(self.S, workers=1)
-        b = run_scenario(self.S, workers=2)
-        assert a.pooled_N == b.pooled_N
-        assert a.pooled_S == b.pooled_S
-        assert a.probe_per_seed == b.probe_per_seed
+        for b in (run_scenario(self.S, workers=2), run_scenario(self.S)):
+            assert a.pooled_N == b.pooled_N
+            assert a.pooled_S == b.pooled_S
+            assert a.probe_per_seed == b.probe_per_seed
 
     def test_aggregation_shape(self):
         res = run_scenario(self.S, workers=1)
@@ -271,6 +259,32 @@ class TestCLI:
         assert self._run("experiment", "run", str(f), "--out-dir", str(tmp_path)) == 0
         assert (tmp_path / "mini_dnn_vs_d_n400.csv").exists()
 
+    def test_scenario_file_writes_sweep_table(self, tmp_path):
+        # The dnn_vs_D tag, not the preset name, selects the sweep table:
+        # fig4's scenarios run from a file give fig4's table, one row per D.
+        scenarios = make_preset("fig4", n=400, seeds=2)
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps([json.loads(s.to_json()) for s in scenarios]))
+        run_dir, preset_dir = tmp_path / "run", tmp_path / "preset"
+        assert self._run("experiment", "run", str(f), "--out-dir", str(run_dir), "--gnuplot") == 0
+        assert self._run(
+            "experiment", "preset", "fig4", "--n", "400", "--seeds", "2", "--out-dir", str(preset_dir),
+        ) == 0
+        table = (run_dir / "scenario_dnn_vs_D.csv").read_text()
+        assert table == (preset_dir / "fig4_dnn_vs_D.csv").read_text()
+        assert [row.split(",")[0] for row in table.splitlines()[1:]] == [f"{s.D:g}" for s in scenarios]
+        assert '"scenario_dnn_vs_D.csv"' in (run_dir / "scenario.gp").read_text()
+
+    def test_run_rejects_check_before_running(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        f.write_text(Scenario(name="mini", m=2, A=0.25, D=0.3, n_list=(400,)).to_json())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            self._run("experiment", "run", str(f), "--check", "--out-dir", str(out))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --check" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_preset_rerun_byte_identical(self, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:
@@ -296,6 +310,10 @@ class TestCLI:
             ({"m": 2, "A": 0.25, "D": 0.3, "n_list": [400]}, "name"),
             ([1, 2], "JSON object"),
             ({"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400], "root_seed": -1}, "root_seed"),
+            (
+                {"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400], "outputs": ["bogus"]},
+                "outputs tag 'bogus'",
+            ),
         ],
     )
     def test_bad_scenario_file_exit_2(self, tmp_path, capsys, payload, key):
@@ -340,6 +358,18 @@ class TestCLI:
         assert code == 3
         assert err.startswith(f"CHECK FAIL [{name}]: cannot compute the check: ")
         assert err.count("\n") == 1 and why in err
+
+    @pytest.mark.parametrize("vid", ["99999999999999999999", "1000000000000"])
+    def test_metrics_huge_vertex_id_exit_2(self, tmp_path, capsys, vid):
+        # Ids >= 2E once ended in an int64 OverflowError or a multi-TiB
+        # allocation; now one error line before any array is built.
+        f = tmp_path / "g.txt"
+        f.write_text(f"0 1\n1 {vid}\n")
+        out = tmp_path / "m.csv"
+        code, err = self._run_captured(capsys, "metrics", "--in", str(f), "--out", str(out))
+        assert code == 2
+        assert err == f"error: vertex id {vid} is not below 2E = 4 (twice the edge count)\n"
+        assert not out.exists()
 
     def test_theory_d_max_below_m_exit_2(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
