@@ -3,7 +3,8 @@ size.  For each of the nine presets, `experiment preset <name> --n 2000
 --seeds 2 --gnuplot --check` must write the same files with the same bytes
 and end with the same exit code and stderr (most presets fail their check
 at this size, which pins the failure messages).  Two `theory` tables, one
-subcritical and one supercritical, are pinned the same way.
+subcritical and one supercritical, are pinned the same way, and so is
+`metrics` (its CSV and stdout) on two generated edge lists of n = 5000.
 
 Refactors that keep the generator's RNG stream must keep every digest.  A
 deliberate stream change regenerates the file once, with a CHANGES.md note:
@@ -34,22 +35,27 @@ THEORY_ARGS = {
     "A0.6": ["--m", "2", "--A", "0.6", "--D", "0.2"],
 }
 
+METRICS_ARGS = {
+    "A0.25": ["--m", "2", "--A", "0.25", "--D", "0.3"],
+    "A0.6": ["--m", "2", "--A", "0.6", "--D", "0.2"],
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
+def _run(argv: list[str]) -> tuple[int, str, str]:
     # numpy's RuntimeWarnings (a correlation over one size) carry install
     # paths; only the CLI's own stderr lines are pinned.
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True), redirect_stdout(io.StringIO()), redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, err.getvalue(), out.getvalue()
 
 
 def preset_digest(name: str, out_dir: Path) -> dict:
-    code, err = _run(
+    code, err, _ = _run(
         [
             "experiment", "preset", name, "--n", "2000", "--seeds", "2",
             "--gnuplot", "--check", "--out-dir", str(out_dir),
@@ -61,11 +67,20 @@ def preset_digest(name: str, out_dir: Path) -> dict:
 
 def theory_digest(key: str, out_dir: Path) -> str:
     out = out_dir / f"theory_{key}.csv"
-    code, _ = _run(
+    code, _, _ = _run(
         ["theory", *THEORY_ARGS[key], "--n", "1000", "10000", "--d-max", "200", "--out", str(out)]
     )
     assert code == 0
     return _sha(out.read_bytes())
+
+
+def metrics_digest(key: str, out_dir: Path) -> dict:
+    edges, out = out_dir / f"edges_{key}.txt", out_dir / f"metrics_{key}.csv"
+    code, _, _ = _run(["generate", *METRICS_ARGS[key], "--n", "5000", "--seed", "7", "--out", str(edges)])
+    assert code == 0
+    code, _, stdout = _run(["metrics", "--in", str(edges), "--out", str(out)])
+    assert code == 0
+    return {"csv": _sha(out.read_bytes()), "stdout": _sha(stdout.replace(str(out), "OUT").encode())}
 
 
 def _golden() -> dict:
@@ -82,8 +97,13 @@ def test_theory_table(key, tmp_path):
     assert theory_digest(key, tmp_path) == _golden()["theory"][key]
 
 
+@pytest.mark.parametrize("key", sorted(METRICS_ARGS))
+def test_metrics_table(key, tmp_path):
+    assert metrics_digest(key, tmp_path) == _golden()["metrics"][key]
+
+
 def _regenerate() -> None:
-    out = {"presets": {}, "theory": {}}
+    out = {"presets": {}, "theory": {}, "metrics": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name in PRESETS:
             d = Path(tmp) / name
@@ -91,9 +111,14 @@ def _regenerate() -> None:
             out["presets"][name] = preset_digest(name, d)
         for key in sorted(THEORY_ARGS):
             out["theory"][key] = theory_digest(key, Path(tmp))
+        for key in sorted(METRICS_ARGS):
+            out["metrics"][key] = metrics_digest(key, Path(tmp))
     DIGESTS.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     n_files = sum(len(v["files"]) for v in out["presets"].values())
-    print(f"wrote {DIGESTS} ({n_files} preset files, {len(out['theory'])} theory tables)")
+    print(
+        f"wrote {DIGESTS} ({n_files} preset files, {len(out['theory'])} theory tables, "
+        f"{len(out['metrics'])} metrics tables)"
+    )
 
 
 if __name__ == "__main__":
