@@ -45,6 +45,21 @@ __all__ = [
 
 OUTPUTS = ("dnn_vs_d", "dnn_vs_n", "err_vs_n", "dnn_vs_D", "theory_only")
 
+# Scenario key -> (JSON types of the value, exact types of it or of each of
+# its list items, description); type() excludes booleans.
+_JSON_TYPES = {
+    "name": (str, (str,), "a string"),
+    "m": (int, (int,), "an integer"),
+    "A": ((int, float), (int, float), "a number"),
+    "D": ((int, float), (int, float), "a number"),
+    "n_list": (list, (int,), "a list of integers"),
+    "seeds": ((int, list), (int,), "an integer or a list of integers"),
+    "d0": ((int, type(None)), (int, type(None)), "an integer or null"),
+    "outputs": (list, (str,), "a list of strings"),
+    "support_threshold": (int, (int,), "an integer"),
+    "root_seed": (int, (int,), "an integer"),
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -101,9 +116,13 @@ class Scenario:
         if not isinstance(d, dict):
             raise ValueError("a scenario must be a JSON object")
         known = {f.name: f for f in fields(Scenario)}
-        for key in d:
+        for key, value in d.items():
             if key not in known:
                 raise ValueError(f"unknown scenario key {key!r}")
+            kinds, item, what = _JSON_TYPES[key]
+            items = value if isinstance(value, list) else [value]
+            if not isinstance(value, kinds) or any(type(x) not in item for x in items):
+                raise ValueError(f"scenario key {key!r} must be {what}, got {value!r}")
         for key, f in known.items():
             if key not in d and f.default is MISSING:
                 raise ValueError(f"scenario key {key!r} is missing")

@@ -28,6 +28,8 @@ vertex only connects to older vertices.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 from .params import GeneratorParams
@@ -63,14 +65,6 @@ class Multigraph:
 
     def degree_array(self) -> np.ndarray:
         return np.bincount(self.u, minlength=self.n) + np.bincount(self.v, minlength=self.n)
-
-    def adjacency(self) -> list[list[int]]:
-        """Neighbor lists with multiplicity."""
-        adj = [[] for _ in range(self.n)]
-        for a, b in zip(self.u.tolist(), self.v.tolist()):
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
 
 
 def seed_graph(m: int) -> Multigraph:
@@ -154,45 +148,70 @@ def export_edge_list(g: Multigraph, sink) -> None:
 
 
 def import_edge_list(source) -> Multigraph:
-    """Read an edge list written by export_edge_list.
+    """Read an edge list written by export_edge_list (a path or a text
+    stream).
 
     Rejects malformed lines, self-loops, negative ids, empty inputs and ids
     >= 2E (a graph with no isolated vertex has fewer than 2E vertices).
+    A text of ASCII digits and whitespace is parsed and checked in numpy;
+    any other text, or one that fails a check there, goes through the line
+    scanner, which defines the format and names the offending line.
     """
-    close = False
     if isinstance(source, str):
-        source = open(source)
-        close = True
+        with open(source) as fh:
+            text = fh.read()
+    else:
+        text = source.read()
+    uv = _parse_digits(text)
+    if uv is None:
+        uv = _scan_lines(text)
+    n, E = int(uv.max()) + 1, uv.shape[1]
+    return Multigraph(n, E // n if E % n == 0 else None, *uv)
+
+
+def _parse_digits(text: str) -> np.ndarray | None:
+    """The (2, E) ids of a valid edge list made of ASCII digits, spaces,
+    tabs and newlines, else None.  Tabs and carriage returns become spaces,
+    so lines break at newlines only, as for the line scanner."""
+    data = text.encode("ascii", "replace")  # any other character becomes "?"
+    if data.translate(None, b"0123456789 \t\r\n") or not data.strip():
+        return None
     try:
-        us: list[int] = []
-        vs: list[int] = []
-        for lineno, line in enumerate(source, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer id in {line!r}")
-            if u < 0 or v < 0:
-                raise ValueError(f"line {lineno}: negative vertex id")
-            if u == v:
-                raise ValueError(f"line {lineno}: self-loop at {u}")
-            us.append(u)
-            vs.append(v)
-    finally:
-        if close:
-            source.close()
+        spaced = io.BytesIO(data.translate(bytes.maketrans(b"\t\r", b"  ")))
+        uv = np.loadtxt(spaced, dtype=np.int64, ndmin=2, comments=None).T
+    except ValueError:  # ragged lines, or an id beyond int64
+        return None
+    if uv.shape[0] != 2 or (uv[0] == uv[1]).any() or uv.max() >= uv.size:
+        return None
+    return uv.copy()
+
+
+def _scan_lines(text: str) -> np.ndarray:
+    us: list[int] = []
+    vs: list[int] = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer id in {line!r}")
+        if u < 0 or v < 0:
+            raise ValueError(f"line {lineno}: negative vertex id")
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop at {u}")
+        us.append(u)
+        vs.append(v)
     if not us:
         raise ValueError("empty edge list")
     top = max(max(us), max(vs))
     if top >= 2 * len(us):
         raise ValueError(f"vertex id {top} is not below 2E = {2 * len(us)} (twice the edge count)")
-    n = top + 1
-    return Multigraph(n, len(us) // n if len(us) % n == 0 else None, us, vs)
+    return np.array([us, vs], dtype=np.int64)
 
 
 def child_seed(root_seed: int, *key: int) -> int:

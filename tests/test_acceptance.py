@@ -23,12 +23,7 @@ from panet.experiments import (
     run_scenario,
 )
 from panet.graphgen import child_seed, generate
-from panet.metrics import (
-    brute_force_profile,
-    clustering,
-    degree_profile,
-    log_binned_curve,
-)
+from panet.metrics import clustering, degree_profile, log_binned_curve
 from panet.oracle import integrate_S
 from panet.params import derive_generator_params, make_model_params
 from panet.theory import (
@@ -39,6 +34,8 @@ from panet.theory import (
     dnn_theory,
     expected_triangles,
 )
+
+from reference import brute_force_profile
 
 N_DESK = 10**5
 

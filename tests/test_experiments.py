@@ -314,6 +314,12 @@ class TestCLI:
                 {"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400], "outputs": ["bogus"]},
                 "outputs tag 'bogus'",
             ),
+            ({"name": "s", "m": "2", "A": 0.25, "D": 0.3, "n_list": [400]}, "'m' must be an integer"),
+            ({"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": 5}, "'n_list' must be a list of integers"),
+            (
+                {"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400], "outputs": "dnn_vs_D"},
+                "'outputs' must be a list of strings",
+            ),
         ],
     )
     def test_bad_scenario_file_exit_2(self, tmp_path, capsys, payload, key):
@@ -370,6 +376,19 @@ class TestCLI:
         assert code == 2
         assert err == f"error: vertex id {vid} is not below 2E = 4 (twice the edge count)\n"
         assert not out.exists()
+
+    def test_metrics_isolated_vertex(self, tmp_path, capsys):
+        # Vertex 2 has degree 0: its row reads dnn = nan (was a
+        # ZeroDivisionError traceback).
+        f = tmp_path / "g.txt"
+        f.write_text("0 3\n1 3\n")
+        out = tmp_path / "m.csv"
+        code, err = self._run_captured(capsys, "metrics", "--in", str(f), "--out", str(out))
+        assert code == 0 and err == ""
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0] == {"d": "0", "N": "1", "S": "0", "dnn": "nan", "C_of_d": "0"}
+        assert [r["d"] for r in rows] == ["0", "1", "2"]
 
     def test_theory_d_max_below_m_exit_2(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

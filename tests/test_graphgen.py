@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from panet.graphgen import (
@@ -21,6 +23,8 @@ from panet.graphgen import (
 )
 from panet.metrics import clustering
 from panet.params import GeneratorParams, derive_generator_params
+
+from reference import scan_edge_list
 
 GP = derive_generator_params(2, 0.2, 0.3)  # beta = 0.3, c = 24
 
@@ -230,6 +234,66 @@ class TestEdgeListIO:
     def test_malformed_inputs(self, text, match):
         with pytest.raises(ValueError, match=match):
             import_edge_list(io.StringIO(text))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        A=st.sampled_from([0.2, 0.25, 0.5, 0.6, 0.75]),
+        n=st.integers(3, 400),
+        seed=st.integers(0, 2**32),
+    )
+    def test_round_trip_property(self, A, n, seed):
+        g = generate(derive_generator_params(2, A, 0.2), n, seed=seed)
+        buf = io.StringIO()
+        export_edge_list(g, buf)
+        h = import_edge_list(io.StringIO(buf.getvalue()))
+        assert h.n == g.n and h.m == g.m
+        assert h.u.tolist() == g.u.tolist() and h.v.tolist() == g.v.tolist()
+
+
+# Texts over digits, space, tab, CR, LF, '-', 'x' and '#': unstructured,
+# and as lines that are mostly "u v" pairs of small ids, so that valid edge
+# lists (and self-loops, ids >= 2E, stray tokens) come up often.
+_SEP = st.sampled_from([" ", "\t", " \t ", "\r"])
+_PAD = st.sampled_from(["", " ", "\t", "\r"])
+_PAIR = (
+    st.tuples(st.integers(0, 3), _SEP, st.integers(0, 3), _PAD)
+    .filter(lambda t: t[0] != t[2])
+    .map(lambda t: f"{t[3]}{t[0]}{t[1]}{t[2]}{t[3]}")
+)
+_TOKEN = st.one_of(st.integers(0, 9).map(str), st.sampled_from(["10", "007", "-1", "x", "#", "2x"]))
+_LINE = st.tuples(st.lists(_TOKEN, max_size=3), _SEP, _PAD).map(lambda t: t[2] + t[1].join(t[0]) + t[2])
+_LINES = st.tuples(
+    st.lists(st.one_of(*[_PAIR] * 8, _LINE, st.just("")), min_size=1, max_size=8),
+    st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+).map(lambda t: t[1].join(t[0]))
+_TEXTS = st.one_of(st.text(alphabet="0123456789 \t\r\n-x#", max_size=30), _LINES, _LINES)
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_TEXTS)
+def test_importer_matches_line_scanner(text, tmp_path_factory):
+    """import_edge_list accepts exactly the texts the line scanner accepts,
+    with the same ids, and otherwise raises the scanner's message; from a
+    text stream and from a file (where CR also ends a line)."""
+    path = tmp_path_factory.getbasetemp() / "edges.txt"
+    path.write_bytes(text.encode())
+
+    def ids(g):
+        return g.u.tolist(), g.v.tolist()
+
+    assert _outcome(lambda: ids(import_edge_list(io.StringIO(text)))) == _outcome(
+        lambda: scan_edge_list(io.StringIO(text))
+    )
+    with open(path) as fh:
+        want = _outcome(lambda: scan_edge_list(fh))
+    assert _outcome(lambda: ids(import_edge_list(str(path)))) == want
 
 
 class TestChildSeed:

@@ -1,5 +1,5 @@
 """Graph statistics against hand-computed values on tiny graphs, the
-brute-force oracle, and the log-binning helper."""
+brute-force and loop references, networkx, and the log-binning helper."""
 
 import math
 
@@ -8,15 +8,15 @@ import pytest
 
 from panet.graphgen import Multigraph, generate, seed_graph
 from panet.metrics import (
-    brute_force_profile,
     clustering,
     degree_profile,
     dnn_empirical,
     log_binned_curve,
     pearson_assortativity,
-    sum_squares,
 )
 from panet.params import derive_generator_params
+
+from reference import brute_force_profile, clustering_loop, sum_squares
 
 
 def _graph(n, edges):
@@ -64,6 +64,10 @@ class TestDegreeProfile:
     def test_missing_degree_is_nan(self, path3):
         assert math.isnan(dnn_empirical(degree_profile(path3), 7))
 
+    def test_isolated_vertex_is_nan(self):
+        p = degree_profile(_graph(4, [(0, 3), (1, 3)]))
+        assert p.N[0] == 1 and math.isnan(dnn_empirical(p, 0))
+
 
 class TestBruteForceOracle:
     def test_equals_streaming_on_generated_graphs(self):
@@ -110,6 +114,62 @@ class TestClustering:
         assert cp.C2 == pytest.approx((1 / 3 + 1 + 1 + 0) / 4)
         assert cp.C_by_degree[3] == pytest.approx(1 / 3)
         assert cp.C_by_degree[1] == 0.0
+
+
+def _with_isolated_vertex(A, D, n, seed):
+    """A generated graph (hubs at A > 1/2, parallel edges from the seed
+    clique and edge copies) plus one isolated vertex."""
+    g = generate(derive_generator_params(2, A, D), n, seed=seed)
+    return Multigraph(g.n + 1, None, g.u, g.v)
+
+
+GRAPHS = [(0.25, 0.3, 300, 1), (0.6, 0.2, 300, 2), (0.2, 0.0, 200, 3), (0.75, 0.1, 400, 4)]
+
+
+class TestClusteringAgainstLoop:
+    @pytest.mark.parametrize("A, D, n, seed", GRAPHS + [(0.25, 0.3, 20_000, 5), (0.6, 0.2, 20_000, 6)])
+    def test_bit_identical(self, A, D, n, seed):
+        g = _with_isolated_vertex(A, D, n, seed)
+        fast, slow = clustering(g), clustering_loop(g)
+        assert (fast.C1, fast.C2) == (slow.C1, slow.C2)
+        assert list(fast.C_by_degree.items()) == list(slow.C_by_degree.items())
+        assert all(type(x) is float for x in (fast.C1, fast.C2, *fast.C_by_degree.values()))
+
+    def test_tiny_graphs(self):
+        tiny = [_graph(2, [(0, 1)]), _graph(4, [(0, 3), (1, 3)]), _graph(3, [(0, 1), (1, 0), (0, 2)])]
+        for g in tiny + [Multigraph(3, None, [], [])]:
+            assert clustering(g) == clustering_loop(g)
+
+
+@pytest.mark.parametrize("A, D, n, seed", GRAPHS)
+class TestNetworkx:
+    def _graphs(self, A, D, n, seed):
+        nx = pytest.importorskip("networkx")
+        g = _with_isolated_vertex(A, D, n, seed)
+        mg = nx.MultiGraph()
+        mg.add_nodes_from(range(g.n))
+        mg.add_edges_from(zip(g.u.tolist(), g.v.tolist()))
+        return nx, g, mg, nx.Graph(mg)
+
+    def test_clustering(self, A, D, n, seed):
+        nx, g, _, simple = self._graphs(A, D, n, seed)
+        cp = clustering(g)
+        assert cp.C1 == pytest.approx(nx.transitivity(simple), rel=1e-12)
+        assert cp.C2 == pytest.approx(nx.average_clustering(simple), rel=1e-12)
+        # C(d) from networkx's per-vertex triangle counts, keyed by the
+        # multigraph degree.
+        tri, deg = nx.triangles(simple), g.degree_array().tolist()
+        by_degree: dict[int, list[float]] = {}
+        for v in range(g.n):
+            k = simple.degree(v)
+            by_degree.setdefault(deg[v], []).append(tri[v] / (k * (k - 1) / 2) if k > 1 else 0.0)
+        assert cp.C_by_degree == {d: pytest.approx(sum(c) / len(c), rel=1e-12) for d, c in by_degree.items()}
+        assert sum(tri.values()) > 0
+
+    def test_assortativity(self, A, D, n, seed):
+        nx, g, mg, _ = self._graphs(A, D, n, seed)
+        want = nx.degree_pearson_correlation_coefficient(mg)
+        assert pearson_assortativity(g) == pytest.approx(want, rel=1e-9)
 
 
 class TestAssortativity:
