@@ -171,15 +171,13 @@ def import_edge_list(source) -> Multigraph:
 
 def _parse_digits(text: str) -> np.ndarray | None:
     """The (2, E) ids of a valid edge list made of ASCII digits, spaces,
-    tabs and newlines, else None.  Tabs and carriage returns become spaces,
-    so lines break at newlines only, as for the line scanner."""
+    tabs, CRs and LFs, else None (the line scanner then decides)."""
     data = text.encode("ascii", "replace")  # any other character becomes "?"
     if data.translate(None, b"0123456789 \t\r\n") or not data.strip():
         return None
     try:
-        spaced = io.BytesIO(data.translate(bytes.maketrans(b"\t\r", b"  ")))
-        uv = np.loadtxt(spaced, dtype=np.int64, ndmin=2, comments=None).T
-    except ValueError:  # ragged lines, or an id beyond int64
+        uv = np.loadtxt(io.BytesIO(data), dtype=np.int64, ndmin=2, comments=None).T
+    except ValueError:  # ragged lines, a CR inside a line, or an id beyond int64
         return None
     if uv.shape[0] != 2 or (uv[0] == uv[1]).any() or uv.max() >= uv.size:
         return None
