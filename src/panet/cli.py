@@ -41,7 +41,7 @@ from .params import (
     derive_model_params,
     make_model_params,
 )
-from .theory import dnn_overlay
+from .theory import build_theory_curve, dnn_overlay
 
 _EXIT_OK = 0
 _EXIT_INVALID = 2
@@ -122,8 +122,9 @@ def _cmd_theory(args) -> int:
 
 def _cmd_oracle(args) -> int:
     p = make_model_params(args.m, args.A, args.D)
-    table = integrate_S(p, args.n_end, args.d_max)
-    report = compare_closed_form(table)
+    # The closed form needs A < 1/2: build it first, so such A fails at once.
+    curve = build_theory_curve(p, np.arange(p.m, args.d_max + 1))
+    report = compare_closed_form(integrate_S(p, args.n_end, args.d_max), curve)
     rows = [
         (int(r["n"]), d, r["S_over_n"], r["M_closed"], r["rel_err_S"])
         for d, r in report.items()

@@ -77,6 +77,14 @@ class Scenario:
     root_seed: int = 20240901
 
     def __post_init__(self):
+        # name prefixes every output file, so it must stay one path component.
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise ValueError(
+                f"scenario name {self.name!r} must be one path component: "
+                "not empty, . or .., no / or \\"
+            )
+        if not self.n_list:
+            raise ValueError("n_list must name at least one size")
         if self.probe_degree <= self.m:
             raise ValueError(f"probe degree must exceed m = {self.m}")
         seeds = self.seeds_for_n

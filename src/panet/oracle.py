@@ -1,12 +1,18 @@
-"""Numeric integration of the expectation recurrences for N_n(d) and
-S_n(d), used to cross-check the closed forms without simulation noise.
+"""Numeric integration of the expectation recurrences for N_n(d), S_n(d)
+and W_n, used to cross-check the closed forms without simulation noise.
 
-The integrators iterate the leading-order master equations (all O-terms
-dropped) from the exact seed-graph values, so the only discrepancy against
-the closed forms is the genuine finite-n error.  Update factors are clamped
-into [0, 1]: for degrees d with (Ad+B) > n the factor would go negative,
-but those rows carry no mass at such small n (the recurrence moves mass up
-one degree per step), so clamping never distorts a populated row.
+One loop iterates the leading-order master equations (all O-terms
+dropped) from the exact seed-graph values.  The sum of squared degrees
+W_n = sum_d S_n(d) is iterated as state too, by its exact expectation
+recurrence E W_{n+1} = (1 + 2A/n) E W_n + m(m+4B+1), and drives the
+d = m row.  That recurrence has no pole at A = 1/2, so the integrator
+holds for every 0 < A < 1, and its only discrepancy against the closed
+forms is the genuine finite-n error, the n^{2A} term of E W_n included.
+
+Degree rows move mass with factors (Ad+B)/n clamped into [0, 1]: for
+degrees d with (Ad+B) > n the factor would exceed 1, but those rows carry
+no mass at such small n (the recurrence moves mass up one degree per
+step), so clamping never distorts a populated row.
 """
 
 from __future__ import annotations
@@ -16,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ModelParams
-from .theory import build_theory_curve, c_exact, expected_sum_squares
+from .theory import build_theory_curve, c_exact
 
 __all__ = [
     "RecurrenceTable",
-    "integrate_N",
     "integrate_S",
     "compare_closed_form",
 ]
@@ -30,16 +35,15 @@ __all__ = [
 class RecurrenceTable:
     """Integrated expectations recorded at the checkpoint sizes n_values.
 
-    N[i][d] and S[i][d] approximate E N_n(d) and E S_n(d) at
-    n = n_values[i]; S is None for N-only integrations.  W holds the
-    leading-term E W_n at the checkpoints.
+    N[i][d], S[i][d] and W[i] are E N_n(d), E S_n(d) and E W_n at
+    n = n_values[i].
     """
 
     params: ModelParams
     n_values: np.ndarray
     d_max: int
     N: np.ndarray
-    S: np.ndarray | None
+    S: np.ndarray
     W: np.ndarray
 
 
@@ -66,52 +70,17 @@ def _checkpoints(n_end: int, record_at, n0: int) -> np.ndarray:
     return pts
 
 
-def integrate_N(
-    p: ModelParams, n_end: int, d_max: int, record_at=None
-) -> RecurrenceTable:
-    """Iterate E N_{n+1}(d) = E N_n(d)(1-(Ad+B)/n)
-    + E N_n(d-1)(A(d-1)+B)/n + [d=m] from the exact seed counts."""
-    if p.A >= 1.0:
-        raise ValueError(f"N-recurrence requires A < 1, got A={p.A}")
-    m, A, B = p.m, p.A, p.B
-    n0, N, _ = _seed_state(p, d_max)
-    if n_end < n0:
-        raise ValueError(f"n_end must be >= seed size {n0}, got {n_end}")
-    pts = _checkpoints(n_end, record_at, n0)
-
-    d = np.arange(d_max + 1, dtype=float)
-    rate = A * d + B  # attachment rate per degree row
-    out_N = np.empty((len(pts), d_max + 1))
-    snap = 0
-    if pts[snap] == n0:
-        out_N[snap] = N
-        snap += 1
-    for n in range(n0, n_end):
-        stay = np.clip(1.0 - rate / n, 0.0, 1.0)
-        inflow = np.clip(rate / n, 0.0, 1.0)
-        nxt = N * stay
-        nxt[1:] += N[:-1] * inflow[:-1]
-        nxt[m] += 1.0
-        N = nxt
-        if snap < len(pts) and pts[snap] == n + 1:
-            out_N[snap] = N
-            snap += 1
-    W = p.m / (1.0 - 2.0 * p.A) * (p.m + 4.0 * p.B + 1.0) * pts if p.A < 0.5 else np.full(len(pts), np.nan)
-    return RecurrenceTable(params=p, n_values=pts, d_max=d_max, N=out_N, S=None, W=W)
-
-
 def integrate_S(
     p: ModelParams, n_end: int, d_max: int, record_at=None
 ) -> RecurrenceTable:
-    """Jointly iterate the N-recurrence and the S-recurrence.
+    """Jointly iterate the N-, S- and W-recurrences up to the last checkpoint.
 
-    The d = m row uses the seed-degree form with the leading-term E W_n;
-    rows d > m use the four-term recurrence driven by N and S at d-1.
+    E N_{n+1}(d) = E N_n(d)(1-(Ad+B)/n) + E N_n(d-1)(A(d-1)+B)/n + [d=m].
+    The d = m row of S has the source A*W_n/n + (2B+1)m; rows d > m use
+    the four-term recurrence driven by N and S at d-1.
     """
-    if p.A >= 0.5:
-        raise ValueError(
-            f"S-recurrence uses the subcritical E W_n leading term; got A={p.A}"
-        )
+    if p.A >= 1.0:
+        raise ValueError(f"the recurrences require A < 1, got A={p.A}")
     m, A, B, D = p.m, p.A, p.B, p.D
     n0, N, S = _seed_state(p, d_max)
     if n_end < n0:
@@ -123,61 +92,68 @@ def integrate_S(
     rate_prev = A * (d - 1.0) + B  # A(d-1)+B per row
     n_inflow_coef = D * (d - 1.0) / m + m * rate_prev  # multiplies N(d-1)/n
     n_same_coef = (B - D / m) * d  # multiplies N(d)/n
-    w_rate = A * m * (m + 4.0 * B + 1.0) / (1.0 - 2.0 * A)  # A*E W_n / n
-    const_m = w_rate + (2.0 * B + 1.0) * m
+    w_step = m * (m + 4.0 * B + 1.0)
+    W = S.sum()  # (m+1)(2m)^2, exact for the seed
 
     out_N = np.empty((len(pts), d_max + 1))
     out_S = np.empty((len(pts), d_max + 1))
+    out_W = np.empty(len(pts))
     snap = 0
-    if pts[snap] == n0:
-        out_N[snap], out_S[snap] = N, S
-        snap += 1
-    for n in range(n0, n_end):
-        stay_N = np.clip(1.0 - rate / n, 0.0, 1.0)
+    for n in range(n0, n_end + 1):
+        if n == pts[snap]:
+            out_N[snap], out_S[snap], out_W[snap] = N, S, W
+            snap += 1
+            if snap == len(pts):
+                break
         up = np.clip(rate / n, 0.0, 1.0)
-        stay_S = np.clip(1.0 - rate_prev / n, 0.0, 1.0)
+        # The S factor may exceed 1 (A(d-1)+B < 0 at d = m once
+        # A > m/(m+1)); it is an expectation weight, not a probability.
+        stay_S = np.maximum(1.0 - rate_prev / n, 0.0)
 
         nxt_S = S * stay_S
         nxt_S[1:] += S[:-1] * up[:-1] + N[:-1] * n_inflow_coef[1:] / n
         nxt_S += N * n_same_coef / n
         # d = m row: no inflow from below, W-driven source instead.
-        nxt_S[m] = S[m] * stay_S[m] + (B - D / m) * m * N[m] / n + const_m
+        nxt_S[m] = S[m] * stay_S[m] + (B - D / m) * m * N[m] / n + A * W / n + (2.0 * B + 1.0) * m
         nxt_S[:m] = 0.0
 
-        nxt_N = N * stay_N
+        nxt_N = N * (1.0 - up)
         nxt_N[1:] += N[:-1] * up[:-1]
         nxt_N[m] += 1.0
 
         N, S = nxt_N, nxt_S
-        if snap < len(pts) and pts[snap] == n + 1:
-            out_N[snap], out_S[snap] = N, S
-            snap += 1
-    W = expected_sum_squares(p, 1) * pts
-    return RecurrenceTable(params=p, n_values=pts, d_max=d_max, N=out_N, S=out_S, W=W)
+        W = W * (1.0 + 2.0 * A / n) + w_step
+    return RecurrenceTable(params=p, n_values=pts, d_max=d_max, N=out_N, S=out_S, W=out_W)
 
 
 def compare_closed_form(table: RecurrenceTable, curve=None) -> dict[int, dict[str, float]]:
     """Relative gaps at the final checkpoint: S(d)/n vs M(d) and
-    N(d)/n vs c(m,d), per degree d in [m, d_max]."""
+    N(d)/n vs c(m,d), per degree d in [m, d_max].
+
+    The closed forms need A < 1/2; build `curve` first to fail before
+    integrating.
+    """
     p = table.params
-    if curve is not None and curve.params != p:
-        raise ValueError("theory curve was built for different parameters")
     d_values = np.arange(p.m, table.d_max + 1)
-    if curve is None and table.S is not None:
+    if curve is None:
         curve = build_theory_curve(p, d_values)
+    elif curve.params != p:
+        raise ValueError("theory curve was built for different parameters")
     n = int(table.n_values[-1])
     report: dict[int, dict[str, float]] = {}
     c_vals = c_exact(p, d_values.astype(float))
     for j, d in enumerate(d_values):
-        row = {"n": float(n)}
         c = c_vals[j]
-        row["N_over_n"] = table.N[-1][d] / n
-        row["c_closed"] = float(c)
-        row["rel_err_N"] = abs(row["N_over_n"] - c) / c
-        if table.S is not None:
-            M = curve.M_at(int(d))
-            row["S_over_n"] = table.S[-1][d] / n
-            row["M_closed"] = M
-            row["rel_err_S"] = abs(row["S_over_n"] - M) / M
-        report[int(d)] = row
+        M = curve.M_at(int(d))
+        N_over_n = table.N[-1][d] / n
+        S_over_n = table.S[-1][d] / n
+        report[int(d)] = {
+            "n": float(n),
+            "N_over_n": N_over_n,
+            "c_closed": float(c),
+            "rel_err_N": abs(N_over_n - c) / c,
+            "S_over_n": S_over_n,
+            "M_closed": M,
+            "rel_err_S": abs(S_over_n - M) / M,
+        }
     return report

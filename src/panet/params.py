@@ -108,22 +108,10 @@ def derive_generator_params(m: int, A: float, D: float) -> GeneratorParams:
     beta = D/k and c solves A = k*beta/m + s/(2m+c) with s = 2k(1-beta)+r,
     i.e. c = s/(A - D/m) - 2m.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    lo, hi = feasible_attachment_interval(m, D)
     k = m // 2
     r = m - 2 * k
-    if D < 0.0:
-        raise ValueError(f"D must be >= 0, got {D}")
-    if k == 0:
-        # Degenerate single-slot generator: m = 1 only reaches D = 0.
-        if D != 0.0:
-            raise ValueError("D > 0 requires m >= 2")
-        beta = 0.0
-    else:
-        if D > k:
-            raise ValueError(f"D must be <= floor(m/2) = {k}, got {D}")
-        beta = D / k
-    lo, hi = feasible_attachment_interval(m, D)
+    beta = D / k if k else 0.0  # m = 1 only reaches D = 0
     if A - lo < _MIN_A_GAP:
         raise ValueError(
             f"A = {A} too close to the lower feasibility bound D/m = {lo}; "

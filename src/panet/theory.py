@@ -20,11 +20,9 @@ from scipy.special import digamma, gammaln
 from .params import ModelParams
 
 __all__ = [
-    "ErrorExponents",
     "TheoryCurve",
     "c_exact",
     "c_asymptotic",
-    "expected_degree_count",
     "Y_term",
     "X_const",
     "M_exact",
@@ -35,7 +33,6 @@ __all__ = [
     "dnn_hypothesis_supercritical",
     "dnn_hypothesis_critical",
     "dnn_overlay",
-    "error_exponents",
     "build_theory_curve",
 ]
 
@@ -91,13 +88,6 @@ def c_asymptotic(p: ModelParams, d):
     )
     out = np.exp(log_c)
     return float(out) if out.ndim == 0 else out
-
-
-def expected_degree_count(p: ModelParams, n: int, d) -> float:
-    """Leading term c(m,d)*n of the expected number of degree-d vertices."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return c_exact(p, d) * n
 
 
 def Y_term(p: ModelParams, i):
@@ -256,25 +246,6 @@ def dnn_overlay(p: ModelParams, d, n: int, C: float):
     if p.A > 0.5:
         return dnn_hypothesis_supercritical(p, d, n, C)
     return dnn_hypothesis_critical(p, d, n, C)
-
-
-@dataclass(frozen=True)
-class ErrorExponents:
-    """Power-law exponent gamma and the error exponent xi of the S-estimate."""
-
-    xi: float
-    gamma: float
-
-
-def error_exponents(p: ModelParams) -> ErrorExponents:
-    """Exponents xi = max{3 + 1/A - 4A, 2/(1-A)} and gamma = 1 + 1/A."""
-    if p.A <= 0.0 or p.A >= 1.0:
-        raise ValueError(f"exponents require 0 < A < 1, got A={p.A}")
-    A = p.A
-    return ErrorExponents(
-        xi=max(3.0 + 1.0 / A - 4.0 * A, 2.0 / (1.0 - A)),
-        gamma=1.0 + 1.0 / A,
-    )
 
 
 @dataclass(frozen=True)

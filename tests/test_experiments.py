@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from panet import cli
 from panet.cli import main
 from panet.experiments import (
     PRESETS,
@@ -243,6 +244,20 @@ class TestCLI:
             row = next(csv.DictReader(fh))
         assert float(row["rel_err"]) < 0.05
 
+    def test_oracle_supercritical_exit_2_before_integrating(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated before the closed-form check")
+
+        monkeypatch.setattr(cli, "integrate_S", refuse)
+        out = tmp_path / "o.csv"
+        code, err = self._run_captured(
+            capsys, "oracle", "--m", "2", "--A", "0.6", "--D", "0.2",
+            "--n-end", "1000", "--d-max", "20", "--out", str(out),
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and "A < 1/2" in err
+        assert not out.exists()
+
     def test_preset_outputs_and_gnuplot(self, tmp_path):
         out = tmp_path / "out"
         assert self._run(
@@ -320,6 +335,8 @@ class TestCLI:
                 {"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400], "outputs": "dnn_vs_D"},
                 "'outputs' must be a list of strings",
             ),
+            ({"name": "../x", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400]}, "scenario name '../x'"),
+            ({"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": []}, "n_list must name at least one size"),
         ],
     )
     def test_bad_scenario_file_exit_2(self, tmp_path, capsys, payload, key):

@@ -26,8 +26,6 @@ from panet.theory import (
     dnn_hypothesis_supercritical,
     dnn_overlay,
     dnn_theory,
-    error_exponents,
-    expected_degree_count,
     expected_sum_squares,
     expected_triangles,
 )
@@ -56,16 +54,12 @@ class TestDegreeCoefficient:
     def test_asymptotic_power_law(self):
         # c_asym / c_exact -> 1, and the tail index is 1 + 1/A.
         assert c_asymptotic(P, 1e6) / c_exact(P, 1e6) == pytest.approx(1.0, rel=1e-3)
-        g = error_exponents(P).gamma
         slope = np.log(c_asymptotic(P, 2000.0) / c_asymptotic(P, 1000.0)) / np.log(2)
-        assert slope == pytest.approx(-g, rel=1e-12)
+        assert slope == pytest.approx(-(1 + 1 / P.A), rel=1e-12)
 
     def test_degree_below_m_rejected(self):
         with pytest.raises(ValueError, match="degree"):
             c_exact(P, 1)
-
-    def test_expected_count_scales_with_n(self):
-        assert expected_degree_count(P, 1000, 2) == pytest.approx(400.0)
 
 
 class TestNeighborSumCoefficient:
@@ -156,14 +150,6 @@ class TestScalars:
         p = make_model_params(2, 0.2, 0.3)
         assert expected_sum_squares(p, 1) == pytest.approx(26.0, rel=1e-12)
         assert expected_sum_squares(p, 1000) == pytest.approx(26000.0, rel=1e-12)
-
-    def test_error_exponents(self):
-        e = error_exponents(P)
-        assert e.xi == pytest.approx(6.0)
-        assert e.gamma == pytest.approx(5.0)
-        e6 = error_exponents(make_model_params(2, 0.6, 0.2))
-        assert e6.xi == pytest.approx(2 / 0.4)
-        assert e6.gamma == pytest.approx(1 + 1 / 0.6)
 
 
 class TestHypothesisPredictors:
