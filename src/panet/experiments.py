@@ -20,7 +20,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .graphgen import child_seed, generate
-from .metrics import degree_profile, dnn_empirical, log_binned_curve
+from .metrics import degree_profile, dnn_empirical
 from .params import ModelParams, derive_generator_params, make_model_params
 from .theory import (
     build_theory_curve,
@@ -37,7 +37,6 @@ __all__ = [
     "fit_power_exponent",
     "fit_hypothesis_constant",
     "theory_tables",
-    "pooled_ccdf",
     "PRESETS",
     "make_preset",
     "check_preset",
@@ -184,7 +183,8 @@ def _run_one(args) -> tuple[int, int, dict[int, int], dict[int, int], int, float
 def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
     """Generate seeds x sizes graphs, pool per-degree statistics, keep
     per-seed probe values for error bars.  workers=None: one per CPU in
-    the affinity mask (os.cpu_count() off Linux), at most one per job."""
+    the affinity mask (os.cpu_count() off Linux), at most one per job.
+    Raises ValueError if a graph has no vertex of the probe degree."""
     d0 = s.probe_degree
     tasks = []
     for n, n_seeds in zip(s.n_list, s.seeds_for_n):
@@ -210,6 +210,12 @@ def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
             ps[d] = ps.get(d, 0) + S[d]
         res.W_per_seed.setdefault(n, []).append(W)
         res.probe_per_seed.setdefault(n, []).append(probe)
+    for n, probes in res.probe_per_seed.items():
+        missing = sum(math.isnan(x) for x in probes)
+        if missing:
+            raise ValueError(
+                f"probe degree d0 = {d0} is missing from {missing} of {len(probes)} graphs at n = {n}"
+            )
 
     if s.A >= 0.5:
         res.fitted_constant = fit_hypothesis_constant(res)
@@ -301,27 +307,6 @@ def theory_tables(p: ModelParams, d_max: int, n_list=(), C1: float = 1.0, C2: fl
                 }
             )
     return rows
-
-
-def pooled_ccdf(res: ScenarioResult, n: int) -> dict[int, float]:
-    """Empirical degree CCDF P(deg >= d) pooled over seeds at size n."""
-    N = res.pooled_N[n]
-    total = sum(N.values())
-    out = {}
-    acc = 0
-    for d in sorted(N, reverse=True):
-        acc += N[d]
-        out[d] = acc / total
-    return dict(sorted(out.items()))
-
-
-def ccdf_slope(res: ScenarioResult, n: int, d_min: int = 10, min_count: int = 20):
-    """Log-binned power-law fit of the pooled CCDF tail (d >= d_min)."""
-    ccdf = pooled_ccdf(res, n)
-    total = sum(res.pooled_N[n].values())
-    pts = {d: v for d, v in ccdf.items() if d >= d_min and v * total >= min_count}
-    binned = log_binned_curve(pts, bins_per_decade=4)
-    return fit_power_exponent([(c, v) for c, v, _ in binned])
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,9 @@ def generate(gp: GeneratorParams, n: int, seed) -> Multigraph:
     return Multigraph(n, m, np.repeat(np.arange(n), m), v)
 
 
+_EXPORT_CHUNK = 1 << 16  # edges formatted by one % operation
+
+
 def export_edge_list(g: Multigraph, sink) -> None:
     """Write one "u v" line per edge (0-based ids, repeats = multiplicity)."""
     close = False
@@ -140,8 +143,10 @@ def export_edge_list(g: Multigraph, sink) -> None:
         sink = open(sink, "w")
         close = True
     try:
-        for a, b in zip(g.u.tolist(), g.v.tolist()):
-            sink.write(f"{a} {b}\n")
+        uv = np.column_stack((g.u, g.v)).ravel()
+        for start in range(0, len(uv), 2 * _EXPORT_CHUNK):
+            ids = uv[start : start + 2 * _EXPORT_CHUNK].tolist()
+            sink.write("%d %d\n" * (len(ids) // 2) % tuple(ids))
     finally:
         if close:
             sink.close()

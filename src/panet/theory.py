@@ -28,7 +28,6 @@ __all__ = [
     "M_exact",
     "dnn_theory",
     "dnn_asymptotic",
-    "expected_sum_squares",
     "expected_triangles",
     "dnn_hypothesis_supercritical",
     "dnn_hypothesis_critical",
@@ -135,14 +134,6 @@ def dnn_asymptotic(p: ModelParams, d) -> float:
     if p.A == 0.0:
         raise ValueError("asymptotic slope diverges at A = 0")
     return (p.A * p.m + p.B) / p.A * np.log(d)
-
-
-def expected_sum_squares(p: ModelParams, n: int) -> float:
-    """Leading term of the expected sum of squared degrees at size n."""
-    _check_subcritical(p, "expected sum of squared degrees")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return p.m / (1.0 - 2.0 * p.A) * (p.m + 4.0 * p.B + 1.0) * n
 
 
 def expected_triangles(p: ModelParams, d):

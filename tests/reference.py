@@ -1,12 +1,18 @@
 """Slow, plainly written references that tests compare panet against:
 per-vertex adjacency traversal for degree_profile, the set-based triangle
-loop for clustering, and the line scanner that defines the edge-list
-format for import_edge_list."""
+loop for clustering, the line scanner that defines the edge-list format
+for import_edge_list and the per-edge writer for export_edge_list.  Also
+the helpers only tests use: the pooled degree CCDF and its tail slope,
+log-binning, and the leading-order sum of squared degrees."""
 
 from __future__ import annotations
 
+import math
+
+from panet.experiments import ScenarioResult, fit_power_exponent
 from panet.graphgen import Multigraph
 from panet.metrics import ClusteringProfile, DegreeProfile
+from panet.params import ModelParams
 
 BRUTE_FORCE_CAP = 10_000
 
@@ -98,3 +104,68 @@ def scan_edge_list(source) -> tuple[list[int], list[int]]:
     if top >= 2 * len(us):
         raise ValueError(f"vertex id {top} is not below 2E = {2 * len(us)} (twice the edge count)")
     return us, vs
+
+
+def write_edge_list(g: Multigraph, sink) -> None:
+    """One f-string per edge: the bytes export_edge_list must write."""
+    for a, b in zip(g.u.tolist(), g.v.tolist()):
+        sink.write(f"{a} {b}\n")
+
+
+def expected_sum_squares(p: ModelParams, n: int) -> float:
+    """Leading term w*n of the expected sum of squared degrees at size n,
+    w = m(m+4B+1)/(1-2A), for A < 1/2."""
+    return p.m / (1.0 - 2.0 * p.A) * (p.m + 4.0 * p.B + 1.0) * n
+
+
+def pooled_ccdf(res: ScenarioResult, n: int) -> dict[int, float]:
+    """Empirical degree CCDF P(deg >= d) pooled over seeds at size n."""
+    N = res.pooled_N[n]
+    total = sum(N.values())
+    out = {}
+    acc = 0
+    for d in sorted(N, reverse=True):
+        acc += N[d]
+        out[d] = acc / total
+    return dict(sorted(out.items()))
+
+
+def ccdf_slope(res: ScenarioResult, n: int, d_min: int = 10, min_count: int = 20):
+    """Log-binned power-law fit of the pooled CCDF tail (d >= d_min)."""
+    ccdf = pooled_ccdf(res, n)
+    total = sum(res.pooled_N[n].values())
+    pts = {d: v for d, v in ccdf.items() if d >= d_min and v * total >= min_count}
+    binned = log_binned_curve(pts, bins_per_decade=4)
+    return fit_power_exponent([(c, v) for c, v, _ in binned])
+
+
+def log_binned_curve(
+    points: dict[int, float], bins_per_decade: int, weights: dict[int, float] | None = None
+) -> list[tuple[float, float, int]]:
+    """Geometric binning of a degree-indexed curve.
+
+    Returns (bin center, weighted mean value, point count) per nonempty
+    bin; weights default to 1 (pass N(d) for population weighting).
+    """
+    if bins_per_decade < 1:
+        raise ValueError(f"bins_per_decade must be >= 1, got {bins_per_decade}")
+    out: dict[int, list[float]] = {}
+    for d, val in points.items():
+        if d <= 0:
+            raise ValueError(f"degrees must be positive, got {d}")
+        if isinstance(val, float) and math.isnan(val):
+            continue
+        b = math.floor(math.log10(d) * bins_per_decade)
+        w = 1.0 if weights is None else float(weights.get(d, 0.0))
+        if w <= 0.0:
+            continue
+        acc = out.setdefault(b, [0.0, 0.0, 0])
+        acc[0] += w * val
+        acc[1] += w
+        acc[2] += 1
+    curve = []
+    for b in sorted(out):
+        total, wsum, count = out[b]
+        center = 10.0 ** ((b + 0.5) / bins_per_decade)
+        curve.append((center, total / wsum, count))
+    return curve

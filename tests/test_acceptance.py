@@ -18,12 +18,11 @@ from scipy.special import gammaln
 from panet.cli import main as cli_main
 from panet.experiments import (
     Scenario,
-    ccdf_slope,
     fit_power_exponent,
     run_scenario,
 )
 from panet.graphgen import child_seed, generate
-from panet.metrics import clustering, degree_profile, log_binned_curve
+from panet.metrics import clustering, degree_profile
 from panet.oracle import integrate_S
 from panet.params import derive_generator_params, make_model_params
 from panet.theory import (
@@ -35,7 +34,7 @@ from panet.theory import (
     expected_triangles,
 )
 
-from reference import brute_force_profile
+from reference import brute_force_profile, ccdf_slope, log_binned_curve
 
 N_DESK = 10**5
 

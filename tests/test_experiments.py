@@ -18,12 +18,13 @@ from panet.experiments import (
     fit_hypothesis_constant,
     fit_power_exponent,
     make_preset,
-    pooled_ccdf,
     run_scenario,
     theory_tables,
 )
 from panet.params import make_model_params
 from panet.theory import dnn_hypothesis_critical
+
+from reference import pooled_ccdf
 
 
 class TestFitPowerExponent:
@@ -153,6 +154,12 @@ class TestRunScenario:
             assert res.probe_stderr(n) > 0
         ccdf = pooled_ccdf(res, 1500)
         assert ccdf[2] == pytest.approx(1.0)
+
+    def test_missing_probe_degree_raises(self):
+        s = Scenario(name="p", m=2, A=0.25, D=0.3, n_list=(300, 600), seeds=4, d0=40)
+        with pytest.raises(ValueError) as exc:
+            run_scenario(s, workers=1)
+        assert str(exc.value) == "probe degree d0 = 40 is missing from 4 of 4 graphs at n = 300"
 
     def test_critical_fit_attached(self):
         s = Scenario(name="crit", m=2, A=0.5, D=0.2, n_list=(2000,), seeds=2)
@@ -348,6 +355,16 @@ class TestCLI:
         assert err.count("\n") == 1 and err.startswith("error: ") and key in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_missing_probe_degree_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        s = Scenario(name="nanprobe", m=2, A=0.25, D=0.3, n_list=(300, 600), seeds=4, d0=40)
+        f.write_text(s.to_json())
+        out = tmp_path / "out"
+        code, err = self._run_captured(capsys, "experiment", "run", str(f), "--out-dir", str(out))
+        assert code == 2
+        assert err == "error: probe degree d0 = 40 is missing from 4 of 4 graphs at n = 300\n"
+        assert not list(out.iterdir())
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         out = tmp_path / "g.txt"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from panet.graphgen import (
+    Multigraph,
     child_seed,
     draw_slots,
     export_edge_list,
@@ -24,7 +25,7 @@ from panet.graphgen import (
 from panet.metrics import clustering
 from panet.params import GeneratorParams, derive_generator_params
 
-from reference import scan_edge_list
+from reference import scan_edge_list, write_edge_list
 
 GP = derive_generator_params(2, 0.2, 0.3)  # beta = 0.3, c = 24
 
@@ -220,6 +221,17 @@ class TestEdgeListIO:
         assert h.u.tolist() == g.u.tolist() and h.v.tolist() == g.v.tolist()
         assert h.degree_array().tolist() == g.degree_array().tolist()
         assert h.m == GP.m
+
+    @pytest.mark.parametrize("E", [0, 1, 2 * 2**16 + 123])
+    def test_bytes_match_per_edge_writer(self, E):
+        # Ids of seven digits and more, and a partial last chunk.
+        rng = np.random.default_rng(E)
+        u = rng.integers(10**6, 10**8, size=E)
+        g = Multigraph(10**8, None, u, u + rng.integers(1, 10**6, size=E))
+        got, want = io.StringIO(), io.StringIO()
+        export_edge_list(g, got)
+        write_edge_list(g, want)
+        assert got.getvalue() == want.getvalue()
 
     @pytest.mark.parametrize(
         "text, match",

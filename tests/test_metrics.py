@@ -2,21 +2,24 @@
 brute-force and loop references, networkx, and the log-binning helper."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panet.graphgen import Multigraph, generate, seed_graph
 from panet.metrics import (
+    ClusteringProfile,
     clustering,
     degree_profile,
     dnn_empirical,
-    log_binned_curve,
     pearson_assortativity,
 )
 from panet.params import derive_generator_params
 
-from reference import brute_force_profile, clustering_loop, sum_squares
+from reference import brute_force_profile, clustering_loop, log_binned_curve, sum_squares
 
 
 def _graph(n, edges):
@@ -139,6 +142,63 @@ class TestClusteringAgainstLoop:
         tiny = [_graph(2, [(0, 1)]), _graph(4, [(0, 3), (1, 3)]), _graph(3, [(0, 1), (1, 0), (0, 2)])]
         for g in tiny + [Multigraph(3, None, [], [])]:
             assert clustering(g) == clustering_loop(g)
+
+
+@st.composite
+def _multigraphs(draw):
+    """Random edges plus a clique of up to 30 and a star on shuffled ids,
+    some edges repeated, in random order and orientation: parallel edges,
+    isolated vertices, ties in simple degree and long out-lists."""
+    n = draw(st.integers(1, 60))
+    ids = st.integers(0, n - 1)
+    perm = draw(st.permutations(range(n)))
+    k = draw(st.integers(0, min(n, 30)))
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=150))
+    edges += [(perm[i], perm[j]) for i in range(k) for j in range(i)]
+    edges += [(perm[-1], x) for x in draw(st.lists(ids, max_size=60))]
+    edges = [e for e in edges if e[0] != e[1]]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=30))
+    edges = draw(st.permutations(edges))
+    return Multigraph(n, None, [a for a, _ in edges], [b for _, b in edges])
+
+
+class TestClusteringKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(g=_multigraphs())
+    def test_equals_loop(self, g):
+        fast, slow = clustering(g), clustering_loop(g)
+        assert (fast.C1, fast.C2) == (slow.C1, slow.C2)
+        assert list(fast.C_by_degree.items()) == list(slow.C_by_degree.items())
+
+    @pytest.mark.parametrize(
+        "g, want",
+        [
+            (Multigraph(4, None, [], []), ClusteringProfile(0.0, 0.0, {0: 0.0})),
+            (_graph(2, [(0, 1)]), ClusteringProfile(0.0, 0.0, {1: 0.0})),
+            (
+                _graph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)]),
+                ClusteringProfile(1.0, 1.0, {4: 1.0}),
+            ),
+        ],
+        ids=["edgeless", "single_edge", "doubled_triangle"],
+    )
+    def test_exact_profile(self, g, want):
+        assert clustering(g) == want
+
+    def test_hub_makes_no_wedges(self):
+        # Leaves point at the hub, so the hub has no out-neighbors and the
+        # star has no wedge.  Pointed the other way, the hub's 2000
+        # out-neighbors would make 2e6 wedges and about 90 MiB of arrays.
+        g = Multigraph(2001, None, np.zeros(2000, dtype=np.int64), np.arange(1, 2001))
+        tracemalloc.start()
+        try:
+            cp = clustering(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cp.C1 == 0.0
+        assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("A, D, n, seed", GRAPHS)

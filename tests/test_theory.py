@@ -26,9 +26,10 @@ from panet.theory import (
     dnn_hypothesis_supercritical,
     dnn_overlay,
     dnn_theory,
-    expected_sum_squares,
     expected_triangles,
 )
+
+from reference import expected_sum_squares
 
 P = make_model_params(2, 0.25, 0.3)
 
