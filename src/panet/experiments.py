@@ -180,26 +180,52 @@ def _run_one(args) -> tuple[int, int, dict[int, int], dict[int, int], int, float
     return n, seed, prof.N, prof.S, prof.W, dnn_empirical(prof, d0)
 
 
+def _run_chunk(chunk) -> list[tuple[int, int, dict[int, int], dict[int, int], int, float]]:
+    return [_run_one(args) for args in chunk]
+
+
+# A pool chunk holds consecutive tasks of at least this many edges (m*n
+# per task): one chunk per big graph, so equal jobs split evenly over the
+# workers, and many small graphs per chunk, so dispatch costs stay small.
+_CHUNK_EDGES = 1 << 17
+
+
+def _chunks(tasks: list[tuple]) -> list[list[tuple]]:
+    """Split tasks, in order, into runs whose m*n sum reaches _CHUNK_EDGES;
+    only the last run may fall short."""
+    chunks: list[list[tuple]] = [[]]
+    edges = 0
+    for task in tasks:
+        if edges >= _CHUNK_EDGES:
+            chunks.append([])
+            edges = 0
+        chunks[-1].append(task)
+        edges += task[0] * task[3]
+    return chunks
+
+
 def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
     """Generate seeds x sizes graphs, pool per-degree statistics, keep
     per-seed probe values for error bars.  workers=None: one per CPU in
-    the affinity mask (os.cpu_count() off Linux), at most one per job.
-    Raises ValueError if a graph has no vertex of the probe degree."""
+    the affinity mask (os.cpu_count() off Linux), at most one per pool
+    chunk (see _chunks).  Raises ValueError if a graph has no vertex of
+    the probe degree."""
     d0 = s.probe_degree
     tasks = []
     for n, n_seeds in zip(s.n_list, s.seeds_for_n):
         for i in range(n_seeds):
             tasks.append((s.m, s.A, s.D, n, child_seed(s.root_seed, n, i), d0))
+    chunks = _chunks(tasks)
     if workers is None:
         affinity = getattr(os, "sched_getaffinity", None)
         cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-        workers = min(cpus, len(tasks))
+        workers = min(cpus, len(chunks))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raws = list(pool.map(_run_one, tasks, chunksize=4))
+            raws = [raw for done in pool.map(_run_chunk, chunks) for raw in done]
     else:
-        raws = [_run_one(t) for t in tasks]
+        raws = _run_chunk(tasks)
 
     res = ScenarioResult(scenario=s)
     for n, _seed, N, S, W, probe in raws:  # task order == (n, seed) order

@@ -98,8 +98,14 @@ def draw_slots(gp: GeneratorParams, t, rng: np.random.Generator) -> np.ndarray:
         ptr[:, 0 : 2 * k : 2] = (a >= beta) & (a < beta + p_ptr * (1.0 - beta))
         np.copyto(out[:, 1 : 2 * k : 2], out[:, 0 : 2 * k : 2], where=copy)
         ptr[:, 1 : 2 * k : 2] |= copy
-    np.floor_divide(out, m, out=out, where=~ptr)
-    np.invert(out, out=out, where=ptr)
+    # Decode ptr ? ~j : j // m as q + ptr * (~j - q), with no masked ufunc:
+    # a mask over random bits mispredicts a branch on every element.  x is
+    # spent, so its buffer takes q = j // m.
+    q = np.floor_divide(out, m, out=x.view(np.int64))
+    np.invert(out, out=out)
+    out -= q
+    out *= ptr
+    out += q
     return out
 
 

@@ -117,8 +117,10 @@ def clustering(g: Multigraph) -> ClusteringProfile:
     local = np.divide(tri, p2, out=np.zeros(n), where=p2 > 0)
     p2_total = int(p2.sum())
     C1 = int(tri.sum()) / p2_total if p2_total > 0 else 0.0
-    # Left-to-right sums, in vertex order, as the CSV digests expect.
-    C2 = sum(local.tolist()) / n if n > 0 else 0.0
+    # Left-to-right sum in vertex order, as the CSV digests expect: an
+    # accumulate adds in order, where sum() of floats compensates from
+    # Python 3.12 on and np.sum adds pairwise.
+    C2 = float(np.cumsum(local)[-1]) / n if n > 0 else 0.0
     deg = g.degree_array()
     count = np.bincount(deg)
     mean = np.bincount(deg, weights=local) / np.maximum(count, 1)

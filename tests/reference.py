@@ -1,20 +1,43 @@
 """Slow, plainly written references that tests compare panet against:
-per-vertex adjacency traversal for degree_profile, the set-based triangle
-loop for clustering, the line scanner that defines the edge-list format
-for import_edge_list and the per-edge writer for export_edge_list.  Also
-the helpers only tests use: the pooled degree CCDF and its tail slope,
-log-binning, and the leading-order sum of squared degrees."""
+the masked slot decode for draw_slots, per-vertex adjacency traversal for
+degree_profile, the set-based triangle loop for clustering, the line
+scanner that defines the edge-list format for import_edge_list and the
+per-edge writer for export_edge_list.  Also the helpers only tests use:
+the pooled degree CCDF and its tail slope, log-binning, and the
+leading-order sum of squared degrees."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from panet.experiments import ScenarioResult, fit_power_exponent
 from panet.graphgen import Multigraph
 from panet.metrics import ClusteringProfile, DegreeProfile
-from panet.params import ModelParams
+from panet.params import GeneratorParams, ModelParams
 
 BRUTE_FORCE_CAP = 10_000
+
+
+def draw_slots_masked(gp: GeneratorParams, t, rng: np.random.Generator) -> np.ndarray:
+    """graphgen.draw_slots with the decode written as two masked ufuncs:
+    j // m where the slot holds a vertex, ~j where it holds a pointer.
+    Same RNG calls, so its result must equal draw_slots exactly."""
+    m, k, beta = gp.m, gp.k, gp.beta
+    p_ptr = m / (2 * m + gp.c)
+    out = rng.integers(np.repeat(m * np.asarray(t, dtype=np.int64), m)).reshape(-1, m)
+    x = rng.random(out.shape)
+    ptr = x < p_ptr
+    if k:
+        a = x[:, 0 : 2 * k : 2]
+        copy = a < beta
+        ptr[:, 0 : 2 * k : 2] = (a >= beta) & (a < beta + p_ptr * (1.0 - beta))
+        np.copyto(out[:, 1 : 2 * k : 2], out[:, 0 : 2 * k : 2], where=copy)
+        ptr[:, 1 : 2 * k : 2] |= copy
+    np.floor_divide(out, m, out=out, where=~ptr)
+    np.invert(out, out=out, where=ptr)
+    return out
 
 
 def adjacency(g: Multigraph) -> list[list[int]]:
@@ -49,9 +72,19 @@ def sum_squares(g: Multigraph) -> int:
     return sum(d * d for d in g.degree_array().tolist())
 
 
-def clustering_loop(g: Multigraph) -> ClusteringProfile:
-    """metrics.clustering by neighbor sets and a per-edge loop, summing in
-    vertex order, so its results must equal the vectorized ones exactly."""
+def sum_in_order(values) -> float:
+    """Left-to-right float sum, on every Python: sum() of floats
+    compensates its rounding from Python 3.12 on."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def local_clustering_loop(g: Multigraph) -> tuple[list[int], list[int], list[float]]:
+    """Per vertex of the simple projection, by neighbor sets and a
+    per-edge loop: triangles, pairs of distinct neighbors and the local
+    coefficient (0 below two neighbors)."""
     us, vs = g.u.tolist(), g.v.tolist()
     adj = [set() for _ in range(g.n)]
     for a, b in zip(us, vs):
@@ -67,12 +100,19 @@ def clustering_loop(g: Multigraph) -> ClusteringProfile:
                 tri[w] += 1
     p2 = [len(s) * (len(s) - 1) // 2 for s in adj]
     local = [t / p if p > 0 else 0.0 for t, p in zip(tri, p2)]
+    return tri, p2, local
+
+
+def clustering_loop(g: Multigraph) -> ClusteringProfile:
+    """metrics.clustering from local_clustering_loop, summing in vertex
+    order, so its results must equal the vectorized ones exactly."""
+    tri, p2, local = local_clustering_loop(g)
     C1 = 3.0 * (sum(tri) // 3) / sum(p2) if sum(p2) > 0 else 0.0
-    C2 = sum(local) / g.n if g.n > 0 else 0.0
+    C2 = sum_in_order(local) / g.n if g.n > 0 else 0.0
     by_degree: dict[int, list[float]] = {}
     for v, d in enumerate(g.degree_array().tolist()):
         by_degree.setdefault(d, []).append(local[v])
-    C_by_degree = {d: sum(vals) / len(vals) for d, vals in sorted(by_degree.items())}
+    C_by_degree = {d: sum_in_order(vals) / len(vals) for d, vals in sorted(by_degree.items())}
     return ClusteringProfile(C1=C1, C2=C2, C_by_degree=C_by_degree)
 
 

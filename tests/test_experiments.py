@@ -12,16 +12,20 @@ import pytest
 from panet import cli
 from panet.cli import main
 from panet.experiments import (
+    _CHUNK_EDGES,
     PRESETS,
     Scenario,
     ScenarioResult,
+    _chunks,
     fit_hypothesis_constant,
     fit_power_exponent,
     make_preset,
     run_scenario,
     theory_tables,
 )
-from panet.params import make_model_params
+from panet.graphgen import child_seed, generate
+from panet.metrics import degree_profile
+from panet.params import derive_generator_params, make_model_params
 from panet.theory import dnn_hypothesis_critical
 
 from reference import pooled_ccdf
@@ -145,6 +149,38 @@ class TestRunScenario:
             assert a.pooled_N == b.pooled_N
             assert a.pooled_S == b.pooled_S
             assert a.probe_per_seed == b.probe_per_seed
+
+    def test_mixed_sizes_pooled_equals_serial(self):
+        """The first pool chunk spans both sizes (50 graphs at n = 300, two
+        at 40000) and the last holds one graph; pooled sums and per-seed
+        lists, in (n, seed) order, equal the serial run's."""
+        s = Scenario(name="mixed", m=2, A=0.25, D=0.3, n_list=(300, 40000), seeds=(50, 5))
+        a, b = run_scenario(s, workers=1), run_scenario(s, workers=2)
+        for attr in ("pooled_N", "pooled_S", "W_per_seed", "probe_per_seed"):
+            assert getattr(a, attr) == getattr(b, attr)
+        gp = derive_generator_params(2, 0.25, 0.3)
+        W = [degree_profile(generate(gp, 40000, child_seed(s.root_seed, 40000, i))).W for i in range(5)]
+        assert b.W_per_seed[40000] == W
+
+    @pytest.mark.parametrize(
+        "sizes, lengths",
+        [
+            ([300] * 50 + [40000] * 5, [52, 2, 1]),
+            ([100_000] * 10, [1] * 10),  # a preset at n = 1e5: one graph per chunk
+            ([1000] * 200 + [5000] * 60 + [30000] * 30, [66, 66, 66, 15, 14, 14, 14, 7] + [3] * 9 + [1]),
+            ([5], [1]),
+        ],
+    )
+    def test_chunks_cover_tasks_in_order(self, sizes, lengths):
+        """Each task once, in order; each chunk reaches the edge floor only
+        with its last task, except the last chunk, which may fall short."""
+        tasks = [(2, 0.25, 0.3, n, i, 3) for i, n in enumerate(sizes)]
+        chunks = _chunks(tasks)
+        assert [t for c in chunks for t in c] == tasks
+        assert [len(c) for c in chunks] == lengths
+        edges = [[m * n for m, _, _, n, _, _ in c] for c in chunks]
+        assert all(sum(e) >= _CHUNK_EDGES for e in edges[:-1])
+        assert all(sum(e[:-1]) < _CHUNK_EDGES for e in edges)
 
     def test_aggregation_shape(self):
         res = run_scenario(self.S, workers=1)

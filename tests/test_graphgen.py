@@ -25,7 +25,7 @@ from panet.graphgen import (
 from panet.metrics import clustering
 from panet.params import GeneratorParams, derive_generator_params
 
-from reference import scan_edge_list, write_edge_list
+from reference import draw_slots_masked, scan_edge_list, write_edge_list
 
 GP = derive_generator_params(2, 0.2, 0.3)  # beta = 0.3, c = 24
 
@@ -118,6 +118,28 @@ class TestGenerate:
             vals = [clustering(generate(gp, 2000, seed=s)).C1 for s in range(5)]
             c1.append(sum(vals) / len(vals))
         assert c1[0] < c1[1] < c1[2]
+
+
+@st.composite
+def _slot_draws(draw):
+    """Generator knobs over every slot layout (m = 1 has no pair-slot, odd
+    m ends in a single slot), step arrays holding t = m + 1, and a seed."""
+    m = draw(st.integers(1, 6))
+    beta = 0.0 if m == 1 else draw(st.floats(0.0, 1.0))
+    c = draw(st.just(0.0) | st.floats(-m, 50.0, exclude_min=True))
+    t = draw(st.lists(st.integers(m + 1, 10**6), max_size=300))
+    t.insert(draw(st.integers(0, len(t))), m + 1)
+    return GeneratorParams(m, beta, c), t, draw(st.integers(0, 2**63))
+
+
+class TestDrawSlots:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_slot_draws())
+    def test_equals_masked_decode(self, case):
+        gp, t, seed = case
+        got = draw_slots(gp, t, np.random.default_rng(seed))
+        want = draw_slots_masked(gp, t, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestResolvePointers:

@@ -19,7 +19,14 @@ from panet.metrics import (
 )
 from panet.params import derive_generator_params
 
-from reference import brute_force_profile, clustering_loop, log_binned_curve, sum_squares
+from reference import (
+    brute_force_profile,
+    clustering_loop,
+    local_clustering_loop,
+    log_binned_curve,
+    sum_in_order,
+    sum_squares,
+)
 
 
 def _graph(n, edges):
@@ -137,6 +144,15 @@ class TestClusteringAgainstLoop:
         assert (fast.C1, fast.C2) == (slow.C1, slow.C2)
         assert list(fast.C_by_degree.items()) == list(slow.C_by_degree.items())
         assert all(type(x) is float for x in (fast.C1, fast.C2, *fast.C_by_degree.values()))
+
+    def test_C2_sums_in_vertex_order(self):
+        """C2 adds the local coefficients left to right, on every Python:
+        on this graph a compensated sum (math.fsum, or sum() from Python
+        3.12 on) rounds to another float."""
+        g = generate(derive_generator_params(2, 0.25, 0.3), 300, seed=1)
+        local = local_clustering_loop(g)[2]
+        assert math.fsum(local) != sum_in_order(local)
+        assert clustering(g).C2 == sum_in_order(local) / g.n
 
     def test_tiny_graphs(self):
         tiny = [_graph(2, [(0, 1)]), _graph(4, [(0, 3), (1, 3)]), _graph(3, [(0, 1), (1, 0), (0, 2)])]
