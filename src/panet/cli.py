@@ -99,7 +99,7 @@ def _cmd_metrics(args) -> int:
         for d in sorted(prof.N)
     ]
     _write_csv(Path(args.out), ["d", "N", "S", "dnn", "C_of_d"], rows)
-    r = pearson_assortativity(g)
+    r = pearson_assortativity(prof)
     print(f"n={prof.n} edges={prof.num_edges} W={prof.W}")
     print(f"C1={cp.C1:.6g} C2={cp.C2:.6g} pearson={r:.6g}")
     print(f"wrote per-degree table to {args.out}")

@@ -28,8 +28,6 @@ vertex only connects to older vertices.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .params import GeneratorParams
@@ -96,7 +94,11 @@ def draw_slots(gp: GeneratorParams, t, rng: np.random.Generator) -> np.ndarray:
         a = x[:, 0 : 2 * k : 2]
         copy = a < beta
         ptr[:, 0 : 2 * k : 2] = (a >= beta) & (a < beta + p_ptr * (1.0 - beta))
-        np.copyto(out[:, 1 : 2 * k : 2], out[:, 0 : 2 * k : 2], where=copy)
+        # second += (first - second) * copy: no masked copy (see below).
+        second = out[:, 1 : 2 * k : 2]
+        diff = out[:, 0 : 2 * k : 2] - second
+        diff *= copy
+        second += diff
         ptr[:, 1 : 2 * k : 2] |= copy
     # Decode ptr ? ~j : j // m as q + ptr * (~j - q), with no masked ufunc:
     # a mask over random bits mispredicts a branch on every element.  x is
@@ -174,28 +176,51 @@ def import_edge_list(source) -> Multigraph:
     else:
         text = source.read()
     uv = _parse_digits(text)
-    if uv is None:
-        uv = _scan_lines(text)
-    n, E = int(uv.max()) + 1, uv.shape[1]
-    return Multigraph(n, E // n if E % n == 0 else None, *uv)
+    u, v = _scan_lines(text) if uv is None else uv
+    n, E = int(max(u.max(), v.max())) + 1, len(u)
+    return Multigraph(n, E // n if E % n == 0 else None, u, v)
 
 
-def _parse_digits(text: str) -> np.ndarray | None:
-    """The (2, E) ids of a valid edge list made of ASCII digits, spaces,
-    tabs, CRs and LFs, else None (the line scanner then decides)."""
+def _parse_digits(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (u, v) ids of a valid edge list made of ASCII digits, spaces,
+    tabs, CRs and LFs, else None (the line scanner then decides).  One
+    strtoll pass reads every id; an id beyond int64 saturates and fails
+    the id < 2E bound."""
     data = text.encode("ascii", "replace")  # any other character becomes "?"
     if data.translate(None, b"0123456789 \t\r\n") or not data.strip():
         return None
-    try:
-        uv = np.loadtxt(io.BytesIO(data), dtype=np.int64, ndmin=2, comments=None).T
-    except ValueError:  # ragged lines, a CR inside a line, or an id beyond int64
+    E = _pair_lines(np.frombuffer(data, dtype=np.uint8))
+    if E is None:
         return None
-    if uv.shape[0] != 2 or (uv[0] == uv[1]).any() or uv.max() >= uv.size:
+    uv = np.fromstring(data, dtype=np.int64, sep=" ")
+    if uv.size != 2 * E or uv.max() >= uv.size:
         return None
-    return uv.copy()
+    u, v = uv[0::2].copy(), uv[1::2].copy()
+    if (u == v).any():
+        return None
+    return u, v
 
 
-def _scan_lines(text: str) -> np.ndarray:
+def _pair_lines(c: np.ndarray) -> int | None:
+    """The number of lines holding two ids, when no line holds another
+    number of ids but 0, in bytes c of digits and whitespace; else None.
+
+    One event per id (its first digit) and per LF, compressed to a byte
+    each; a run of three ids, or an id with no id beside it, fails.
+    """
+    keep = c >= 48  # digits; every other byte left is whitespace
+    keep[1:] &= c[:-1] < 48
+    keep |= c == 10
+    ids = c[keep] != 10
+    pair = ids[:-1] & ids[1:]  # events i and i+1 are ids on one line
+    E = np.count_nonzero(pair)
+    # With no run of three, every run of ids is a pair or a lone id.
+    if (pair[:-1] & pair[1:]).any() or np.count_nonzero(ids) != 2 * E:
+        return None
+    return E
+
+
+def _scan_lines(text: str) -> tuple[np.ndarray, np.ndarray]:
     us: list[int] = []
     vs: list[int] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -220,7 +245,7 @@ def _scan_lines(text: str) -> np.ndarray:
     top = max(max(us), max(vs))
     if top >= 2 * len(us):
         raise ValueError(f"vertex id {top} is not below 2E = {2 * len(us)} (twice the edge count)")
-    return np.array([us, vs], dtype=np.int64)
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
 
 
 def child_seed(root_seed: int, *key: int) -> int:

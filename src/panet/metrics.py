@@ -128,15 +128,16 @@ def clustering(g: Multigraph) -> ClusteringProfile:
     return ClusteringProfile(C1=C1, C2=C2, C_by_degree=C_by_degree)
 
 
-def pearson_assortativity(g: Multigraph) -> float:
+def pearson_assortativity(profile: DegreeProfile) -> float:
     """Pearson correlation of the symmetrized edge-endpoint degree pairs;
-    NaN when the degree variance over endpoints is zero (regular graphs)."""
-    deg = g.degree_array().astype(float)
-    du = deg[g.u]
-    dv = deg[g.v]
-    x = np.concatenate([du, dv])
-    y = np.concatenate([dv, du])
-    vx = np.var(x)
-    if vx == 0.0:
+    NaN when the degree variance over endpoints is zero (regular graphs).
+
+    Over the 2E endpoint pairs (x, y), sum x = W, sum x^2 = sum d^3 N(d)
+    and sum xy = sum d S(d), so r = (2E sum d S(d) - W^2) /
+    (2E sum d^3 N(d) - W^2), in exact integers up to one division.
+    """
+    two_e, W = 2 * profile.num_edges, profile.W
+    den = two_e * sum(d**3 * c for d, c in profile.N.items()) - W * W
+    if den == 0:
         return math.nan
-    return float(np.mean(x * y) - np.mean(x) * np.mean(y)) / vx
+    return (two_e * sum(d * s for d, s in profile.S.items()) - W * W) / den

@@ -1,6 +1,7 @@
 """Slow, plainly written references that tests compare panet against:
 the masked slot decode for draw_slots, per-vertex adjacency traversal for
-degree_profile, the set-based triangle loop for clustering, the line
+degree_profile, the set-based triangle loop for clustering, the
+edge-endpoint sums for pearson_assortativity, the line
 scanner that defines the edge-list format for import_edge_list and the
 per-edge writer for export_edge_list.  Also the helpers only tests use:
 the pooled degree CCDF and its tail slope, log-binning, and the
@@ -114,6 +115,21 @@ def clustering_loop(g: Multigraph) -> ClusteringProfile:
         by_degree.setdefault(d, []).append(local[v])
     C_by_degree = {d: sum_in_order(vals) / len(vals) for d, vals in sorted(by_degree.items())}
     return ClusteringProfile(C1=C1, C2=C2, C_by_degree=C_by_degree)
+
+
+def pearson_edges(g: Multigraph) -> float:
+    """Pearson correlation of the symmetrized edge-endpoint degree pairs
+    (x, y), from sums over the edges in exact integers:
+    r = (2E sum xy - (sum x)^2) / (2E sum x^2 - (sum x)^2); NaN when the
+    degree variance over endpoints is zero (regular graphs)."""
+    deg = g.degree_array().tolist()
+    pairs = [(deg[a], deg[b]) for a, b in zip(g.u.tolist(), g.v.tolist())]
+    two_e = 2 * len(pairs)
+    sx = sum(a + b for a, b in pairs)
+    sxx = sum(a * a + b * b for a, b in pairs)
+    sxy = sum(2 * a * b for a, b in pairs)
+    den = two_e * sxx - sx * sx
+    return math.nan if den == 0 else (two_e * sxy - sx * sx) / den
 
 
 def scan_edge_list(source) -> tuple[list[int], list[int]]:

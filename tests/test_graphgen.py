@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from panet import graphgen
 from panet.graphgen import (
     Multigraph,
     child_seed,
@@ -282,6 +283,51 @@ class TestEdgeListIO:
         h = import_edge_list(io.StringIO(buf.getvalue()))
         assert h.n == g.n and h.m == g.m
         assert h.u.tolist() == g.u.tolist() and h.v.tolist() == g.v.tolist()
+
+    @pytest.fixture
+    def no_scanner(self, monkeypatch):
+        def fail(text):
+            raise AssertionError("import_edge_list fell back to the line scanner")
+
+        monkeypatch.setattr(graphgen, "_scan_lines", fail)
+
+    @pytest.mark.parametrize("form", ["stream", "path", "crlf", "tabs", "blank_lines"])
+    def test_exported_text_skips_scanner(self, form, no_scanner, tmp_path):
+        g = generate(GP, 300, seed=9)
+        buf = io.StringIO()
+        export_edge_list(g, buf)
+        text = buf.getvalue()
+        if form == "stream":
+            h = import_edge_list(io.StringIO(text))
+        elif form == "path":
+            export_edge_list(g, str(tmp_path / "g.txt"))
+            h = import_edge_list(str(tmp_path / "g.txt"))
+        elif form == "crlf":
+            (tmp_path / "g.txt").write_bytes(text.replace("\n", "\r\n").encode())
+            h = import_edge_list(str(tmp_path / "g.txt"))
+        elif form == "tabs":
+            h = import_edge_list(io.StringIO(text.replace(" ", "\t")))
+        else:
+            h = import_edge_list(io.StringIO("\n \t\n" + text.replace("\n", "\n\n") + " \n\t"))
+        assert h.u.tolist() == g.u.tolist() and h.v.tolist() == g.v.tolist()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "12345678901234567890 1\n0 1\n",  # beyond int64: saturates, fails id < 2E
+            "0 1 2\n3\n",  # an even id count on ragged lines
+            "0 1\r2 3\n",  # a CR inside a line of a text stream
+            " \n\t\n0 1\n1 2\n \t \n\n",  # whitespace-only lines around the edges
+        ],
+        ids=["twenty_digits", "ragged", "inner_cr", "whitespace_lines"],
+    )
+    def test_pinned_texts_match_line_scanner(self, text):
+        def ids(g):
+            return g.u.tolist(), g.v.tolist()
+
+        assert _outcome(lambda: ids(import_edge_list(io.StringIO(text)))) == _outcome(
+            lambda: scan_edge_list(io.StringIO(text))
+        )
 
 
 # Texts over digits, space, tab, CR, LF, '-', 'x' and '#': unstructured,

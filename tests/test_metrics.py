@@ -24,6 +24,7 @@ from reference import (
     clustering_loop,
     local_clustering_loop,
     log_binned_curve,
+    pearson_edges,
     sum_in_order,
     sum_squares,
 )
@@ -245,22 +246,38 @@ class TestNetworkx:
     def test_assortativity(self, A, D, n, seed):
         nx, g, mg, _ = self._graphs(A, D, n, seed)
         want = nx.degree_pearson_correlation_coefficient(mg)
-        assert pearson_assortativity(g) == pytest.approx(want, rel=1e-9)
+        assert pearson_assortativity(degree_profile(g)) == pytest.approx(want, rel=1e-9)
 
 
 class TestAssortativity:
     def test_star_is_minus_one(self, star4):
-        assert pearson_assortativity(star4) == pytest.approx(-1.0)
+        assert pearson_assortativity(degree_profile(star4)) == pytest.approx(-1.0)
+        assert pearson_edges(star4) == pytest.approx(-1.0)
 
     def test_regular_graph_is_nan(self):
-        assert math.isnan(pearson_assortativity(seed_graph(2)))
+        assert math.isnan(pearson_assortativity(degree_profile(seed_graph(2))))
+        assert math.isnan(pearson_edges(seed_graph(2)))
 
     def test_generated_subcritical_sign(self):
         # Disassortative regime: high-degree vertices attach mostly to the
         # many low-degree ones.
         gp = derive_generator_params(2, 0.25, 0.3)
-        r = pearson_assortativity(generate(gp, 20_000, seed=5))
+        r = pearson_assortativity(degree_profile(generate(gp, 20_000, seed=5)))
         assert -1.0 < r < 0.1
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=_multigraphs())
+    def test_equals_edge_sums(self, g):
+        """Sums over the degree profile give exactly the correlation of the
+        endpoint pairs summed over the edges, also with parallel edges,
+        isolated vertices and no edges at all (NaN)."""
+        got, want = pearson_assortativity(degree_profile(g)), pearson_edges(g)
+        assert got == want or math.isnan(got) and math.isnan(want)
+
+    @pytest.mark.parametrize("A, D, n, seed", GRAPHS)
+    def test_equals_edge_sums_on_generated_graphs(self, A, D, n, seed):
+        g = _with_isolated_vertex(A, D, n, seed)
+        assert pearson_assortativity(degree_profile(g)) == pearson_edges(g)
 
 
 class TestLogBinning:
