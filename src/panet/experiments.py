@@ -6,16 +6,20 @@ the original sizes).
 Determinism: every (n, seed-index) run derives its generator seed from the
 scenario root seed, and aggregation folds results in (n, seed-index) order,
 so output bytes do not depend on worker scheduling.  Jobs run on one
-worker per CPU in the process's affinity mask (`taskset` narrows it).
+worker per CPU in the process's affinity mask (`taskset` narrows it), in
+a pool that every run_scenario call of the process reuses (see _pool).
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -113,10 +117,6 @@ class Scenario:
     def model(self) -> ModelParams:
         return make_model_params(self.m, self.A, self.D)
 
-    def to_json(self) -> str:
-        d = asdict(self)
-        return json.dumps(d, indent=2, sort_keys=True) + "\n"
-
     @staticmethod
     def from_json(text: str) -> "Scenario":
         d = json.loads(text)
@@ -204,6 +204,71 @@ def _chunks(tasks: list[tuple]) -> list[list[tuple]]:
     return chunks
 
 
+def _keep_freed_memory() -> tuple[int, int] | None:
+    """Pool initializer: numpy blocks up to 32 MiB come from the heap and
+    stay there when freed, instead of being mapped and zeroed afresh for
+    every job, and an idle worker returns its heap top only beyond 256 MiB
+    free.  Returns glibc mallopt's two results (1 on success), or None
+    without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no C library
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h.
+    return mallopt(-3, 32 << 20), mallopt(-1, 256 << 20)
+
+
+# (pid of the process that made it, worker count, pool), or None.  The
+# pool lives until interpreter exit, where concurrent.futures joins it.
+_POOL: tuple[int, int, ProcessPoolExecutor] | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of `workers` workers, made on first use.  One
+    of another size is shut down and replaced; one inherited through
+    os.fork belongs to the parent and is left alone."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL[:2] == (os.getpid(), workers):
+            return _POOL[2]
+        if _POOL is not None and _POOL[0] == os.getpid():
+            _POOL[2].shutdown()
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_memory)
+        _POOL = (os.getpid(), workers, pool)
+        return pool
+
+
+def _drop_pool(pool: ProcessPoolExecutor) -> None:
+    """Forget a broken pool, so that the next _pool call makes a new one."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL[2] is pool:
+            _POOL = None
+    pool.shutdown()
+
+
+def _run_pooled(chunks: list[list[tuple]], workers: int) -> list[tuple]:
+    """_run_chunk over chunks on the shared pool, results in chunk order.
+    A pool found broken before any job of this call ran (a worker died
+    since the last call) is rebuilt once; one that breaks during the call
+    is dropped and the error raised."""
+    pool = _pool(workers)
+    try:
+        done = pool.map(_run_chunk, chunks)
+    except BrokenProcessPool:
+        _drop_pool(pool)
+        pool = _pool(workers)
+        done = pool.map(_run_chunk, chunks)
+    try:
+        return [raw for chunk in done for raw in chunk]
+    except BrokenProcessPool:
+        _drop_pool(pool)
+        raise
+
+
 def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
     """Generate seeds x sizes graphs, pool per-degree statistics, keep
     per-seed probe values for error bars.  workers=None: one per CPU in
@@ -222,8 +287,7 @@ def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
         workers = min(cpus, len(chunks))
 
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raws = [raw for done in pool.map(_run_chunk, chunks) for raw in done]
+        raws = _run_pooled(chunks, workers)
     else:
         raws = _run_chunk(tasks)
 
@@ -295,10 +359,10 @@ def fit_hypothesis_constant(res: ScenarioResult) -> float:
     return num / den
 
 
-def theory_tables(p: ModelParams, d_max: int, n_list=(), C1: float = 1.0, C2: float = 1.0):
+def theory_tables(p: ModelParams, d_max: int, n_list=()):
     """Theory-only rows per degree d in [m, d_max]: subcritical closed
-    forms for A < 1/2; for A >= 1/2 the hypothesis predictor (constant C1
-    above 1/2, C2 at 1/2) and its asymptotic form, one block per n."""
+    forms for A < 1/2; for A >= 1/2 the hypothesis predictor (constant 1)
+    and its asymptotic form, one block per n."""
     if d_max < p.m:
         raise ValueError(f"d_max must be >= m = {p.m}, got {d_max}")
     d_values = np.arange(p.m, d_max + 1)
@@ -317,11 +381,11 @@ def theory_tables(p: ModelParams, d_max: int, n_list=(), C1: float = 1.0, C2: fl
                 }
             )
         return rows
-    hyp, C = (dnn_hypothesis_supercritical, C1) if p.A > 0.5 else (dnn_hypothesis_critical, C2)
+    hyp = dnn_hypothesis_supercritical if p.A > 0.5 else dnn_hypothesis_critical
     c = c_exact(p, d_values)
     for n in tuple(n_list) or (10**5,):
-        y = dnn_overlay(p, d_values, n, C)
-        y_asym = hyp(p, d_values, n, C, form="asymptotic")
+        y = dnn_overlay(p, d_values, n, 1.0)
+        y_asym = hyp(p, d_values, n, 1.0, form="asymptotic")
         for i, d in enumerate(d_values):
             rows.append(
                 {

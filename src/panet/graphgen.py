@@ -28,6 +28,8 @@ vertex only connects to older vertices.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 from .params import GeneratorParams
@@ -168,29 +170,36 @@ def import_edge_list(source) -> Multigraph:
     >= 2E (a graph with no isolated vertex has fewer than 2E vertices).
     A text of ASCII digits and whitespace is parsed and checked in numpy;
     any other text, or one that fails a check there, goes through the line
-    scanner, which defines the format and names the offending line.
+    scanner, which defines the format and names the offending line.  A
+    file is read as it would be in text mode, where a lone CR also ends a
+    line; in a text stream only LF does.
     """
     if isinstance(source, str):
-        with open(source) as fh:
-            text = fh.read()
+        with open(source, "rb") as fh:
+            data = fh.read()
+        uv = _parse_digits(data)
+        if uv is None:
+            uv = _scan_lines(io.TextIOWrapper(io.BytesIO(data)).read())  # as open(source) reads it
     else:
         text = source.read()
-    uv = _parse_digits(text)
-    u, v = _scan_lines(text) if uv is None else uv
+        # Any other character becomes "?"; a CR is whitespace, not a line end.
+        uv = _parse_digits(text.encode("ascii", "replace").replace(b"\r", b" "))
+        if uv is None:
+            uv = _scan_lines(text)
+    u, v = uv
     n, E = int(max(u.max(), v.max())) + 1, len(u)
     return Multigraph(n, E // n if E % n == 0 else None, u, v)
 
 
-def _parse_digits(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+def _parse_digits(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """The (u, v) ids of a valid edge list made of ASCII digits, spaces,
     tabs, CRs and LFs, else None (the line scanner then decides).  One
     strtoll pass reads every id; an id beyond int64 saturates and fails
     the id < 2E bound."""
-    data = text.encode("ascii", "replace")  # any other character becomes "?"
-    if data.translate(None, b"0123456789 \t\r\n") or not data.strip():
+    if data.translate(None, b"0123456789 \t\r\n"):
         return None
     E = _pair_lines(np.frombuffer(data, dtype=np.uint8))
-    if E is None:
+    if not E:  # None, or no line with ids
         return None
     uv = np.fromstring(data, dtype=np.int64, sep=" ")
     if uv.size != 2 * E or uv.max() >= uv.size:
@@ -203,15 +212,17 @@ def _parse_digits(text: str) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _pair_lines(c: np.ndarray) -> int | None:
     """The number of lines holding two ids, when no line holds another
-    number of ids but 0, in bytes c of digits and whitespace; else None.
+    number of ids but 0, in bytes c of digits and whitespace (CR and LF
+    end lines); else None.
 
-    One event per id (its first digit) and per LF, compressed to a byte
-    each; a run of three ids, or an id with no id beside it, fails.
+    One event per id (its first digit) and per line end, compressed to a
+    byte each; a run of three ids, or an id with no id beside it, fails.
     """
     keep = c >= 48  # digits; every other byte left is whitespace
     keep[1:] &= c[:-1] < 48
     keep |= c == 10
-    ids = c[keep] != 10
+    keep |= c == 13
+    ids = c[keep] >= 48
     pair = ids[:-1] & ids[1:]  # events i and i+1 are ids on one line
     E = np.count_nonzero(pair)
     # With no run of three, every run of ids is a pair or a lone id.

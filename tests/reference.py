@@ -4,16 +4,18 @@ degree_profile, the set-based triangle loop for clustering, the
 edge-endpoint sums for pearson_assortativity, the line
 scanner that defines the edge-list format for import_edge_list and the
 per-edge writer for export_edge_list.  Also the helpers only tests use:
-the pooled degree CCDF and its tail slope, log-binning, and the
-leading-order sum of squared degrees."""
+the scenario file writer, the pooled degree CCDF and its tail slope,
+log-binning, and the leading-order sum of squared degrees."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 
-from panet.experiments import ScenarioResult, fit_power_exponent
+from panet.experiments import Scenario, ScenarioResult, fit_power_exponent
 from panet.graphgen import Multigraph
 from panet.metrics import ClusteringProfile, DegreeProfile
 from panet.params import GeneratorParams, ModelParams
@@ -166,6 +168,11 @@ def write_edge_list(g: Multigraph, sink) -> None:
     """One f-string per edge: the bytes export_edge_list must write."""
     for a, b in zip(g.u.tolist(), g.v.tolist()):
         sink.write(f"{a} {b}\n")
+
+
+def scenario_json(s: Scenario) -> str:
+    """A scenario file that Scenario.from_json reads back as s."""
+    return json.dumps(dataclasses.asdict(s), indent=2, sort_keys=True) + "\n"
 
 
 def expected_sum_squares(p: ModelParams, n: int) -> float:

@@ -4,12 +4,23 @@ and end-to-end command behavior at small sizes."""
 import csv
 import json
 import math
+import multiprocessing
+import os
+import platform
+import resource
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from panet import cli
+import panet
+from panet import cli, experiments
 from panet.cli import main
 from panet.experiments import (
     _CHUNK_EDGES,
@@ -17,6 +28,7 @@ from panet.experiments import (
     Scenario,
     ScenarioResult,
     _chunks,
+    _keep_freed_memory,
     fit_hypothesis_constant,
     fit_power_exponent,
     make_preset,
@@ -28,7 +40,7 @@ from panet.metrics import degree_profile
 from panet.params import derive_generator_params, make_model_params
 from panet.theory import dnn_hypothesis_critical
 
-from reference import pooled_ccdf
+from reference import pooled_ccdf, scenario_json
 
 
 class TestFitPowerExponent:
@@ -96,7 +108,7 @@ class TestFitHypothesisConstant:
 class TestScenario:
     def test_json_round_trip(self):
         s = Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(100, 200), seeds=(3, 2))
-        assert Scenario.from_json(s.to_json()) == s
+        assert Scenario.from_json(scenario_json(s)) == s
 
     def test_validation(self):
         with pytest.raises(ValueError, match="probe degree"):
@@ -201,6 +213,137 @@ class TestRunScenario:
         s = Scenario(name="crit", m=2, A=0.5, D=0.2, n_list=(2000,), seeds=2)
         res = run_scenario(s, workers=1)
         assert res.fitted_constant is not None and res.fitted_constant > 0
+
+
+POOL_DEADLINE_S = 120
+
+
+@pytest.fixture
+def deadline():
+    """Fail a pool test that runs past POOL_DEADLINE_S instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"pool test ran past {POOL_DEADLINE_S} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(POOL_DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _refaults() -> int:
+    """Minor page faults while 16 MiB of numpy blocks, allocated and freed
+    once before, are allocated and freed again."""
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        blocks = [np.ones(1 << 18) for _ in range(8)]
+        del blocks
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def _same_result(a: ScenarioResult, b: ScenarioResult) -> bool:
+    attrs = ("pooled_N", "pooled_S", "W_per_seed", "probe_per_seed")
+    return all(getattr(a, k) == getattr(b, k) for k in attrs)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork and SIGALRM")
+@pytest.mark.usefixtures("deadline")
+class TestPool:
+    """run_scenario's pooled calls share one pool per process (see
+    experiments._pool)."""
+
+    S = Scenario(name="pool", m=2, A=0.25, D=0.3, n_list=(70_000,), seeds=3)  # three chunks
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return run_scenario(self.S, workers=1)
+
+    def test_calls_reuse_workers(self, serial):
+        assert _same_result(run_scenario(self.S, workers=2), serial)
+        pids = _worker_pids()
+        assert len(pids) == 2
+        assert _same_result(run_scenario(self.S, workers=2), serial)
+        assert _worker_pids() == pids
+
+    def test_other_worker_count_replaces_pool(self, serial):
+        run_scenario(self.S, workers=2)
+        old = _worker_pids()
+        assert _same_result(run_scenario(self.S, workers=3), serial)
+        new = _worker_pids()
+        assert len(new) == 3 and not new & old
+        assert not any(_alive(pid) for pid in old)
+
+    def test_killed_worker_is_replaced(self, serial):
+        run_scenario(self.S, workers=2)
+        pids = _worker_pids()
+        victim = min(pids)
+        os.kill(victim, signal.SIGKILL)
+        while _alive(victim):  # reaped once the pool has marked itself broken
+            time.sleep(0.01)
+        assert _same_result(run_scenario(self.S, workers=2), serial)
+        assert not _worker_pids() & pids
+
+    def test_forked_child_runs_its_own_pool(self, serial):
+        run_scenario(self.S, workers=2)
+        pid = os.fork()
+        if pid == 0:  # the child: stop its own pool and never return into pytest
+            code = 1
+            try:
+                code = 0 if _same_result(run_scenario(self.S, workers=2), serial) else 1
+            finally:
+                try:
+                    experiments._pool(2).shutdown()
+                finally:
+                    os._exit(code)
+        try:
+            while not (waited := os.waitpid(pid, os.WNOHANG))[0]:
+                time.sleep(0.01)
+        except TimeoutError:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        assert os.waitstatus_to_exitcode(waited[1]) == 0
+
+    def test_exiting_process_leaves_no_worker(self):
+        code = textwrap.dedent(
+            """
+            import multiprocessing
+            from panet.experiments import Scenario, run_scenario
+            run_scenario(Scenario(name="x", m=2, A=0.25, D=0.3, n_list=(70_000,), seeds=2), workers=2)
+            print(" ".join(str(p.pid) for p in multiprocessing.active_children()))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(panet.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=POOL_DEADLINE_S
+        )
+        assert out.returncode == 0, out.stderr
+        pids = [int(x) for x in out.stdout.split()]
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_workers_keep_freed_memory(self):
+        run_scenario(self.S, workers=2)
+        pool = experiments._pool(2)
+        # 4096 pages when the freed blocks go back to the system
+        assert pool.submit(_refaults).result() < 512
+        assert pool.submit(_keep_freed_memory).result() == (1, 1)
 
 
 class TestTheoryTables:
@@ -313,7 +456,7 @@ class TestCLI:
     def test_scenario_file_run(self, tmp_path):
         s = Scenario(name="mini", m=2, A=0.25, D=0.3, n_list=(400,), seeds=2)
         f = tmp_path / "s.json"
-        f.write_text(s.to_json())
+        f.write_text(scenario_json(s))
         assert self._run("experiment", "run", str(f), "--out-dir", str(tmp_path)) == 0
         assert (tmp_path / "mini_dnn_vs_d_n400.csv").exists()
 
@@ -322,7 +465,7 @@ class TestCLI:
         # fig4's scenarios run from a file give fig4's table, one row per D.
         scenarios = make_preset("fig4", n=400, seeds=2)
         f = tmp_path / "s.json"
-        f.write_text(json.dumps([json.loads(s.to_json()) for s in scenarios]))
+        f.write_text(json.dumps([json.loads(scenario_json(s)) for s in scenarios]))
         run_dir, preset_dir = tmp_path / "run", tmp_path / "preset"
         assert self._run("experiment", "run", str(f), "--out-dir", str(run_dir), "--gnuplot") == 0
         assert self._run(
@@ -335,7 +478,7 @@ class TestCLI:
 
     def test_run_rejects_check_before_running(self, tmp_path, capsys):
         f = tmp_path / "s.json"
-        f.write_text(Scenario(name="mini", m=2, A=0.25, D=0.3, n_list=(400,)).to_json())
+        f.write_text(scenario_json(Scenario(name="mini", m=2, A=0.25, D=0.3, n_list=(400,))))
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             self._run("experiment", "run", str(f), "--check", "--out-dir", str(out))
@@ -395,7 +538,7 @@ class TestCLI:
     def test_missing_probe_degree_exit_2(self, tmp_path, capsys):
         f = tmp_path / "s.json"
         s = Scenario(name="nanprobe", m=2, A=0.25, D=0.3, n_list=(300, 600), seeds=4, d0=40)
-        f.write_text(s.to_json())
+        f.write_text(scenario_json(s))
         out = tmp_path / "out"
         code, err = self._run_captured(capsys, "experiment", "run", str(f), "--out-dir", str(out))
         assert code == 2
@@ -476,7 +619,7 @@ class TestCLI:
             outputs=("theory_only",),
         )
         f = tmp_path / "s.json"
-        f.write_text(s.to_json())
+        f.write_text(scenario_json(s))
         assert self._run("experiment", "run", str(f), "--out-dir", str(tmp_path)) == 0
         with open(tmp_path / "hyp_theory.csv") as fh:
             rows = list(csv.DictReader(fh))
