@@ -80,9 +80,9 @@ def _resolve_generator(args) -> GeneratorParams:
 
 def _cmd_generate(args) -> int:
     gp = _resolve_generator(args)
+    p = derive_model_params(gp)
     g = generate(gp, args.n, args.seed)
     export_edge_list(g, args.out)
-    p = derive_model_params(gp)
     print(
         f"wrote {g.num_edges} edges ({g.n} vertices) to {args.out} "
         f"[m={p.m} A={p.A:.6g} B={p.B:.6g} D={p.D:.6g}]"

@@ -28,7 +28,9 @@ from .metrics import degree_profile, dnn_empirical
 from .params import ModelParams, derive_generator_params, make_model_params
 from .theory import (
     build_theory_curve,
+    c_asymptotic,
     c_exact,
+    dnn_asymptotic,
     dnn_hypothesis_critical,
     dnn_hypothesis_supercritical,
     dnn_overlay,
@@ -100,6 +102,7 @@ class Scenario:
         for tag in self.outputs:
             if tag not in OUTPUTS:
                 raise ValueError(f"unknown outputs tag {tag!r} (known: {', '.join(OUTPUTS)})")
+        self.model  # m, A and D must make a ModelParams
 
     @property
     def probe_degree(self) -> int:
@@ -172,15 +175,15 @@ class ScenarioResult:
         return float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
 
 
-def _run_one(args) -> tuple[int, int, dict[int, int], dict[int, int], int, float]:
+def _run_one(args) -> tuple[int, dict[int, int], dict[int, int], int, float]:
     m, A, D, n, seed, d0 = args
     gp = derive_generator_params(m, A, D)
     g = generate(gp, n, seed)
     prof = degree_profile(g)
-    return n, seed, prof.N, prof.S, prof.W, dnn_empirical(prof, d0)
+    return n, prof.N, prof.S, prof.W, dnn_empirical(prof, d0)
 
 
-def _run_chunk(chunk) -> list[tuple[int, int, dict[int, int], dict[int, int], int, float]]:
+def _run_chunk(chunk) -> list[tuple[int, dict[int, int], dict[int, int], int, float]]:
     return [_run_one(args) for args in chunk]
 
 
@@ -292,7 +295,7 @@ def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
         raws = _run_chunk(tasks)
 
     res = ScenarioResult(scenario=s)
-    for n, _seed, N, S, W, probe in raws:  # task order == (n, seed) order
+    for n, N, S, W, probe in raws:  # task order == (n, seed) order
         pn = res.pooled_N.setdefault(n, {})
         ps = res.pooled_S.setdefault(n, {})
         for d, c in N.items():
@@ -312,7 +315,7 @@ def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
     return res
 
 
-def fit_power_exponent(points, weights=None) -> tuple[float, float, float]:
+def fit_power_exponent(points) -> tuple[float, float, float]:
     """Least-squares line through (ln x, ln y): returns (slope, intercept,
     slope standard error).  All inputs must be positive."""
     pts = [(float(x), float(y)) for x, y in points]
@@ -324,17 +327,12 @@ def fit_power_exponent(points, weights=None) -> tuple[float, float, float]:
     ly = np.log([y for _, y in pts])
     if np.ptp(lx) == 0:
         raise ValueError("degenerate x-range")
-    w = np.ones(len(pts)) if weights is None else np.asarray(weights, dtype=float)
-    wsum = w.sum()
-    mx = float(np.dot(w, lx) / wsum)
-    my = float(np.dot(w, ly) / wsum)
-    sxx = float(np.dot(w, (lx - mx) ** 2))
-    slope = float(np.dot(w, (lx - mx) * (ly - my)) / sxx)
+    mx, my = float(lx.mean()), float(ly.mean())
+    sxx = float(np.dot(lx - mx, lx - mx))
+    slope = float(np.dot(lx - mx, ly - my) / sxx)
     intercept = my - slope * mx
     resid = ly - (intercept + slope * lx)
-    dof = max(len(pts) - 2, 1)
-    var = float(np.dot(w, resid**2) / wsum) * len(pts) / dof
-    stderr = math.sqrt(var / sxx)
+    stderr = math.sqrt(float(np.dot(resid, resid)) / max(len(pts) - 2, 1) / sxx)
     return slope, intercept, stderr
 
 
@@ -365,19 +363,23 @@ def theory_tables(p: ModelParams, d_max: int, n_list=()):
     and its asymptotic form, one block per n."""
     if d_max < p.m:
         raise ValueError(f"d_max must be >= m = {p.m}, got {d_max}")
+    if any(n < p.m + 1 for n in n_list):
+        raise ValueError(f"all sizes must be >= seed size m+1 = {p.m + 1}")
     d_values = np.arange(p.m, d_max + 1)
     rows = []
     if p.A < 0.5:
         curve = build_theory_curve(p, d_values)
+        d_f = d_values.astype(float)
+        c_as, dnn_as = c_asymptotic(p, d_f), dnn_asymptotic(p, d_f)
         for i, d in enumerate(d_values):
             rows.append(
                 {
                     "d": int(d),
                     "c_exact": float(curve.c_exact[i]),
-                    "c_asym": float(curve.c_asymptotic[i]),
+                    "c_asym": float(c_as[i]),
                     "M": float(curve.M_exact[i]),
                     "dnn_theory": float(curve.dnn_exact[i]),
-                    "dnn_asym": float(curve.dnn_asymptotic[i]),
+                    "dnn_asym": float(dnn_as[i]),
                 }
             )
         return rows

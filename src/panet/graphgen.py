@@ -47,15 +47,10 @@ __all__ = [
 
 
 class Multigraph:
-    """n vertices and an edge multiset: edge e joins u[e] and v[e].
+    """n vertices and an edge multiset: edge e joins u[e] and v[e]."""
 
-    m is the number of edges per vertex, or None where it is unknown
-    (import_edge_list sets it when the edge count is a multiple of n).
-    """
-
-    def __init__(self, n: int, m: int | None, u, v):
+    def __init__(self, n: int, u, v):
         self.n = n
-        self.m = m
         self.u = np.asarray(u, dtype=np.int64)
         self.v = np.asarray(v, dtype=np.int64)
 
@@ -76,7 +71,7 @@ def seed_graph(m: int) -> Multigraph:
         raise ValueError(f"m must be >= 1, got {m}")
     u = np.repeat(np.arange(m + 1), m)
     j = np.tile(np.arange(m), m + 1)
-    return Multigraph(m + 1, m, u, j + (j >= u))
+    return Multigraph(m + 1, u, j + (j >= u))
 
 
 def draw_slots(gp: GeneratorParams, t, rng: np.random.Generator) -> np.ndarray:
@@ -130,65 +125,49 @@ def resolve_pointers(v: np.ndarray) -> None:
 
 def generate(gp: GeneratorParams, n: int, seed) -> Multigraph:
     """Grow a graph to n vertices; a fixed (gp, n, seed) gives a
-    bit-identical edge list.  seed is a non-negative int (or None for
-    fresh entropy)."""
+    bit-identical edge list.  seed is a non-negative int."""
     m = gp.m
     if n < m + 1:
         raise ValueError(f"n must be >= seed size m+1 = {m + 1}, got {n}")
-    if seed is not None and seed < 0:
+    if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     v = np.concatenate([seed_graph(m).v, draw_slots(gp, np.arange(m + 1, n), rng).ravel()])
     resolve_pointers(v)
-    return Multigraph(n, m, np.repeat(np.arange(n), m), v)
+    return Multigraph(n, np.repeat(np.arange(n), m), v)
 
 
 _EXPORT_CHUNK = 1 << 16  # edges formatted by one % operation
 
 
-def export_edge_list(g: Multigraph, sink) -> None:
-    """Write one "u v" line per edge (0-based ids, repeats = multiplicity)."""
-    close = False
-    if isinstance(sink, str):
-        sink = open(sink, "w")
-        close = True
-    try:
-        uv = np.column_stack((g.u, g.v)).ravel()
+def export_edge_list(g: Multigraph, path) -> None:
+    """Write one "u v" line per edge (0-based ids, repeats = multiplicity)
+    to the file at path (a str or os.PathLike)."""
+    uv = np.column_stack((g.u, g.v)).ravel()
+    with open(path, "w") as sink:
         for start in range(0, len(uv), 2 * _EXPORT_CHUNK):
             ids = uv[start : start + 2 * _EXPORT_CHUNK].tolist()
             sink.write("%d %d\n" * (len(ids) // 2) % tuple(ids))
-    finally:
-        if close:
-            sink.close()
 
 
-def import_edge_list(source) -> Multigraph:
-    """Read an edge list written by export_edge_list (a path or a text
-    stream).
+def import_edge_list(path) -> Multigraph:
+    """Read an edge list written by export_edge_list from the file at path
+    (a str or os.PathLike).
 
     Rejects malformed lines, self-loops, negative ids, empty inputs and ids
     >= 2E (a graph with no isolated vertex has fewer than 2E vertices).
     A text of ASCII digits and whitespace is parsed and checked in numpy;
     any other text, or one that fails a check there, goes through the line
-    scanner, which defines the format and names the offending line.  A
-    file is read as it would be in text mode, where a lone CR also ends a
-    line; in a text stream only LF does.
+    scanner, which defines the format and names the offending line.  The
+    file is read as text mode reads it, where a lone CR also ends a line.
     """
-    if isinstance(source, str):
-        with open(source, "rb") as fh:
-            data = fh.read()
-        uv = _parse_digits(data)
-        if uv is None:
-            uv = _scan_lines(io.TextIOWrapper(io.BytesIO(data)).read())  # as open(source) reads it
-    else:
-        text = source.read()
-        # Any other character becomes "?"; a CR is whitespace, not a line end.
-        uv = _parse_digits(text.encode("ascii", "replace").replace(b"\r", b" "))
-        if uv is None:
-            uv = _scan_lines(text)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    uv = _parse_digits(data)
+    if uv is None:
+        uv = _scan_lines(io.TextIOWrapper(io.BytesIO(data)).read())  # as open(path) reads it
     u, v = uv
-    n, E = int(max(u.max(), v.max())) + 1, len(u)
-    return Multigraph(n, E // n if E % n == 0 else None, u, v)
+    return Multigraph(int(max(u.max(), v.max())) + 1, u, v)
 
 
 def _parse_digits(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:

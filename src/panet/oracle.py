@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ModelParams
-from .theory import build_theory_curve, c_exact
+from .theory import build_theory_curve
 
 __all__ = [
     "RecurrenceTable",
@@ -127,10 +127,10 @@ def integrate_S(
 
 
 def compare_closed_form(table: RecurrenceTable, curve=None) -> dict[int, dict[str, float]]:
-    """Relative gaps at the final checkpoint: S(d)/n vs M(d) and
-    N(d)/n vs c(m,d), per degree d in [m, d_max].
+    """Relative gaps at the final checkpoint: S(d)/n vs M(d), per degree
+    d in [m, d_max].
 
-    The closed forms need A < 1/2; build `curve` first to fail before
+    The closed form needs A < 1/2; build `curve` first to fail before
     integrating.
     """
     p = table.params
@@ -141,19 +141,8 @@ def compare_closed_form(table: RecurrenceTable, curve=None) -> dict[int, dict[st
         raise ValueError("theory curve was built for different parameters")
     n = int(table.n_values[-1])
     report: dict[int, dict[str, float]] = {}
-    c_vals = c_exact(p, d_values.astype(float))
-    for j, d in enumerate(d_values):
-        c = c_vals[j]
+    for d in d_values:
         M = curve.M_at(int(d))
-        N_over_n = table.N[-1][d] / n
         S_over_n = table.S[-1][d] / n
-        report[int(d)] = {
-            "n": float(n),
-            "N_over_n": N_over_n,
-            "c_closed": float(c),
-            "rel_err_N": abs(N_over_n - c) / c,
-            "S_over_n": S_over_n,
-            "M_closed": M,
-            "rel_err_S": abs(S_over_n - M) / M,
-        }
+        report[int(d)] = {"n": float(n), "S_over_n": S_over_n, "M_closed": M, "rel_err_S": abs(S_over_n - M) / M}
     return report

@@ -1,11 +1,11 @@
-"""Model parameters and the mapping between the (m, A, B, D) description
+"""Model parameters and the mapping between the (m, A, D) description
 and the concrete generator knobs (m, beta, c).
 
-The model-level parameters obey the linear constraint 2mA + B = m, so B is
-always derived from (m, A) and never accepted as an input.  The generator
-realizes a given (m, A, D) through k = floor(m/2) pair-slots (each an
-edge-copy with probability beta, otherwise two shifted-PA draws) and
-r = m - 2k single slots (one shifted-PA draw each).
+The attachment intercept B obeys 2mA + B = m, so it is a property derived
+from (m, A), never stored or accepted as an input.  The generator realizes
+a given (m, A, D) through k = floor(m/2) pair-slots (each an edge-copy
+with probability beta, otherwise two shifted-PA draws) and r = m - 2k
+single slots (one shifted-PA draw each).
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ _MIN_A_GAP = 1e-9
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Edges per vertex m, attachment slope A, intercept B, triangle rate D."""
+    """Edges per vertex m, attachment slope A, triangle rate D."""
 
     m: int
     A: float
-    B: float
     D: float
 
     def __post_init__(self):
@@ -40,12 +39,13 @@ class ModelParams:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 0.0 <= self.A <= 1.0:
             raise ValueError(f"A must lie in [0, 1], got {self.A}")
-        if self.D < 0.0:
-            raise ValueError(f"D must be >= 0, got {self.D}")
-        if abs(2 * self.m * self.A + self.B - self.m) > 1e-9:
-            raise ValueError(
-                f"2mA + B = m violated: m={self.m}, A={self.A}, B={self.B}"
-            )
+        if not 0.0 <= self.D < math.inf:
+            raise ValueError(f"D must be a finite number >= 0, got {self.D}")
+
+    @property
+    def B(self) -> float:
+        """Attachment intercept, fixed by 2mA + B = m."""
+        return self.m * (1.0 - 2.0 * self.A)
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class GeneratorParams:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.c <= -self.m:
-            raise ValueError(f"c must exceed -m = {-self.m}, got {self.c}")
+        if not -self.m < self.c < math.inf:
+            raise ValueError(f"c must exceed -m = {-self.m} and be finite, got {self.c}")
         if self.k == 0 and self.beta > 0.0:
             raise ValueError("beta > 0 needs at least one pair-slot (m >= 2)")
 
@@ -78,8 +78,8 @@ class GeneratorParams:
 
 
 def make_model_params(m: int, A: float, D: float) -> ModelParams:
-    """Build ModelParams with B derived from the constraint 2mA + B = m."""
-    return ModelParams(m=m, A=A, B=m * (1.0 - 2.0 * A), D=D)
+    """ModelParams(m, A, D); B follows from the constraint 2mA + B = m."""
+    return ModelParams(m=m, A=A, D=D)
 
 
 def feasible_attachment_interval(m: int, D: float) -> tuple[float, float]:
@@ -92,7 +92,7 @@ def feasible_attachment_interval(m: int, D: float) -> tuple[float, float]:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if D < 0.0:
+    if not D >= 0.0:
         raise ValueError(f"D must be >= 0, got {D}")
     k = m // 2
     if D > 0 and k == 0:
@@ -117,26 +117,14 @@ def derive_generator_params(m: int, A: float, D: float) -> GeneratorParams:
             f"A = {A} too close to the lower feasibility bound D/m = {lo}; "
             f"the attachment shift diverges (need A - D/m >= {_MIN_A_GAP})"
         )
+    # Tested on A itself: at A = hi, c rounds to just above -m as often as not.
+    if not A < hi:
+        raise ValueError(f"(m={m}, A={A}, D={D}) is outside the reachable region A in ({lo}, {hi})")
     s = 2 * k * (1.0 - beta) + r  # equals m - 2D
-    c = s / (A - D / m) - 2 * m
-    if c <= -m:
-        raise ValueError(
-            f"(m={m}, A={A}, D={D}) is outside the reachable region "
-            f"A in ({lo}, {hi}): derived shift c = {c} <= -m"
-        )
-    return GeneratorParams(m=m, beta=beta, c=c)
+    return GeneratorParams(m=m, beta=beta, c=s / (A - D / m) - 2 * m)
 
 
 def derive_model_params(g: GeneratorParams) -> ModelParams:
-    """Forward map from generator knobs to the (A, B, D) description."""
-    k, r = g.k, g.r
-    s = 2 * k * (1.0 - g.beta) + r
-    A = k * g.beta / g.m + s / (2 * g.m + g.c)
-    B = s * g.c / (2 * g.m + g.c)
-    D = k * g.beta
-    # 2mA + B = 2k*beta + s = m holds algebraically; round B onto the
-    # constraint so downstream identities see it exactly.
-    B_exact = g.m * (1.0 - 2.0 * A)
-    if not math.isclose(B, B_exact, rel_tol=1e-9, abs_tol=1e-9):
-        raise ValueError(f"knobs {g} break 2mA + B = m: B = {B}, m(1-2A) = {B_exact}")
-    return ModelParams(m=g.m, A=A, B=B_exact, D=D)
+    """Forward map from generator knobs to the (A, D) description."""
+    s = 2 * g.k * (1.0 - g.beta) + g.r
+    return ModelParams(m=g.m, A=g.k * g.beta / g.m + s / (2 * g.m + g.c), D=g.k * g.beta)

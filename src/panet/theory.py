@@ -12,7 +12,7 @@ dnn_overlay picks the d_nn curve of the regime A falls in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma, gammaln
@@ -241,7 +241,7 @@ def dnn_overlay(p: ModelParams, d, n: int, C: float):
 
 @dataclass(frozen=True)
 class TheoryCurve:
-    """Tabulated theory values over a degree range, Y prefix sums cached.
+    """Tabulated theory values at the degrees d_values.
 
     Valid for A < 1/2 (M and dnn need the subcritical closed form).
     Arrays are aligned with d_values.
@@ -250,11 +250,8 @@ class TheoryCurve:
     params: ModelParams
     d_values: np.ndarray
     c_exact: np.ndarray
-    c_asymptotic: np.ndarray
     M_exact: np.ndarray
     dnn_exact: np.ndarray
-    dnn_asymptotic: np.ndarray
-    y_prefix: np.ndarray = field(repr=False)
 
     def _index(self, d: int) -> int:
         idx = int(np.searchsorted(self.d_values, d))
@@ -287,44 +284,22 @@ def build_theory_curve(p: ModelParams, d_values) -> TheoryCurve:
     # c(d) = c(d-1)*(A(d-1)+B)/(Ad+B+1), rather than per-degree log-gamma,
     # keeps the ratio and recurrence identities exact to rounding over the
     # whole table (log-gamma differences lose ~1e-9 by d ~ 1e5).
-    y_prefix = np.empty(len(d_values), dtype=float)
-    c_ex = np.empty(len(d_values), dtype=float)
-    c_at_m = 1.0 / (A * m + B + 1.0)
+    c_run = 1.0 / (A * m + B + 1.0)  # c(m); the Y sum is empty at d = m
+    y_prefix = np.zeros(len(d_values))
+    c_ex = np.full(len(d_values), c_run)
     total = 0.0
-    c_run = c_at_m
-    pos = 0
-    lo = m + 1
-    d_max = int(d_values[-1])
-    while pos < len(d_values) and d_values[pos] == m:
-        y_prefix[pos] = 0.0
-        c_ex[pos] = c_at_m
-        pos += 1
-    while lo <= d_max:
-        hi = min(d_max, lo + _CHUNK - 1)
-        i = np.arange(lo, hi + 1, dtype=float)
+    d_end = int(d_values[-1]) + 1
+    for lo in range(m + 1, d_end, _CHUNK):
+        i = np.arange(lo, min(lo + _CHUNK, d_end), dtype=float)
         cum = np.cumsum(Y_term(p, i))
         c_chunk = c_run * np.cumprod((A * (i - 1.0) + B) / (A * i + B + 1.0))
-        while pos < len(d_values) and d_values[pos] <= hi:
-            y_prefix[pos] = total + cum[d_values[pos] - lo]
-            c_ex[pos] = c_chunk[d_values[pos] - lo]
-            pos += 1
+        here = (d_values >= lo) & (d_values < lo + len(i))
+        y_prefix[here] = total + cum[d_values[here] - lo]
+        c_ex[here] = c_chunk[d_values[here] - lo]
         total += cum[-1]
         c_run = c_chunk[-1]
-        lo = hi + 1
 
     d_f = d_values.astype(float)
-    c_as = c_asymptotic(p, d_f)
     inner = X_const(p) / (A * m + B + 1.0) + y_prefix
     M = (A * d_f + B + 1.0) * inner * c_ex
-    dnn = M / (d_f * c_ex)
-    dnn_as = dnn_asymptotic(p, d_f)
-    return TheoryCurve(
-        params=p,
-        d_values=d_values,
-        c_exact=np.atleast_1d(c_ex),
-        c_asymptotic=np.atleast_1d(c_as),
-        M_exact=np.atleast_1d(M),
-        dnn_exact=np.atleast_1d(dnn),
-        dnn_asymptotic=np.atleast_1d(dnn_as),
-        y_prefix=y_prefix,
-    )
+    return TheoryCurve(params=p, d_values=d_values, c_exact=c_ex, M_exact=M, dnn_exact=M / (d_f * c_ex))

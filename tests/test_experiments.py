@@ -523,6 +523,8 @@ class TestCLI:
             ),
             ({"name": "../x", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400]}, "scenario name '../x'"),
             ({"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": []}, "n_list must name at least one size"),
+            ({"name": "s", "m": 2, "A": math.nan, "D": 0.3, "n_list": [400]}, "A must lie in [0, 1], got nan"),
+            ({"name": "s", "m": 2, "A": 0.25, "D": math.inf, "n_list": [400]}, "D must be a finite number"),
         ],
     )
     def test_bad_scenario_file_exit_2(self, tmp_path, capsys, payload, key):
@@ -533,6 +535,35 @@ class TestCLI:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ") and key in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--m", "2", "--beta", "0.1", "--c", "nan", "--n", "100"],
+            ["generate", "--m", "2", "--beta", "0.1", "--c", "inf", "--n", "100"],
+            ["generate", "--m", "2", "--A", "nan", "--D", "0.2", "--n", "100"],
+            ["theory", "--m", "2", "--A", "0.2", "--D", "nan", "--d-max", "5"],
+            ["theory", "--m", "2", "--A", "0.2", "--D", "inf", "--d-max", "5"],
+            ["oracle", "--m", "2", "--A", "0.2", "--D", "nan", "--n-end", "100", "--d-max", "10"],
+            ["oracle", "--m", "2", "--A", "0.2", "--D", "inf", "--n-end", "100", "--d-max", "10"],
+            ["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "-4"],
+            ["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "0"],
+        ],
+        ids=[
+            "generate_c_nan", "generate_c_inf", "generate_A_nan", "theory_D_nan", "theory_D_inf",
+            "oracle_D_nan", "oracle_D_inf", "theory_n_negative", "theory_n_zero",
+        ],
+    )
+    def test_bad_numbers_exit_2(self, tmp_path, capsys, argv):
+        # Each once wrote its file: an edge list before a late check, or
+        # NaN, complex-cast or -inf columns with exit 0.
+        out = tmp_path / "out.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self._run_captured(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
         assert not out.exists()
 
     def test_missing_probe_degree_exit_2(self, tmp_path, capsys):

@@ -243,18 +243,17 @@ class TestEdgeListIO:
         h = import_edge_list(path)
         assert h.u.tolist() == g.u.tolist() and h.v.tolist() == g.v.tolist()
         assert h.degree_array().tolist() == g.degree_array().tolist()
-        assert h.m == GP.m
 
     @pytest.mark.parametrize("E", [0, 1, 2 * 2**16 + 123])
-    def test_bytes_match_per_edge_writer(self, E):
+    def test_bytes_match_per_edge_writer(self, E, tmp_path):
         # Ids of seven digits and more, and a partial last chunk.
         rng = np.random.default_rng(E)
         u = rng.integers(10**6, 10**8, size=E)
-        g = Multigraph(10**8, None, u, u + rng.integers(1, 10**6, size=E))
-        got, want = io.StringIO(), io.StringIO()
-        export_edge_list(g, got)
+        g = Multigraph(10**8, u, u + rng.integers(1, 10**6, size=E))
+        want = io.StringIO()
+        export_edge_list(g, tmp_path / "g.txt")
         write_edge_list(g, want)
-        assert got.getvalue() == want.getvalue()
+        assert (tmp_path / "g.txt").read_bytes() == want.getvalue().encode()
 
     @pytest.mark.parametrize(
         "text, match",
@@ -266,9 +265,10 @@ class TestEdgeListIO:
             ("", "empty"),
         ],
     )
-    def test_malformed_inputs(self, text, match):
+    def test_malformed_inputs(self, text, match, tmp_path):
+        (tmp_path / "g.txt").write_text(text)
         with pytest.raises(ValueError, match=match):
-            import_edge_list(io.StringIO(text))
+            import_edge_list(tmp_path / "g.txt")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -276,12 +276,12 @@ class TestEdgeListIO:
         n=st.integers(3, 400),
         seed=st.integers(0, 2**32),
     )
-    def test_round_trip_property(self, A, n, seed):
+    def test_round_trip_property(self, A, n, seed, tmp_path_factory):
         g = generate(derive_generator_params(2, A, 0.2), n, seed=seed)
-        buf = io.StringIO()
-        export_edge_list(g, buf)
-        h = import_edge_list(io.StringIO(buf.getvalue()))
-        assert h.n == g.n and h.m == g.m
+        path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+        export_edge_list(g, path)
+        h = import_edge_list(path)
+        assert h.n == g.n
         assert h.u.tolist() == g.u.tolist() and h.v.tolist() == g.v.tolist()
 
     @pytest.fixture
@@ -291,24 +291,20 @@ class TestEdgeListIO:
 
         monkeypatch.setattr(graphgen, "_scan_lines", fail)
 
-    @pytest.mark.parametrize("form", ["stream", "path", "crlf", "tabs", "blank_lines"])
+    @pytest.mark.parametrize("form", ["path", "crlf", "tabs", "blank_lines"])
     def test_exported_text_skips_scanner(self, form, no_scanner, tmp_path):
         g = generate(GP, 300, seed=9)
-        buf = io.StringIO()
-        export_edge_list(g, buf)
-        text = buf.getvalue()
-        if form == "stream":
-            h = import_edge_list(io.StringIO(text))
-        elif form == "path":
-            export_edge_list(g, str(tmp_path / "g.txt"))
-            h = import_edge_list(str(tmp_path / "g.txt"))
-        elif form == "crlf":
-            (tmp_path / "g.txt").write_bytes(text.replace("\n", "\r\n").encode())
-            h = import_edge_list(str(tmp_path / "g.txt"))
+        path = tmp_path / "g.txt"
+        export_edge_list(g, str(path))
+        text = path.read_text()
+        if form == "crlf":
+            text = text.replace("\n", "\r\n")
         elif form == "tabs":
-            h = import_edge_list(io.StringIO(text.replace(" ", "\t")))
-        else:
-            h = import_edge_list(io.StringIO("\n \t\n" + text.replace("\n", "\n\n") + " \n\t"))
+            text = text.replace(" ", "\t")
+        elif form == "blank_lines":
+            text = "\n \t\n" + text.replace("\n", "\n\n") + " \n\t"
+        path.write_bytes(text.encode())
+        h = import_edge_list(str(path))
         assert h.u.tolist() == g.u.tolist() and h.v.tolist() == g.v.tolist()
 
     @pytest.mark.parametrize(
@@ -316,18 +312,13 @@ class TestEdgeListIO:
         [
             "12345678901234567890 1\n0 1\n",  # beyond int64: saturates, fails id < 2E
             "0 1 2\n3\n",  # an even id count on ragged lines
-            "0 1\r2 3\n",  # a CR inside a line of a text stream
+            "0 1\r2 3\n",  # a CR inside a line, which ends it in a file
             " \n\t\n0 1\n1 2\n \t \n\n",  # whitespace-only lines around the edges
         ],
         ids=["twenty_digits", "ragged", "inner_cr", "whitespace_lines"],
     )
-    def test_pinned_texts_match_line_scanner(self, text):
-        def ids(g):
-            return g.u.tolist(), g.v.tolist()
-
-        assert _outcome(lambda: ids(import_edge_list(io.StringIO(text)))) == _outcome(
-            lambda: scan_edge_list(io.StringIO(text))
-        )
+    def test_pinned_texts_match_line_scanner(self, text, tmp_path):
+        _assert_matches_line_scanner(text, tmp_path / "g.txt")
 
 
 # Texts over digits, space, tab, CR, LF, '-', 'x' and '#': unstructured,
@@ -356,24 +347,27 @@ def _outcome(read):
         return str(exc)
 
 
+def _assert_matches_line_scanner(text: str, path) -> None:
+    """import_edge_list on a file holding text gives the ids the line
+    scanner reads from it in text mode, or raises the scanner's message."""
+    path.write_bytes(text.encode())
+    with open(path) as fh:
+        want = _outcome(lambda: scan_edge_list(fh))
+
+    def read():
+        g = import_edge_list(path)
+        return g.u.tolist(), g.v.tolist()
+
+    assert _outcome(read) == want
+
+
 @settings(max_examples=400, deadline=None)
 @given(text=_TEXTS)
 def test_importer_matches_line_scanner(text, tmp_path_factory):
     """import_edge_list accepts exactly the texts the line scanner accepts,
-    with the same ids, and otherwise raises the scanner's message; from a
-    text stream and from a file (where CR also ends a line)."""
-    path = tmp_path_factory.getbasetemp() / "edges.txt"
-    path.write_bytes(text.encode())
-
-    def ids(g):
-        return g.u.tolist(), g.v.tolist()
-
-    assert _outcome(lambda: ids(import_edge_list(io.StringIO(text)))) == _outcome(
-        lambda: scan_edge_list(io.StringIO(text))
-    )
-    with open(path) as fh:
-        want = _outcome(lambda: scan_edge_list(fh))
-    assert _outcome(lambda: ids(import_edge_list(str(path)))) == want
+    with the same ids, and otherwise raises the scanner's message; a lone
+    CR ends a line, as in text mode."""
+    _assert_matches_line_scanner(text, tmp_path_factory.getbasetemp() / "edges.txt")
 
 
 class TestChildSeed:

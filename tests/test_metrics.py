@@ -32,7 +32,7 @@ from reference import (
 
 def _graph(n, edges):
     u, v = zip(*edges)
-    return Multigraph(n, None, u, v)
+    return Multigraph(n, u, v)
 
 
 @pytest.fixture
@@ -131,7 +131,7 @@ def _with_isolated_vertex(A, D, n, seed):
     """A generated graph (hubs at A > 1/2, parallel edges from the seed
     clique and edge copies) plus one isolated vertex."""
     g = generate(derive_generator_params(2, A, D), n, seed=seed)
-    return Multigraph(g.n + 1, None, g.u, g.v)
+    return Multigraph(g.n + 1, g.u, g.v)
 
 
 GRAPHS = [(0.25, 0.3, 300, 1), (0.6, 0.2, 300, 2), (0.2, 0.0, 200, 3), (0.75, 0.1, 400, 4)]
@@ -157,7 +157,7 @@ class TestClusteringAgainstLoop:
 
     def test_tiny_graphs(self):
         tiny = [_graph(2, [(0, 1)]), _graph(4, [(0, 3), (1, 3)]), _graph(3, [(0, 1), (1, 0), (0, 2)])]
-        for g in tiny + [Multigraph(3, None, [], [])]:
+        for g in tiny + [Multigraph(3, [], [])]:
             assert clustering(g) == clustering_loop(g)
 
 
@@ -177,7 +177,7 @@ def _multigraphs(draw):
     if edges:
         edges += draw(st.lists(st.sampled_from(edges), max_size=30))
     edges = draw(st.permutations(edges))
-    return Multigraph(n, None, [a for a, _ in edges], [b for _, b in edges])
+    return Multigraph(n, [a for a, _ in edges], [b for _, b in edges])
 
 
 class TestClusteringKernel:
@@ -191,7 +191,7 @@ class TestClusteringKernel:
     @pytest.mark.parametrize(
         "g, want",
         [
-            (Multigraph(4, None, [], []), ClusteringProfile(0.0, 0.0, {0: 0.0})),
+            (Multigraph(4, [], []), ClusteringProfile(0.0, 0.0, {0: 0.0})),
             (_graph(2, [(0, 1)]), ClusteringProfile(0.0, 0.0, {1: 0.0})),
             (
                 _graph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)]),
@@ -207,7 +207,7 @@ class TestClusteringKernel:
         # Leaves point at the hub, so the hub has no out-neighbors and the
         # star has no wedge.  Pointed the other way, the hub's 2000
         # out-neighbors would make 2e6 wedges and about 90 MiB of arrays.
-        g = Multigraph(2001, None, np.zeros(2000, dtype=np.int64), np.arange(1, 2001))
+        g = Multigraph(2001, np.zeros(2000, dtype=np.int64), np.arange(1, 2001))
         tracemalloc.start()
         try:
             cp = clustering(g)

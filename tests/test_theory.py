@@ -13,6 +13,7 @@ Reference values below are hand-derived from the defining formulas at
 import numpy as np
 import pytest
 
+from panet import theory
 from panet.params import make_model_params
 from panet.theory import (
     M_exact,
@@ -89,6 +90,22 @@ class TestNeighborSumCoefficient:
         assert curve.c_exact == pytest.approx(c_exact(P, curve.d_values), rel=1e-9)
         with pytest.raises(KeyError):
             curve.M_at(18)
+
+    def test_multi_chunk_curve(self, monkeypatch):
+        # With chunks of 7 degrees from m+1 = 3 (3..9, 10..16, ..., 94..100,
+        # 101..107), the degrees sit at d = m, on both sides of chunk edges
+        # and inside a chunk.  Each must get its one-degree curve's bits,
+        # and the default single chunk's values to rounding.
+        d = [2, 3, 9, 10, 16, 17, 40, 100, 101]
+        default = build_theory_curve(P, d)
+        monkeypatch.setattr(theory, "_CHUNK", 7)
+        curve = build_theory_curve(P, d)
+        for i, di in enumerate(d):
+            one = build_theory_curve(P, [di])
+            got = (curve.c_exact[i], curve.M_exact[i], curve.dnn_exact[i])
+            assert got == (one.c_exact[0], one.M_exact[0], one.dnn_exact[0]), di
+        for name in ("c_exact", "M_exact", "dnn_exact"):
+            np.testing.assert_allclose(getattr(curve, name), getattr(default, name), rtol=1e-12, atol=0)
 
     def test_dnn_affine_in_D(self):
         # c(m,d) has no D-dependence and X, Y are affine in D, so dnn(d)
