@@ -103,6 +103,8 @@ class Scenario:
             if tag not in OUTPUTS:
                 raise ValueError(f"unknown outputs tag {tag!r} (known: {', '.join(OUTPUTS)})")
         self.model  # m, A and D must make a ModelParams
+        if "theory_only" not in self.outputs:  # a simulated one also needs a generator
+            derive_generator_params(self.m, self.A, self.D)
 
     @property
     def probe_degree(self) -> int:

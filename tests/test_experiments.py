@@ -117,6 +117,11 @@ class TestScenario:
             Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(100,), seeds=0)
         with pytest.raises(ValueError, match="sizes"):
             Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(2,))
+        # (A, D) = (0.1, 0.3) has a model but no generator: only a
+        # theory_only scenario may hold it.
+        with pytest.raises(ValueError, match="feasibility bound"):
+            Scenario(name="t", m=2, A=0.1, D=0.3, n_list=(100,))
+        Scenario(name="t", m=2, A=0.1, D=0.3, n_list=(100,), outputs=("theory_only",))
 
     def test_default_probe_degree(self):
         s = Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(100,))
@@ -525,6 +530,15 @@ class TestCLI:
             ({"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": []}, "n_list must name at least one size"),
             ({"name": "s", "m": 2, "A": math.nan, "D": 0.3, "n_list": [400]}, "A must lie in [0, 1], got nan"),
             ({"name": "s", "m": 2, "A": 0.25, "D": math.inf, "n_list": [400]}, "D must be a finite number"),
+            (
+                # The valid first scenario once wrote its CSV before the
+                # second met the generator's feasibility check.
+                [
+                    {"name": "ok", "m": 2, "A": 0.25, "D": 0.3, "n_list": [300], "seeds": 2},
+                    {"name": "bad", "m": 2, "A": 0.1, "D": 0.3, "n_list": [300], "seeds": 2},
+                ],
+                "lower feasibility bound",
+            ),
         ],
     )
     def test_bad_scenario_file_exit_2(self, tmp_path, capsys, payload, key):

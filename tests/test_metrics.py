@@ -3,12 +3,14 @@ brute-force and loop references, networkx, and the log-binning helper."""
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from panet import metrics
 from panet.graphgen import Multigraph, generate, seed_graph
 from panet.metrics import (
     ClusteringProfile,
@@ -202,6 +204,43 @@ class TestClusteringKernel:
     )
     def test_exact_profile(self, g, want):
         assert clustering(g) == want
+
+    # A source of out-degree k costs k^2, so chunks of cost 1 or 7 put
+    # chunk edges between every pair of sources with out-edges, or a few
+    # sources apart, and give each source of out-degree >= 2 (>= 3 at 7) a
+    # chunk of its own.  K6 plus a pendant makes a source with 10 wedges.
+    @settings(max_examples=100, deadline=None)
+    @given(g=_multigraphs(), chunk=st.sampled_from([1, 7]))
+    @example(g=_graph(7, [(i, j) for i in range(6) for j in range(i)] + [(0, 6)]), chunk=7)
+    def test_small_wedge_chunks(self, g, chunk):
+        with mock.patch.object(metrics, "_WEDGE_CHUNK", chunk):
+            fast = clustering(g)
+        slow = clustering_loop(g)
+        assert (fast.C1, fast.C2) == (slow.C1, slow.C2)
+        assert list(fast.C_by_degree.items()) == list(slow.C_by_degree.items())
+
+    @pytest.mark.parametrize("A, D, n, seed", [(0.25, 0.3, 20_000, 5), (0.6, 0.2, 20_000, 6)])
+    def test_small_wedge_chunks_generated(self, A, D, n, seed):
+        g = _with_isolated_vertex(A, D, n, seed)
+        slow = clustering_loop(g)
+        for chunk in (1, 7):
+            with mock.patch.object(metrics, "_WEDGE_CHUNK", chunk):
+                fast = clustering(g)
+            assert (fast.C1, fast.C2) == (slow.C1, slow.C2), chunk
+            assert list(fast.C_by_degree.items()) == list(slow.C_by_degree.items()), chunk
+
+    @pytest.mark.parametrize("A, D", [(0.25, 0.3), (0.6, 0.2)])
+    def test_peak_memory_per_edge(self, A, D):
+        # The wedge pass holds a fixed buffer, not arrays over all wedges;
+        # with them the peak was about 97 B/edge.
+        g = generate(derive_generator_params(2, A, D), 100_000, seed=1)
+        tracemalloc.start()
+        try:
+            clustering(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * g.num_edges
 
     def test_hub_makes_no_wedges(self):
         # Leaves point at the hub, so the hub has no out-neighbors and the
