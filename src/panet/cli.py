@@ -139,47 +139,24 @@ def _cmd_oracle(args) -> int:
 # Experiment output writers.
 
 
-def _dnn_vs_d_rows(res: ScenarioResult, n: int):
-    ds = res.populated_degrees(n)
-    theory = dnn_overlay(res.scenario.model, np.asarray(ds), n, res.fitted_constant or 1.0)
-    return [
-        (d, res.pooled_N[n][d], res.dnn_pooled(n, d), float(t)) for d, t in zip(ds, theory)
-    ]
-
-
-def _write_scenario_outputs(res: ScenarioResult, out_dir: Path) -> list[Path]:
-    s = res.scenario
-    written = []
+def _scenario_tables(res: ScenarioResult):
+    """(kind, file name, header, rows) of each table a simulated scenario
+    writes: one d-sweep per size, then the n-sweep at the probe degree."""
+    s, C = res.scenario, res.fitted_constant or 1.0
     for n in s.n_list:
-        path = out_dir / f"{s.name}_dnn_vs_d_n{n}.csv"
-        _write_csv(path, ["d", "N_pooled", "dnn_mean", "dnn_theory"], _dnn_vs_d_rows(res, n))
-        written.append(path)
+        ds = res.populated_degrees(n)
+        theory = dnn_overlay(s.model, np.asarray(ds), n, C).tolist()
+        rows = [(d, res.pooled_N[n][d], res.dnn_pooled(n, d), t) for d, t in zip(ds, theory)]
+        header = ["d", "N_pooled", "dnn_mean", "dnn_theory"]
+        yield "dnn_vs_d", f"{s.name}_dnn_vs_d_n{n}.csv", header, rows
     if len(s.n_list) > 1 or "dnn_vs_n" in s.outputs or "err_vs_n" in s.outputs:
         d0 = s.probe_degree
         rows = []
         for n in s.n_list:
-            mean = res.probe_mean(n)
-            overlay = dnn_overlay(s.model, d0, n, res.fitted_constant or 1.0)
+            mean, overlay = res.probe_mean(n), dnn_overlay(s.model, d0, n, C)
             rows.append((n, d0, mean, res.probe_stderr(n), overlay, abs(mean - overlay)))
-        path = out_dir / f"{s.name}_dnn_vs_n.csv"
-        _write_csv(path, ["n", "d0", "dnn_mean", "dnn_stderr", "overlay", "err"], rows)
-        written.append(path)
-    return written
-
-
-def _write_sweep_csv(results: list[ScenarioResult], out_dir: Path, label: str) -> Path | None:
-    """One row per `dnn_vs_D` scenario: d_nn at its probe degree and largest size."""
-    rows = []
-    for res in results:
-        s = res.scenario
-        if "dnn_vs_D" in s.outputs:
-            n = s.n_list[-1]
-            rows.append((s.D, s.probe_degree, res.probe_mean(n), res.probe_stderr(n)))
-    if not rows:
-        return None
-    path = out_dir / f"{label}_dnn_vs_D.csv"
-    _write_csv(path, ["D", "d0", "dnn_mean", "dnn_stderr"], rows)
-    return path
+        header = ["n", "d0", "dnn_mean", "dnn_stderr", "overlay", "err"]
+        yield "dnn_vs_n", f"{s.name}_dnn_vs_n.csv", header, rows
 
 
 _GNUPLOT_TEMPLATES = {
@@ -200,14 +177,14 @@ _GNUPLOT_TEMPLATES = {
 }
 
 
-def _emit_gnuplot(csv_paths: list[Path], out_dir: Path, label: str) -> Path:
+def _emit_gnuplot(tables: list[tuple[str, Path]], out_dir: Path, label: str) -> Path:
+    """A script plotting each (kind, path) table by its kind's template;
+    kinds without one (theory tables) are left out."""
     lines = ["set terminal pngcairo size 800,600", ""]
-    for p in csv_paths:
-        for kind, tpl in _GNUPLOT_TEMPLATES.items():
-            if kind in p.name:
-                lines.append(f'set output "{p.stem}.png"')
-                lines.append(tpl.format(csv=p.name))
-                break
+    for kind, p in tables:
+        if kind in _GNUPLOT_TEMPLATES:
+            lines.append(f'set output "{p.stem}.png"')
+            lines.append(_GNUPLOT_TEMPLATES[kind].format(csv=p.name))
     path = out_dir / f"{label}.gp"
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -217,7 +194,12 @@ def _cmd_experiment(args) -> int:
     if args.mode == "run":
         payload = json.loads(Path(args.scenario).read_text())
         payload = payload if isinstance(payload, list) else [payload]
+        if not payload:
+            raise ValueError("the scenario file lists no scenario")
         scenarios = [Scenario.from_json(json.dumps(p)) for p in payload]
+        names = [s.name for s in scenarios]
+        if len(set(names)) < len(names):
+            raise ValueError(f"scenario names must be unique, got {', '.join(names)}")
         label = "scenario"
     else:
         scenarios = make_preset(args.name, full=args.full, n=args.n, seeds=args.seeds)
@@ -226,26 +208,32 @@ def _cmd_experiment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results: list[ScenarioResult] = []
-    written: list[Path] = []
+    written: list[tuple[str, Path]] = []  # (kind, path) of each table
+    sweep_rows = []  # per dnn_vs_D scenario: d_nn at its probe degree and largest size
     for s in scenarios:
         if "theory_only" in s.outputs:
             path = out_dir / f"{s.name}_theory.csv"
             _write_theory_table(s.model, 10**4 if s.A < 0.5 else 100, s.n_list, path)
-            written.append(path)
+            written.append(("theory", path))
             print(f"{s.name}: wrote {path}")
             continue
         res = run_scenario(s)
         results.append(res)
-        paths = _write_scenario_outputs(res, out_dir)
-        written.extend(paths)
-        extra = ""
-        if res.fitted_constant is not None:
-            extra = f" (fitted constant {res.fitted_constant:.4g})"
-        print(f"{s.name}: wrote {', '.join(p.name for p in paths)}{extra}")
+        tables = list(_scenario_tables(res))
+        for kind, name, header, rows in tables:
+            _write_csv(out_dir / name, header, rows)
+            written.append((kind, out_dir / name))
+        if "dnn_vs_D" in s.outputs:
+            n = s.n_list[-1]
+            sweep_rows.append((s.D, s.probe_degree, res.probe_mean(n), res.probe_stderr(n)))
+        fit = res.fitted_constant
+        extra = "" if fit is None else f" (fitted constant {fit:.4g})"
+        print(f"{s.name}: wrote {', '.join(t[1] for t in tables)}{extra}")
 
-    sweep = _write_sweep_csv(results, out_dir, label)
-    if sweep:
-        written.append(sweep)
+    if sweep_rows:
+        sweep = out_dir / f"{label}_dnn_vs_D.csv"
+        _write_csv(sweep, ["D", "d0", "dnn_mean", "dnn_stderr"], sweep_rows)
+        written.append(("dnn_vs_D", sweep))
         print(f"wrote {sweep}")
     if args.gnuplot:
         gp = _emit_gnuplot(written, out_dir, label)

@@ -214,7 +214,9 @@ def _keep_freed_memory() -> tuple[int, int] | None:
     stay there when freed, instead of being mapped and zeroed afresh for
     every job, and an idle worker returns its heap top only beyond 256 MiB
     free.  Returns glibc mallopt's two results (1 on success), or None
-    without mallopt."""
+    without mallopt.  Measured on 2 cores, the `presets` benchmark's
+    pass_s read 0.428-0.448 reference s without it and 0.336-0.339 with
+    it (about +30%), so measure before removing it."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # no such symbol, or no C library
@@ -348,12 +350,11 @@ def fit_hypothesis_constant(res: ScenarioResult) -> float:
     num = den = 0.0
     cells = 0
     for n in res.pooled_N:
-        for d in res.populated_degrees(n):
-            y = res.dnn_pooled(n, d)
-            u = dnn_overlay(p, d, n, 1.0)
-            num += u * y
+        ds = res.populated_degrees(n)
+        for d, u in zip(ds, dnn_overlay(p, np.asarray(ds), n, 1.0).tolist()):
+            num += u * res.dnn_pooled(n, d)
             den += u * u
-            cells += 1
+        cells += len(ds)
     if cells == 0:
         raise ValueError("no populated (d, n) cells to fit")
     return num / den

@@ -1,11 +1,11 @@
 """Closed-form degree-distribution and neighbor-degree curves.
 
 Everything here is a pure function of ModelParams.  The degree-distribution
-coefficient c(m,d) is evaluated through log-gamma differences (direct gamma
-ratios overflow past d ~ 170).  The neighbor-degree-sum coefficient M(d)
-needs a prefix sum of Y(i) terms from i = m+1; build_theory_curve runs that
-sum in vectorized chunks, and every M and dnn entry point is a view of it.
-dnn_overlay picks the d_nn curve of the regime A falls in.
+coefficient c(m,d) is evaluated by its defining recursion and the
+neighbor-degree-sum coefficient M(d) needs a prefix sum of Y(i) terms from
+i = m+1; one chunked pass (_c_and_y_prefix) runs both, and c_exact, M and
+every dnn entry point read it.  dnn_overlay picks the d_nn curve of the
+regime A falls in.
 
 "log" means the natural logarithm throughout.
 """
@@ -52,23 +52,17 @@ def _check_degree(p: ModelParams, d) -> None:
 
 
 def c_exact(p: ModelParams, d):
-    """Limiting degree-distribution coefficient c(m,d), log-gamma evaluated.
-
-    Accepts a scalar or array of degrees d >= m.
-    """
+    """Limiting degree-distribution coefficient c(m,d), for any 0 < A < 1:
+    build_theory_curve's values, bit for bit.  Accepts a scalar or array of
+    integer degrees d >= m (integral floats too)."""
     if p.A == 0.0:
         raise ValueError("c(m,d) diverges at A = 0")
     _check_degree(p, d)
-    m, A, B = p.m, p.A, p.B
-    d = np.asarray(d, dtype=float)
-    log_c = (
-        gammaln(d + B / A)
-        - gammaln(d + (B + A + 1.0) / A)
-        + gammaln(m + (B + 1.0) / A)
-        - gammaln(m + B / A)
-        - np.log(A)
-    )
-    out = np.exp(log_c)
+    d = np.asarray(d)
+    if np.any(np.floor(d) != d):
+        raise ValueError("degree must be an integer")
+    d_values, inv = np.unique(d.astype(np.int64).ravel(), return_inverse=True)
+    out = _c_and_y_prefix(p, d_values)[0][inv].reshape(d.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -266,39 +260,42 @@ class TheoryCurve:
         return float(self.dnn_exact[self._index(d)])
 
 
-def build_theory_curve(p: ModelParams, d_values) -> TheoryCurve:
-    """Tabulate c, M and dnn at the given degrees (at least one, all >= m).
-
-    The Y prefix sum is accumulated once up to max(d_values) in chunks, so
-    the cost is O(max d) regardless of how many degrees are requested.
-    """
-    _check_subcritical(p, "TheoryCurve")
-    d_values = np.unique(np.asarray(d_values, dtype=np.int64))
-    if d_values.size == 0:
-        raise ValueError("no degrees to tabulate the theory curve at")
-    _check_degree(p, d_values)
+def _c_and_y_prefix(p: ModelParams, d_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c(m,d) and the sum of Y(i) over m < i <= d, at sorted, unique int64
+    degrees d_values >= m, in one pass of _CHUNK-degree chunks up to
+    max(d_values): O(max d), and each value the same whichever others are
+    asked for.  c runs its defining recursion c(m) = 1/(Am+B+1),
+    c(d) = c(d-1)*(A(d-1)+B)/(Ad+B+1), which keeps the ratio and recurrence
+    identities exact to rounding (log-gamma differences lose ~1e-9 by
+    d ~ 1e5)."""
     m, A, B = p.m, p.A, p.B
-
-    # Prefix sums of Y and running products of the c-recursion factors at
-    # the requested degrees.  Tabulating c through its defining recursion
-    # c(d) = c(d-1)*(A(d-1)+B)/(Ad+B+1), rather than per-degree log-gamma,
-    # keeps the ratio and recurrence identities exact to rounding over the
-    # whole table (log-gamma differences lose ~1e-9 by d ~ 1e5).
     c_run = 1.0 / (A * m + B + 1.0)  # c(m); the Y sum is empty at d = m
+    c = np.full(len(d_values), c_run)
     y_prefix = np.zeros(len(d_values))
-    c_ex = np.full(len(d_values), c_run)
     total = 0.0
-    d_end = int(d_values[-1]) + 1
+    d_end = int(d_values.max(initial=m)) + 1
     for lo in range(m + 1, d_end, _CHUNK):
         i = np.arange(lo, min(lo + _CHUNK, d_end), dtype=float)
         cum = np.cumsum(Y_term(p, i))
         c_chunk = c_run * np.cumprod((A * (i - 1.0) + B) / (A * i + B + 1.0))
         here = (d_values >= lo) & (d_values < lo + len(i))
         y_prefix[here] = total + cum[d_values[here] - lo]
-        c_ex[here] = c_chunk[d_values[here] - lo]
+        c[here] = c_chunk[d_values[here] - lo]
         total += cum[-1]
         c_run = c_chunk[-1]
+    return c, y_prefix
 
+
+def build_theory_curve(p: ModelParams, d_values) -> TheoryCurve:
+    """Tabulate c, M and dnn at the given degrees (at least one, all >= m),
+    from one _c_and_y_prefix pass: O(max d) for any number of degrees."""
+    _check_subcritical(p, "TheoryCurve")
+    d_values = np.unique(np.asarray(d_values, dtype=np.int64))
+    if d_values.size == 0:
+        raise ValueError("no degrees to tabulate the theory curve at")
+    _check_degree(p, d_values)
+    m, A, B = p.m, p.A, p.B
+    c_ex, y_prefix = _c_and_y_prefix(p, d_values)
     d_f = d_values.astype(float)
     inner = X_const(p) / (A * m + B + 1.0) + y_prefix
     M = (A * d_f + B + 1.0) * inner * c_ex

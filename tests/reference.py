@@ -3,7 +3,8 @@ the masked slot decode for draw_slots, per-vertex adjacency traversal for
 degree_profile, the set-based triangle loop for clustering, the
 edge-endpoint sums for pearson_assortativity, the line
 scanner that defines the edge-list format for import_edge_list and the
-per-edge writer for export_edge_list.  Also the helpers only tests use:
+per-edge writer for export_edge_list, and the per-cell overlay loop for
+fit_hypothesis_constant.  Also the helpers only tests use:
 the scenario file writer, the pooled degree CCDF and its tail slope,
 log-binning, and the leading-order sum of squared degrees."""
 
@@ -19,6 +20,7 @@ from panet.experiments import Scenario, ScenarioResult, fit_power_exponent
 from panet.graphgen import Multigraph
 from panet.metrics import ClusteringProfile, DegreeProfile
 from panet.params import GeneratorParams, ModelParams
+from panet.theory import dnn_overlay
 
 BRUTE_FORCE_CAP = 10_000
 
@@ -168,6 +170,21 @@ def write_edge_list(g: Multigraph, sink) -> None:
     """One f-string per edge: the bytes export_edge_list must write."""
     for a, b in zip(g.u.tolist(), g.v.tolist()):
         sink.write(f"{a} {b}\n")
+
+
+def fit_hypothesis_constant_cells(res: ScenarioResult) -> float:
+    """experiments.fit_hypothesis_constant with one scalar dnn_overlay call
+    per populated (d, n) cell, summed in (n, d) order, so its result must
+    equal the per-size array fit exactly."""
+    p = res.scenario.model
+    num = den = 0.0
+    for n in res.pooled_N:
+        for d in res.populated_degrees(n):
+            y = res.dnn_pooled(n, d)
+            u = dnn_overlay(p, d, n, 1.0)
+            num += u * y
+            den += u * u
+    return num / den
 
 
 def scenario_json(s: Scenario) -> str:

@@ -40,7 +40,7 @@ from panet.metrics import degree_profile
 from panet.params import derive_generator_params, make_model_params
 from panet.theory import dnn_hypothesis_critical
 
-from reference import pooled_ccdf, scenario_json
+from reference import fit_hypothesis_constant_cells, pooled_ccdf, scenario_json
 
 
 class TestFitPowerExponent:
@@ -95,6 +95,17 @@ class TestFitHypothesisConstant:
         res = ScenarioResult(scenario=s)
         with pytest.raises(ValueError, match="A >= 1/2"):
             fit_hypothesis_constant(res)
+
+    @pytest.mark.parametrize("A", [0.5, 0.6])
+    def test_equals_per_cell_loop(self, A):
+        # One overlay array per size, summed in (n, d) order, must give
+        # the bits of one scalar overlay call per cell.
+        s = Scenario(name="x", m=2, A=A, D=0.2, n_list=(1000, 3000), seeds=3, support_threshold=3)
+        res = run_scenario(s, workers=1)
+        assert sum(len(res.populated_degrees(n)) for n in s.n_list) > 20
+        assert res.fitted_constant == fit_hypothesis_constant_cells(res)
+        res.pooled_N[500] = {7: 1}  # a size with no populated degree adds no cell
+        assert fit_hypothesis_constant(res) == fit_hypothesis_constant_cells(res)
 
     def test_empty_grid(self):
         s = Scenario(name="x", m=2, A=0.5, D=0.2, n_list=(1000,), seeds=1)
@@ -481,6 +492,26 @@ class TestCLI:
         assert [row.split(",")[0] for row in table.splitlines()[1:]] == [f"{s.D:g}" for s in scenarios]
         assert '"scenario_dnn_vs_D.csv"' in (run_dir / "scenario.gp").read_text()
 
+    def test_gnuplot_template_follows_table_kind(self, tmp_path):
+        # Templates were once picked by substring of the file name: this
+        # scenario's n-sweep got the d-axis template (plotting dnn_stderr
+        # as "theory"), and this theory table was plotted as n-axis error
+        # bars.  A theory table gets no template.
+        scenarios = [
+            Scenario(name="run_dnn_vs_d", m=2, A=0.25, D=0.3, n_list=(300, 600), seeds=2),
+            Scenario(name="th_dnn_vs_n", m=2, A=0.25, D=0.3, n_list=(300,), outputs=("theory_only",)),
+        ]
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps([json.loads(scenario_json(s)) for s in scenarios]))
+        assert self._run("experiment", "run", str(f), "--out-dir", str(tmp_path), "--gnuplot") == 0
+        blocks = (tmp_path / "scenario.gp").read_text().split('set output "')[1:]
+        xlabels = {b.split(".png")[0]: b.split('set xlabel "')[1].split('"')[0] for b in blocks}
+        assert xlabels == {
+            "run_dnn_vs_d_dnn_vs_d_n300": "d",
+            "run_dnn_vs_d_dnn_vs_d_n600": "d",
+            "run_dnn_vs_d_dnn_vs_n": "n",
+        }
+
     def test_run_rejects_check_before_running(self, tmp_path, capsys):
         f = tmp_path / "s.json"
         f.write_text(scenario_json(Scenario(name="mini", m=2, A=0.25, D=0.3, n_list=(400,))))
@@ -538,6 +569,15 @@ class TestCLI:
                     {"name": "bad", "m": 2, "A": 0.1, "D": 0.3, "n_list": [300], "seeds": 2},
                 ],
                 "lower feasibility bound",
+            ),
+            ([], "lists no scenario"),
+            (
+                # Both once ran, the second overwriting the first's table.
+                [
+                    {"name": "a", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400], "seeds": 2},
+                    {"name": "a", "m": 2, "A": 0.3, "D": 0.3, "n_list": [400], "seeds": 2},
+                ],
+                "names must be unique",
             ),
         ],
     )

@@ -63,6 +63,36 @@ class TestDegreeCoefficient:
         with pytest.raises(ValueError, match="degree"):
             c_exact(P, 1)
 
+    @pytest.mark.parametrize("A", [0.5, 0.6, 0.75])
+    def test_matches_plain_product_for_large_A(self, A):
+        # c(m,d) holds for every 0 < A < 1, not only below the A < 1/2
+        # gate of M and dnn.
+        p = make_model_params(2, A, 0.1)
+        c = 1.0 / (p.A * p.m + p.B + 1.0)
+        expect = [c]
+        for d in range(p.m + 1, 500):
+            c *= (p.A * (d - 1) + p.B) / (p.A * d + p.B + 1.0)
+            expect.append(c)
+        got = c_exact(p, np.arange(p.m, 500))
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
+
+    def test_across_chunk_edges(self, monkeypatch):
+        # Chunks of 7 degrees from m+1 = 3: 3..9, 10..16, ..., 94..100.
+        # Unsorted, repeated and 2-D degrees each get their one-degree bits.
+        p = make_model_params(2, 0.6, 0.2)
+        d = np.array([101, 2, 9, 10, 16, 17, 40, 100, 3, 9])
+        monkeypatch.setattr(theory, "_CHUNK", 7)
+        got = c_exact(p, d)
+        assert got.tolist() == [c_exact(p, int(x)) for x in d]
+        assert c_exact(p, d.reshape(2, 5)).tolist() == got.reshape(2, 5).tolist()
+        assert c_exact(p, np.array([], dtype=np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("d", [2.5, [3, 4.5], np.nan])
+    def test_non_integer_degree_rejected(self, d):
+        # An int64 cast would silently read 2.5 as 2.
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            c_exact(P, d)
+
 
 class TestNeighborSumCoefficient:
     def test_frozen_reference_values(self):
@@ -80,14 +110,13 @@ class TestNeighborSumCoefficient:
         assert np.allclose(inner[1:] - inner[:-1], Y_term(P, d[1:]), rtol=1e-10)
 
     def test_curve_matches_pointwise_entry_points(self):
-        # M_exact and dnn_theory are one-degree views of the curve, whose
-        # prefix sums run in order, so a wider table gives the same bits.
-        # The curve tabulates c by recursion while c_exact goes through
-        # log-gamma; they agree to ~1e-10, not machine epsilon.
+        # M_exact, dnn_theory and c_exact read the curve's one recursion
+        # pass, whose running sums and products go in order, so a wider
+        # table gives the same bits.
         curve = build_theory_curve(P, [2, 17, 900])
         assert curve.M_at(17) == M_exact(P, 17)
         assert curve.dnn_at(900) == dnn_theory(P, 900)
-        assert curve.c_exact == pytest.approx(c_exact(P, curve.d_values), rel=1e-9)
+        assert curve.c_exact.tolist() == c_exact(P, curve.d_values).tolist()
         with pytest.raises(KeyError):
             curve.M_at(18)
 
