@@ -90,6 +90,9 @@ class Scenario:
             )
         if not self.n_list:
             raise ValueError("n_list must name at least one size")
+        for i, n in enumerate(self.n_list):
+            if n in self.n_list[:i]:  # its seeds would be pooled twice
+                raise ValueError(f"size {n} appears twice in n_list")
         if self.probe_degree <= self.m:
             raise ValueError(f"probe degree must exceed m = {self.m}")
         seeds = self.seeds_for_n

@@ -51,6 +51,14 @@ def _check_degree(p: ModelParams, d) -> None:
         raise ValueError(f"degree must be >= m = {p.m}")
 
 
+def _integer_degrees(d) -> np.ndarray:
+    """d as int64; a non-integer degree raises (integral floats pass)."""
+    d = np.asarray(d)
+    if np.any(np.floor(d) != d):
+        raise ValueError("degree must be an integer")
+    return d.astype(np.int64)
+
+
 def c_exact(p: ModelParams, d):
     """Limiting degree-distribution coefficient c(m,d), for any 0 < A < 1:
     build_theory_curve's values, bit for bit.  Accepts a scalar or array of
@@ -58,10 +66,8 @@ def c_exact(p: ModelParams, d):
     if p.A == 0.0:
         raise ValueError("c(m,d) diverges at A = 0")
     _check_degree(p, d)
-    d = np.asarray(d)
-    if np.any(np.floor(d) != d):
-        raise ValueError("degree must be an integer")
-    d_values, inv = np.unique(d.astype(np.int64).ravel(), return_inverse=True)
+    d = _integer_degrees(d)
+    d_values, inv = np.unique(d.ravel(), return_inverse=True)
     out = _c_and_y_prefix(p, d_values)[0][inv].reshape(d.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -222,7 +228,8 @@ def dnn_overlay(p: ModelParams, d, n: int, C: float):
     A < 1/2: the exact closed form (n and C unused).  A = 1/2: the
     critical predictor with its (d+2)/d factor.  A > 1/2: the
     preasymptotic supercritical predictor.  C scales the hypothesis
-    predictors.  Accepts a scalar or array of degrees d >= m.
+    predictors.  Accepts a scalar or array of degrees d >= m, integers
+    below A = 1/2.
     """
     if p.A < 0.5:
         curve = build_theory_curve(p, np.atleast_1d(d))
@@ -287,10 +294,11 @@ def _c_and_y_prefix(p: ModelParams, d_values: np.ndarray) -> tuple[np.ndarray, n
 
 
 def build_theory_curve(p: ModelParams, d_values) -> TheoryCurve:
-    """Tabulate c, M and dnn at the given degrees (at least one, all >= m),
-    from one _c_and_y_prefix pass: O(max d) for any number of degrees."""
+    """Tabulate c, M and dnn at the given integer degrees (at least one, all
+    >= m), from one _c_and_y_prefix pass: O(max d) for any number of
+    degrees."""
     _check_subcritical(p, "TheoryCurve")
-    d_values = np.unique(np.asarray(d_values, dtype=np.int64))
+    d_values = np.unique(_integer_degrees(d_values))
     if d_values.size == 0:
         raise ValueError("no degrees to tabulate the theory curve at")
     _check_degree(p, d_values)

@@ -128,6 +128,8 @@ class TestScenario:
             Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(100,), seeds=0)
         with pytest.raises(ValueError, match="sizes"):
             Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(2,))
+        with pytest.raises(ValueError, match="size 400 appears twice"):
+            Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(400, 400))
         # (A, D) = (0.1, 0.3) has a model but no generator: only a
         # theory_only scenario may hold it.
         with pytest.raises(ValueError, match="feasibility bound"):
@@ -578,6 +580,11 @@ class TestCLI:
                     {"name": "a", "m": 2, "A": 0.3, "D": 0.3, "n_list": [400], "seeds": 2},
                 ],
                 "names must be unique",
+            ),
+            (
+                # Once pooled the same seeds twice and wrote one table twice.
+                {"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400, 800, 400], "seeds": 2},
+                "size 400 appears twice in n_list",
             ),
         ],
     )

@@ -4,7 +4,8 @@ size.  For each of the nine presets, `experiment preset <name> --n 2000
 and end with the same exit code and stderr (most presets fail their check
 at this size, which pins the failure messages).  Two `theory` tables, one
 subcritical and one supercritical, are pinned the same way, and so is
-`metrics` (its CSV and stdout) on two generated edge lists of n = 5000.
+`metrics` (its CSV and stdout) on two generated edge lists of n = 5000,
+whose own bytes, as `generate` writes them, are pinned under "edges".
 
 Refactors that keep the generator's RNG stream must keep every digest.  A
 deliberate stream change regenerates the file once, with a CHANGES.md note:
@@ -74,10 +75,15 @@ def theory_digest(key: str, out_dir: Path) -> str:
     return _sha(out.read_bytes())
 
 
-def metrics_digest(key: str, out_dir: Path) -> dict:
-    edges, out = out_dir / f"edges_{key}.txt", out_dir / f"metrics_{key}.csv"
+def generated_edges(key: str, out_dir: Path) -> Path:
+    edges = out_dir / f"edges_{key}.txt"
     code, _, _ = _run(["generate", *METRICS_ARGS[key], "--n", "5000", "--seed", "7", "--out", str(edges)])
     assert code == 0
+    return edges
+
+
+def metrics_digest(key: str, out_dir: Path) -> dict:
+    edges, out = generated_edges(key, out_dir), out_dir / f"metrics_{key}.csv"
     code, _, stdout = _run(["metrics", "--in", str(edges), "--out", str(out)])
     assert code == 0
     return {"csv": _sha(out.read_bytes()), "stdout": _sha(stdout.replace(str(out), "OUT").encode())}
@@ -102,8 +108,13 @@ def test_metrics_table(key, tmp_path):
     assert metrics_digest(key, tmp_path) == _golden()["metrics"][key]
 
 
+@pytest.mark.parametrize("key", sorted(METRICS_ARGS))
+def test_generated_edge_list(key, tmp_path):
+    assert _sha(generated_edges(key, tmp_path).read_bytes()) == _golden()["edges"][key]
+
+
 def _regenerate() -> None:
-    out = {"presets": {}, "theory": {}, "metrics": {}}
+    out = {"presets": {}, "theory": {}, "metrics": {}, "edges": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name in PRESETS:
             d = Path(tmp) / name
@@ -113,11 +124,12 @@ def _regenerate() -> None:
             out["theory"][key] = theory_digest(key, Path(tmp))
         for key in sorted(METRICS_ARGS):
             out["metrics"][key] = metrics_digest(key, Path(tmp))
+            out["edges"][key] = _sha(generated_edges(key, Path(tmp)).read_bytes())
     DIGESTS.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     n_files = sum(len(v["files"]) for v in out["presets"].values())
     print(
         f"wrote {DIGESTS} ({n_files} preset files, {len(out['theory'])} theory tables, "
-        f"{len(out['metrics'])} metrics tables)"
+        f"{len(out['metrics'])} metrics tables, {len(out['edges'])} edge lists)"
     )
 
 

@@ -4,6 +4,7 @@ sequential reference, and edge-list IO."""
 
 import io
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -255,6 +256,51 @@ class TestEdgeListIO:
         write_edge_list(g, want)
         assert (tmp_path / "g.txt").read_bytes() == want.getvalue().encode()
 
+    @pytest.mark.parametrize("top", [2**32 - 1, 2**32, 2**63 - 1])
+    def test_bytes_at_digit_boundaries(self, top, tmp_path):
+        ids = sorted({0, 2**32 - 1, 2**32, 2**63 - 1} | {10**j + s for j in range(19) for s in (-1, 0)})
+        ids = np.array([i for i in ids if i <= top], dtype=np.int64)
+        g = Multigraph(len(ids), ids, ids[::-1])  # widths mixed on most lines
+        _assert_exports_like_writer(g, tmp_path / "g.txt")
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("E", [0, 1, 6, 7, 8, 13, 14, 15])
+    def test_bytes_across_chunk_ends(self, chunk, E, monkeypatch, tmp_path):
+        monkeypatch.setattr(graphgen, "_EXPORT_CHUNK", chunk)
+        u = np.arange(E) * 37
+        _assert_exports_like_writer(Multigraph(37 * E + 1, u, u + 1 + E % 3), tmp_path / "g.txt")
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        uv=st.lists(
+            st.tuples(*[st.one_of(st.integers(0, 120), st.integers(0, 2**33), st.integers(0, 2**63 - 1))] * 2),
+            max_size=30,
+        ),
+        chunk=st.sampled_from([1, 3, 7, 2**16]),
+    )
+    def test_bytes_match_writer_property(self, uv, chunk, tmp_path_factory):
+        u, v = np.array(uv, dtype=np.int64).reshape(-1, 2).T
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphgen, "_EXPORT_CHUNK", chunk)
+            _assert_exports_like_writer(Multigraph(0, u, v), tmp_path_factory.getbasetemp() / "w.txt")
+
+    def test_negative_id_writes_nothing(self, tmp_path):
+        path = tmp_path / "g.txt"
+        with pytest.raises(ValueError, match="negative vertex id"):
+            export_edge_list(Multigraph(3, [0, 1], [2, -1]), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("n", [200_000, 1_000_000])
+    def test_export_peak_is_a_fixed_buffer(self, n, tmp_path):
+        g = generate(GP, n, seed=3)
+        tracemalloc.start()
+        try:
+            export_edge_list(g, tmp_path / "g.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"export peaked at {peak / 2**20:.1f} MiB"
+
     @pytest.mark.parametrize(
         "text, match",
         [
@@ -345,6 +391,13 @@ def _outcome(read):
         return read()
     except ValueError as exc:
         return str(exc)
+
+
+def _assert_exports_like_writer(g, path) -> None:
+    want = io.StringIO()
+    write_edge_list(g, want)
+    export_edge_list(g, path)
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def _assert_matches_line_scanner(text: str, path) -> None:

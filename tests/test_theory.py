@@ -59,6 +59,12 @@ class TestDegreeCoefficient:
         slope = np.log(c_asymptotic(P, 2000.0) / c_asymptotic(P, 1000.0)) / np.log(2)
         assert slope == pytest.approx(-(1 + 1 / P.A), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [3.5, [3, 3.5]])
+    def test_subcritical_non_integer_degree_rejected(self, d):
+        # [3, 3.5] once ended in an IndexError from the curve lookup.
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            dnn_overlay(P, d, 100, 1.0)
+
     def test_degree_below_m_rejected(self):
         with pytest.raises(ValueError, match="degree"):
             c_exact(P, 1)
@@ -157,6 +163,17 @@ class TestNeighborSumCoefficient:
     def test_supercritical_gate(self):
         with pytest.raises(ValueError, match="A < 1/2"):
             M_exact(make_model_params(2, 0.6, 0.2), 5)
+
+    @pytest.mark.parametrize("d", [[2.5], [2, 3.5], [np.nan]])
+    def test_non_integer_degree_rejected(self, d):
+        # The int64 cast once tabulated d = 2.5 as d = 2.
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            build_theory_curve(P, d)
+
+    def test_integral_float_degrees_accepted(self):
+        got = build_theory_curve(P, [2.0, 17.0])
+        assert got.d_values.tolist() == [2, 17]
+        assert got.dnn_exact.tolist() == build_theory_curve(P, [2, 17]).dnn_exact.tolist()
 
 
 class TestTriangleProfile:
@@ -257,6 +274,12 @@ class TestOverlay:
             p = make_model_params(2, A, 0.2)
             arr = dnn_overlay(p, self.D, 5000, 1.5)
             assert [dnn_overlay(p, int(d), 5000, 1.5) for d in self.D] == arr.tolist()
+
+    @pytest.mark.parametrize("d", [3.5, [3, 3.5]])
+    def test_subcritical_non_integer_degree_rejected(self, d):
+        # [3, 3.5] once ended in an IndexError from the curve lookup.
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            dnn_overlay(P, d, 100, 1.0)
 
     def test_degree_below_m_rejected(self):
         for A in (0.25, 0.5, 0.6):
