@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ModelParams
-from .theory import build_theory_curve
+from .theory import _integer_degrees, build_theory_curve
 
 __all__ = [
     "RecurrenceTable",
@@ -64,7 +64,12 @@ def _seed_state(p: ModelParams, d_max: int) -> tuple[int, np.ndarray, np.ndarray
 def _checkpoints(n_end: int, record_at, n0: int) -> np.ndarray:
     if record_at is None:
         record_at = [n_end]
-    pts = np.unique(np.asarray(record_at, dtype=np.int64))
+    try:  # sizes follow the rule of degrees: integral floats pass
+        pts = np.unique(_integer_degrees(record_at))
+    except ValueError:
+        raise ValueError(f"checkpoints must be integers, got {record_at!r}") from None
+    if pts.size == 0:
+        raise ValueError(f"checkpoints must name at least one size, got {record_at!r}")
     if pts[0] < n0 or pts[-1] > n_end:
         raise ValueError(f"checkpoints must lie in [{n0}, {n_end}]")
     return pts

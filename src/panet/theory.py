@@ -1,21 +1,21 @@
 """Closed-form degree-distribution and neighbor-degree curves.
 
-Everything here is a pure function of ModelParams.  The degree-distribution
-coefficient c(m,d) is evaluated by its defining recursion and the
-neighbor-degree-sum coefficient M(d) needs a prefix sum of Y(i) terms from
-i = m+1; one chunked pass (_c_and_y_prefix) runs both, and c_exact, M and
-every dnn entry point read it.  dnn_overlay picks the d_nn curve of the
-regime A falls in.
+Everything here is a pure function of ModelParams, computed with numpy and
+the standard library alone.  The degree-distribution coefficient c(m,d) runs
+its defining recursion, and the neighbor-degree-sum coefficient M(d) and the
+triangle profile t(d) are prefix sums from i = m+1; c, M and t share one
+chunked scan (_scan), each caller asking only for what it reads.
+dnn_overlay picks the d_nn curve of the regime A falls in.
 
 "log" means the natural logarithm throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .params import ModelParams
 
@@ -52,11 +52,50 @@ def _check_degree(p: ModelParams, d) -> None:
 
 
 def _integer_degrees(d) -> np.ndarray:
-    """d as int64; a non-integer degree raises (integral floats pass)."""
+    """d as int64; a non-integer or non-finite degree raises (integral
+    floats pass)."""
     d = np.asarray(d)
-    if np.any(np.floor(d) != d):
+    if not np.all(np.isfinite(d)) or np.any(np.floor(d) != d):
         raise ValueError("degree must be an integer")
     return d.astype(np.int64)
+
+
+def _scan(p: ModelParams, d, *quantities) -> list[np.ndarray]:
+    """Per quantity (ufunc, value at m, term), the value at m combined by
+    ufunc with term(m+1), ..., term(d) in order, at integer degrees d >= m
+    of any shape.  One pass of _CHUNK-degree chunks up to max(d): O(max d),
+    and each value the same whichever degrees are asked for."""
+    _check_degree(p, d)
+    d = _integer_degrees(d)
+    d_values, inv = np.unique(d.ravel(), return_inverse=True)
+    runs = [start for _, start, _ in quantities]
+    outs = [np.full(len(d_values), start) for start in runs]
+    d_end = int(d_values.max(initial=p.m)) + 1
+    for lo in range(p.m + 1, d_end, _CHUNK):
+        i = np.arange(lo, min(lo + _CHUNK, d_end), dtype=float)
+        here = (d_values >= lo) & (d_values < lo + len(i))
+        for k, (ufunc, _, term) in enumerate(quantities):
+            acc = ufunc(runs[k], ufunc.accumulate(term(i)))
+            outs[k][here] = acc[d_values[here] - lo]
+            runs[k] = acc[-1]
+    return [out[inv].reshape(d.shape) for out in outs]
+
+
+def _c_recursion(p: ModelParams):
+    """c(m,d)'s recursion c(m) = 1/(Am+B+1), c(d) = c(d-1)*(A(d-1)+B)/(Ad+B+1),
+    as a _scan quantity: exact to rounding (log-gamma differences lose ~1e-9)."""
+    A, B = p.A, p.B
+    return np.multiply, 1.0 / (A * p.m + B + 1.0), lambda i: (A * (i - 1.0) + B) / (A * i + B + 1.0)
+
+
+def _log_gamma_ratio(p: ModelParams) -> float:
+    """log Gamma(m+(B+1)/A) - log Gamma(m+B/A), the constant of c(m,d)'s
+    power-law tail; m + B/A = m(1-A)/A needs 0 < A < 1 to stay off the
+    poles of Gamma."""
+    if not 0.0 < p.A < 1.0:
+        raise ValueError(f"the Gamma ratio of c(m,d)'s tail requires 0 < A < 1, got A={p.A}")
+    m, A, B = p.m, p.A, p.B
+    return math.lgamma(m + (B + 1.0) / A) - math.lgamma(m + B / A)
 
 
 def c_exact(p: ModelParams, d):
@@ -65,27 +104,16 @@ def c_exact(p: ModelParams, d):
     integer degrees d >= m (integral floats too)."""
     if p.A == 0.0:
         raise ValueError("c(m,d) diverges at A = 0")
-    _check_degree(p, d)
-    d = _integer_degrees(d)
-    d_values, inv = np.unique(d.ravel(), return_inverse=True)
-    out = _c_and_y_prefix(p, d_values)[0][inv].reshape(d.shape)
+    (out,) = _scan(p, d, _c_recursion(p))
     return float(out) if out.ndim == 0 else out
 
 
 def c_asymptotic(p: ModelParams, d):
-    """Power-law tail approximation of c(m,d), proportional to d^(-1-1/A)."""
-    if p.A == 0.0:
-        raise ValueError("c(m,d) diverges at A = 0")
+    """Power-law tail approximation of c(m,d), proportional to d^(-1-1/A),
+    for 0 < A < 1."""
     _check_degree(p, d)
-    m, A, B = p.m, p.A, p.B
     d = np.asarray(d, dtype=float)
-    log_c = (
-        gammaln(m + (B + 1.0) / A)
-        - gammaln(m + B / A)
-        - np.log(A)
-        - (1.0 + 1.0 / A) * np.log(d)
-    )
-    out = np.exp(log_c)
+    out = np.exp(_log_gamma_ratio(p) - np.log(p.A) - (1.0 + 1.0 / p.A) * np.log(d))
     return float(out) if out.ndim == 0 else out
 
 
@@ -149,19 +177,19 @@ def expected_triangles(p: ModelParams, d):
         t(d) = D + (D/m) * sum_{j=m}^{d-1} j/(Aj+B)
              = D + D/(mA) * [(d-m) - (B/A)(psi(d+B/A) - psi(m+B/A))].
 
+    The sum is what is evaluated, on the scan shared with c and M; the
+    digamma form is the identity the tests check it against.
+
     The clustering spectrum is d*C(d) = 2t(d)/(d-1), which tends to
     2D/(Am) with an O((B/A) log(d)/d) correction.  Only the per-vertex
-    step probabilities enter, not A < 1/2, so every 0 < A < 1 is accepted
-    (m + B/A = m(1-A)/A > 0 keeps psi finite there).  Accepts a scalar or
-    array of degrees d >= m.
+    step probabilities enter, not A < 1/2, so every 0 < A < 1 is accepted.
+    Accepts a scalar or array of integer degrees d >= m.
     """
     if p.A <= 0.0 or p.A >= 1.0:
         raise ValueError(f"triangle profile requires 0 < A < 1, got A={p.A}")
-    _check_degree(p, d)
     m, A, B, D = p.m, p.A, p.B, p.D
-    d = np.asarray(d, dtype=float)
-    b = B / A
-    out = D + D / (m * A) * ((d - m) - b * (digamma(d + b) - digamma(m + b)))
+    (steps,) = _scan(p, d, (np.add, 0.0, lambda i: (i - 1.0) / (A * (i - 1.0) + B)))
+    out = D + D / m * steps
     return float(out) if out.ndim == 0 else out
 
 
@@ -175,15 +203,16 @@ def dnn_hypothesis_supercritical(
     form="preasymptotic" keeps the finite-d factors
     A*C1*(Am+B) * n^(2A-1) / ((Ad+B)(A(d+1)+B) * d * c(m,d)).
     """
-    if p.A <= 0.5:
-        raise ValueError(f"supercritical predictor needs A > 1/2, got A={p.A}")
+    # At A = 1, c(m,d) = 0 for every d > m, and the preasymptotic form divides by it.
+    if not 0.5 < p.A < 1.0:
+        raise ValueError(f"supercritical predictor needs A > 1/2 and A < 1, got A={p.A}")
     if C1 <= 0:
         raise ValueError(f"C1 must be > 0, got {C1}")
     _check_degree(p, d)
     m, A, B = p.m, p.A, p.B
     d = np.asarray(d, dtype=float)
     if form == "asymptotic":
-        scale = np.exp(gammaln(m + B / A) - gammaln(m + (B + 1.0) / A))
+        scale = np.exp(-_log_gamma_ratio(p))
         out = C1 * (A * m + B) * scale * d ** (1.0 / A - 2.0) * n ** (2.0 * A - 1.0)
     elif form == "preasymptotic":
         out = (
@@ -267,43 +296,15 @@ class TheoryCurve:
         return float(self.dnn_exact[self._index(d)])
 
 
-def _c_and_y_prefix(p: ModelParams, d_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """c(m,d) and the sum of Y(i) over m < i <= d, at sorted, unique int64
-    degrees d_values >= m, in one pass of _CHUNK-degree chunks up to
-    max(d_values): O(max d), and each value the same whichever others are
-    asked for.  c runs its defining recursion c(m) = 1/(Am+B+1),
-    c(d) = c(d-1)*(A(d-1)+B)/(Ad+B+1), which keeps the ratio and recurrence
-    identities exact to rounding (log-gamma differences lose ~1e-9 by
-    d ~ 1e5)."""
-    m, A, B = p.m, p.A, p.B
-    c_run = 1.0 / (A * m + B + 1.0)  # c(m); the Y sum is empty at d = m
-    c = np.full(len(d_values), c_run)
-    y_prefix = np.zeros(len(d_values))
-    total = 0.0
-    d_end = int(d_values.max(initial=m)) + 1
-    for lo in range(m + 1, d_end, _CHUNK):
-        i = np.arange(lo, min(lo + _CHUNK, d_end), dtype=float)
-        cum = np.cumsum(Y_term(p, i))
-        c_chunk = c_run * np.cumprod((A * (i - 1.0) + B) / (A * i + B + 1.0))
-        here = (d_values >= lo) & (d_values < lo + len(i))
-        y_prefix[here] = total + cum[d_values[here] - lo]
-        c[here] = c_chunk[d_values[here] - lo]
-        total += cum[-1]
-        c_run = c_chunk[-1]
-    return c, y_prefix
-
-
 def build_theory_curve(p: ModelParams, d_values) -> TheoryCurve:
     """Tabulate c, M and dnn at the given integer degrees (at least one, all
-    >= m), from one _c_and_y_prefix pass: O(max d) for any number of
-    degrees."""
+    >= m), from one _scan pass: O(max d) for any number of degrees."""
     _check_subcritical(p, "TheoryCurve")
     d_values = np.unique(_integer_degrees(d_values))
     if d_values.size == 0:
         raise ValueError("no degrees to tabulate the theory curve at")
-    _check_degree(p, d_values)
     m, A, B = p.m, p.A, p.B
-    c_ex, y_prefix = _c_and_y_prefix(p, d_values)
+    c_ex, y_prefix = _scan(p, d_values, _c_recursion(p), (np.add, 0.0, lambda i: Y_term(p, i)))
     d_f = d_values.astype(float)
     inner = X_const(p) / (A * m + B + 1.0) + y_prefix
     M = (A * d_f + B + 1.0) * inner * c_ex

@@ -383,6 +383,11 @@ class TestTheoryTables:
         with pytest.raises(ValueError, match="d_max must be >= m = 3"):
             theory_tables(make_model_params(3, 0.2, 0.3), d_max=2)
 
+    def test_A_one_rejected(self):
+        # Once c = 1, 0, 0, ... and NaN dnn_hyp columns.
+        with pytest.raises(ValueError, match="A > 1/2 and A < 1"):
+            theory_tables(make_model_params(2, 1.0, 0.0), d_max=6)
+
     def test_asymptotic_ratio_approaches_one_slowly(self):
         # dnn_theory/dnn_asym is still far from 1 at d ~ 1e3 and close
         # only in the 1e4+ range.
@@ -610,10 +615,11 @@ class TestCLI:
             ["oracle", "--m", "2", "--A", "0.2", "--D", "inf", "--n-end", "100", "--d-max", "10"],
             ["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "-4"],
             ["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "0"],
+            ["theory", "--m", "2", "--A", "1", "--D", "0", "--d-max", "6"],
         ],
         ids=[
             "generate_c_nan", "generate_c_inf", "generate_A_nan", "theory_D_nan", "theory_D_inf",
-            "oracle_D_nan", "oracle_D_inf", "theory_n_negative", "theory_n_zero",
+            "oracle_D_nan", "oracle_D_inf", "theory_n_negative", "theory_n_zero", "theory_A_one",
         ],
     )
     def test_bad_numbers_exit_2(self, tmp_path, capsys, argv):
@@ -704,6 +710,38 @@ class TestCLI:
         assert code == 2
         assert err == "error: d_max must be >= m = 3, got 2\n"
         assert not out.exists()
+
+    def test_theory_only_A_one_exit_2(self, tmp_path, capsys):
+        # Once exit 0 with RuntimeWarnings and NaN dnn_hyp columns.
+        s = Scenario(name="one", m=2, A=1.0, D=0.0, n_list=(1000,), seeds=1, outputs=("theory_only",))
+        f = tmp_path / "s.json"
+        f.write_text(scenario_json(s))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self._run_captured(capsys, "experiment", "run", str(f), "--out-dir", str(out))
+        assert code == 2
+        assert err == "error: supercritical predictor needs A > 1/2 and A < 1, got A=1.0\n"
+        assert not list(out.iterdir())
+
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the one dependency: importing the CLI and running theory
+        # on both Gamma-ratio paths (c_asym below A = 1/2, the supercritical
+        # asymptotic form above) loads no scipy module.
+        code = textwrap.dedent(
+            f"""
+            import sys
+            import panet, panet.cli
+            for A, extra in (("0.2", []), ("0.6", ["--n", "1000"])):
+                argv = ["theory", "--m", "2", "--A", A, "--D", "0.2", "--d-max", "50", *extra]
+                assert panet.cli.main([*argv, "--out", {str(tmp_path / "t.csv")!r}]) == 0
+            print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(panet.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]"
 
     def test_theory_only_supercritical_writes_table(self, tmp_path):
         s = Scenario(

@@ -25,6 +25,11 @@ class TestSeedState:
     def test_checkpoints_validated(self):
         with pytest.raises(ValueError, match="checkpoints"):
             integrate_S(P, 100, d_max=10, record_at=[200])
+        # An empty list once ended in an IndexError, and 3.5 was read as 3.
+        with pytest.raises(ValueError, match=r"checkpoints must name at least one size, got \[\]"):
+            integrate_S(P, 100, d_max=10, record_at=[])
+        with pytest.raises(ValueError, match="checkpoints must be integers"):
+            integrate_S(P, 100, d_max=10, record_at=[3.5, 50])
 
 
 class TestIntegrateN:

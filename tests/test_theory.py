@@ -12,6 +12,7 @@ Reference values below are hand-derived from the defining formulas at
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from panet import theory
 from panet.params import make_model_params
@@ -99,6 +100,13 @@ class TestDegreeCoefficient:
         with pytest.raises(ValueError, match="degree must be an integer"):
             c_exact(P, d)
 
+    @pytest.mark.parametrize("A", [0.0, 1.0])
+    def test_asymptotic_needs_open_unit_interval(self, A):
+        # Gamma(m + B/A) has a pole at A = 1 (m + B/A = 0); A = 1 once gave
+        # RuntimeWarnings and an infinite tail constant.
+        with pytest.raises(ValueError, match="0 < A < 1"):
+            c_asymptotic(make_model_params(2, A, 0.0), 3)
+
 
 class TestNeighborSumCoefficient:
     def test_frozen_reference_values(self):
@@ -184,13 +192,36 @@ class TestTriangleProfile:
             p = make_model_params(m, A, D)
             assert expected_triangles(p, m) == pytest.approx(D, rel=1e-15)
 
+    @staticmethod
+    def _digamma_form(p, d):
+        # t(d) = D + D/(mA) [(d-m) - b(psi(d+b) - psi(m+b))], b = B/A: the
+        # closed form of the sum expected_triangles evaluates.
+        b = p.B / p.A
+        return p.D + p.D / (p.m * p.A) * ((d - p.m) - b * (digamma(d + b) - digamma(p.m + b)))
+
     def test_closed_form_matches_direct_sum(self):
+        # Every degree to 1e4, then log-spaced to 1e7 across ten default
+        # chunks of the running sum.
         for m, A, D in self.POINTS:
             p = make_model_params(m, A, D)
-            j = np.arange(m, 10**4, dtype=float)
-            direct = D + D / m * np.cumsum(j / (p.A * j + p.B))
-            d = np.arange(m + 1, 10**4 + 1)
-            assert np.allclose(expected_triangles(p, d), direct, rtol=1e-12, atol=0)
+            d = np.unique(np.r_[np.arange(m, 10**4 + 1), np.geomspace(10**4, 10**7, 100).round()])
+            np.testing.assert_allclose(expected_triangles(p, d), self._digamma_form(p, d), rtol=1e-13, atol=0)
+
+    def test_across_chunk_edges(self, monkeypatch):
+        # Chunks of 7 degrees from m+1 = 3: 3..9, 10..16, ..., 94..100.
+        # Unsorted and repeated degrees each get their one-degree bits.
+        p = make_model_params(2, 0.6, 0.2)
+        d = np.array([101, 2, 9, 10, 16, 17, 40, 100, 3, 9])
+        monkeypatch.setattr(theory, "_CHUNK", 7)
+        got = expected_triangles(p, d)
+        assert got.tolist() == [expected_triangles(p, int(x)) for x in d]
+        np.testing.assert_allclose(got, self._digamma_form(p, d), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("d", [2.5, [3, 3.5]])
+    def test_non_integer_degree_rejected(self, d):
+        # Both once returned values of the digamma form at the non-integer d.
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            expected_triangles(P, d)
 
     def test_zero_without_triangle_step(self):
         p = make_model_params(2, 0.25, 0.0)
@@ -232,6 +263,13 @@ class TestHypothesisPredictors:
     def test_supercritical_gate(self):
         with pytest.raises(ValueError, match="A > 1/2"):
             dnn_hypothesis_supercritical(P, 3, 1000, 1.0)
+
+    @pytest.mark.parametrize("form", ["preasymptotic", "asymptotic"])
+    def test_supercritical_rejects_A_one(self, form):
+        # c(m,d) = 0 for d > m at A = 1: the preasymptotic form once
+        # divided by it and returned inf with RuntimeWarnings.
+        with pytest.raises(ValueError, match="A < 1"):
+            dnn_hypothesis_supercritical(make_model_params(2, 1.0, 0.0), 3, 1000, 1.0, form=form)
 
     def test_critical_value_and_finite_d_factor(self):
         p = make_model_params(2, 0.5, 0.2)
