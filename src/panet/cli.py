@@ -36,7 +36,6 @@ from .metrics import clustering, degree_profile, dnn_empirical, pearson_assortat
 from .oracle import compare_closed_form, integrate_S
 from .params import (
     GeneratorParams,
-    ModelParams,
     derive_generator_params,
     derive_model_params,
     make_model_params,
@@ -106,17 +105,16 @@ def _cmd_metrics(args) -> int:
     return _EXIT_OK
 
 
-def _write_theory_table(p: ModelParams, d_max: int, n_list, path: Path) -> int:
-    """theory_tables as CSV, one column per row key; returns the row count."""
-    rows = theory_tables(p, d_max, n_list=n_list)
+def _write_theory_table(rows: list[dict], path: Path) -> None:
+    """theory_tables rows as CSV, one column per row key."""
     _write_csv(path, list(rows[0]), [r.values() for r in rows])
-    return len(rows)
 
 
 def _cmd_theory(args) -> int:
     p = make_model_params(args.m, args.A, args.D)
-    count = _write_theory_table(p, args.d_max, args.n or (), Path(args.out))
-    print(f"wrote {count} theory rows to {args.out}")
+    rows = theory_tables(p, args.d_max, n_list=args.n or ())
+    _write_theory_table(rows, Path(args.out))
+    print(f"wrote {len(rows)} theory rows to {args.out}")
     return _EXIT_OK
 
 
@@ -204,6 +202,13 @@ def _cmd_experiment(args) -> int:
     else:
         scenarios = make_preset(args.name, full=args.full, n=args.n, seeds=args.seeds)
         label = args.name
+    # Theory-only tables first: one that theory cannot tabulate fails before
+    # anything is written.
+    theory_rows = {
+        s.name: theory_tables(s.model, 10**4 if s.A < 0.5 else 100, s.n_list)
+        for s in scenarios
+        if "theory_only" in s.outputs
+    }
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -211,9 +216,9 @@ def _cmd_experiment(args) -> int:
     written: list[tuple[str, Path]] = []  # (kind, path) of each table
     sweep_rows = []  # per dnn_vs_D scenario: d_nn at its probe degree and largest size
     for s in scenarios:
-        if "theory_only" in s.outputs:
+        if s.name in theory_rows:
             path = out_dir / f"{s.name}_theory.csv"
-            _write_theory_table(s.model, 10**4 if s.A < 0.5 else 100, s.n_list, path)
+            _write_theory_table(theory_rows[s.name], path)
             written.append(("theory", path))
             print(f"{s.name}: wrote {path}")
             continue

@@ -84,8 +84,6 @@ def integrate_S(
     The d = m row of S has the source A*W_n/n + (2B+1)m; rows d > m use
     the four-term recurrence driven by N and S at d-1.
     """
-    if p.A >= 1.0:
-        raise ValueError(f"the recurrences require A < 1, got A={p.A}")
     m, A, B, D = p.m, p.A, p.B, p.D
     n0, N, S = _seed_state(p, d_max)
     if n_end < n0:

@@ -1,6 +1,9 @@
 """Model parameters and the mapping between the (m, A, D) description
 and the concrete generator knobs (m, beta, c).
 
+ModelParams alone decides the model's domain: m >= 1, a finite D >= 0 and
+0 < A < 1, the open interval on which c(m,d) has its d^(-1-1/A) tail and
+which the generator reaches, so theory and the oracle never re-check it.
 The attachment intercept B obeys 2mA + B = m, so it is a property derived
 from (m, A), never stored or accepted as an input.  The generator realizes
 a given (m, A, D) through k = floor(m/2) pair-slots (each an edge-copy
@@ -37,8 +40,8 @@ class ModelParams:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if not 0.0 <= self.A <= 1.0:
-            raise ValueError(f"A must lie in [0, 1], got {self.A}")
+        if not 0.0 < self.A < 1.0:
+            raise ValueError(f"A must satisfy 0 < A < 1, got {self.A}")
         if not 0.0 <= self.D < math.inf:
             raise ValueError(f"D must be a finite number >= 0, got {self.D}")
 

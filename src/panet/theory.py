@@ -90,30 +90,28 @@ def _c_recursion(p: ModelParams):
 
 def _log_gamma_ratio(p: ModelParams) -> float:
     """log Gamma(m+(B+1)/A) - log Gamma(m+B/A), the constant of c(m,d)'s
-    power-law tail; m + B/A = m(1-A)/A needs 0 < A < 1 to stay off the
-    poles of Gamma."""
-    if not 0.0 < p.A < 1.0:
-        raise ValueError(f"the Gamma ratio of c(m,d)'s tail requires 0 < A < 1, got A={p.A}")
+    power-law tail; ModelParams's 0 < A < 1 keeps m + B/A = m(1-A)/A off
+    the poles of Gamma."""
     m, A, B = p.m, p.A, p.B
     return math.lgamma(m + (B + 1.0) / A) - math.lgamma(m + B / A)
 
 
 def c_exact(p: ModelParams, d):
-    """Limiting degree-distribution coefficient c(m,d), for any 0 < A < 1:
-    build_theory_curve's values, bit for bit.  Accepts a scalar or array of
-    integer degrees d >= m (integral floats too)."""
-    if p.A == 0.0:
-        raise ValueError("c(m,d) diverges at A = 0")
+    """Limiting degree-distribution coefficient c(m,d), for every 0 < A < 1
+    ModelParams admits: build_theory_curve's values, bit for bit.  Accepts a
+    scalar or array of integer degrees d >= m (integral floats too)."""
     (out,) = _scan(p, d, _c_recursion(p))
     return float(out) if out.ndim == 0 else out
 
 
 def c_asymptotic(p: ModelParams, d):
-    """Power-law tail approximation of c(m,d), proportional to d^(-1-1/A),
-    for 0 < A < 1."""
+    """Power-law tail approximation of c(m,d), proportional to d^(-1-1/A).
+    At small A and small d the tail exceeds the largest float and reads
+    inf, on purpose and without a warning."""
     _check_degree(p, d)
     d = np.asarray(d, dtype=float)
-    out = np.exp(_log_gamma_ratio(p) - np.log(p.A) - (1.0 + 1.0 / p.A) * np.log(d))
+    with np.errstate(over="ignore"):
+        out = np.exp(_log_gamma_ratio(p) - np.log(p.A) - (1.0 + 1.0 / p.A) * np.log(d))
     return float(out) if out.ndim == 0 else out
 
 
@@ -158,9 +156,7 @@ def dnn_theory(p: ModelParams, d: int) -> float:
 
 
 def dnn_asymptotic(p: ModelParams, d) -> float:
-    """Large-d logarithmic growth (Am+B)/A * log(d)."""
-    if p.A == 0.0:
-        raise ValueError("asymptotic slope diverges at A = 0")
+    """Large-d logarithmic growth (Am+B)/A * log(d); ModelParams keeps A > 0."""
     return (p.A * p.m + p.B) / p.A * np.log(d)
 
 
@@ -182,11 +178,9 @@ def expected_triangles(p: ModelParams, d):
 
     The clustering spectrum is d*C(d) = 2t(d)/(d-1), which tends to
     2D/(Am) with an O((B/A) log(d)/d) correction.  Only the per-vertex
-    step probabilities enter, not A < 1/2, so every 0 < A < 1 is accepted.
-    Accepts a scalar or array of integer degrees d >= m.
+    step probabilities enter, not A < 1/2, so every 0 < A < 1 ModelParams
+    admits is accepted.  Accepts a scalar or array of integer degrees d >= m.
     """
-    if p.A <= 0.0 or p.A >= 1.0:
-        raise ValueError(f"triangle profile requires 0 < A < 1, got A={p.A}")
     m, A, B, D = p.m, p.A, p.B, p.D
     (steps,) = _scan(p, d, (np.add, 0.0, lambda i: (i - 1.0) / (A * (i - 1.0) + B)))
     out = D + D / m * steps
@@ -203,9 +197,8 @@ def dnn_hypothesis_supercritical(
     form="preasymptotic" keeps the finite-d factors
     A*C1*(Am+B) * n^(2A-1) / ((Ad+B)(A(d+1)+B) * d * c(m,d)).
     """
-    # At A = 1, c(m,d) = 0 for every d > m, and the preasymptotic form divides by it.
-    if not 0.5 < p.A < 1.0:
-        raise ValueError(f"supercritical predictor needs A > 1/2 and A < 1, got A={p.A}")
+    if p.A <= 0.5:
+        raise ValueError(f"supercritical predictor needs A > 1/2, got A={p.A}")
     if C1 <= 0:
         raise ValueError(f"C1 must be > 0, got {C1}")
     _check_degree(p, d)
@@ -307,5 +300,7 @@ def build_theory_curve(p: ModelParams, d_values) -> TheoryCurve:
     c_ex, y_prefix = _scan(p, d_values, _c_recursion(p), (np.add, 0.0, lambda i: Y_term(p, i)))
     d_f = d_values.astype(float)
     inner = X_const(p) / (A * m + B + 1.0) + y_prefix
-    M = (A * d_f + B + 1.0) * inner * c_ex
-    return TheoryCurve(params=p, d_values=d_values, c_exact=c_ex, M_exact=M, dnn_exact=M / (d_f * c_ex))
+    # M = scale*c, so d_nn = M/(d*c) = scale/d: dividing c back out would
+    # give 0/0 once c underflows (small A, large d).
+    scale = (A * d_f + B + 1.0) * inner
+    return TheoryCurve(params=p, d_values=d_values, c_exact=c_ex, M_exact=scale * c_ex, dnn_exact=scale / d_f)

@@ -385,7 +385,7 @@ class TestTheoryTables:
 
     def test_A_one_rejected(self):
         # Once c = 1, 0, 0, ... and NaN dnn_hyp columns.
-        with pytest.raises(ValueError, match="A > 1/2 and A < 1"):
+        with pytest.raises(ValueError, match="0 < A < 1"):
             theory_tables(make_model_params(2, 1.0, 0.0), d_max=6)
 
     def test_asymptotic_ratio_approaches_one_slowly(self):
@@ -566,7 +566,7 @@ class TestCLI:
             ),
             ({"name": "../x", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400]}, "scenario name '../x'"),
             ({"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": []}, "n_list must name at least one size"),
-            ({"name": "s", "m": 2, "A": math.nan, "D": 0.3, "n_list": [400]}, "A must lie in [0, 1], got nan"),
+            ({"name": "s", "m": 2, "A": math.nan, "D": 0.3, "n_list": [400]}, "A must satisfy 0 < A < 1, got nan"),
             ({"name": "s", "m": 2, "A": 0.25, "D": math.inf, "n_list": [400]}, "D must be a finite number"),
             (
                 # The valid first scenario once wrote its CSV before the
@@ -590,6 +590,15 @@ class TestCLI:
                 # Once pooled the same seeds twice and wrote one table twice.
                 {"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400, 800, 400], "seeds": 2},
                 "size 400 appears twice in n_list",
+            ),
+            (
+                # The theory-only table once failed after the simulated
+                # scenario had written ok_dnn_vs_d_n300.csv.
+                [
+                    {"name": "ok", "m": 2, "A": 0.25, "D": 0.3, "n_list": [300], "seeds": 2},
+                    {"name": "wide", "m": 150, "A": 0.6, "D": 0.0, "n_list": [1000], "outputs": ["theory_only"]},
+                ],
+                "error: d_max must be >= m = 150, got 100",
             ),
         ],
     )
@@ -712,17 +721,62 @@ class TestCLI:
         assert not out.exists()
 
     def test_theory_only_A_one_exit_2(self, tmp_path, capsys):
-        # Once exit 0 with RuntimeWarnings and NaN dnn_hyp columns.
-        s = Scenario(name="one", m=2, A=1.0, D=0.0, n_list=(1000,), seeds=1, outputs=("theory_only",))
+        # Once exit 0 with RuntimeWarnings and NaN dnn_hyp columns; a
+        # Scenario at A = 1 can no longer be built, so the file is by hand.
+        payload = {"name": "one", "m": 2, "A": 1.0, "D": 0.0, "n_list": [1000], "outputs": ["theory_only"]}
         f = tmp_path / "s.json"
-        f.write_text(scenario_json(s))
+        f.write_text(json.dumps(payload))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, err = self._run_captured(capsys, "experiment", "run", str(f), "--out-dir", str(out))
         assert code == 2
-        assert err == "error: supercritical predictor needs A > 1/2 and A < 1, got A=1.0\n"
-        assert not list(out.iterdir())
+        assert err == "error: A must satisfy 0 < A < 1, got 1.0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("A", ["0", "1"])
+    @pytest.mark.parametrize("entry", ["theory", "oracle", "run_simulated", "run_theory_only"])
+    def test_attachment_slope_domain_exit_2(self, tmp_path, capsys, entry, A):
+        # ModelParams admits 0 < A < 1 alone; `oracle --A 0` once exited 0
+        # with a uniform-attachment table no simulation can check.
+        out = tmp_path / "out"
+        if entry == "theory":
+            argv = ["theory", "--m", "2", "--A", A, "--D", "0", "--d-max", "6", "--out", str(out)]
+        elif entry == "oracle":
+            argv = ["oracle", "--m", "2", "--A", A, "--D", "0", "--n-end", "50", "--d-max", "6", "--out", str(out)]
+        else:
+            payload = {"name": "s", "m": 2, "A": float(A), "D": 0.0, "n_list": [300], "seeds": 1}
+            if entry == "run_theory_only":
+                payload["outputs"] = ["theory_only"]
+            f = tmp_path / "s.json"
+            f.write_text(json.dumps(payload))
+            argv = ["experiment", "run", str(f), "--out-dir", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self._run_captured(capsys, *argv)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and "0 < A < 1" in err
+        assert not out.exists()
+
+    def test_theory_small_A_tail_overflows_to_inf(self, tmp_path, capsys):
+        # c_asym exceeds the largest float at d = 2..14 and reads inf there,
+        # without the RuntimeWarning it once printed; every other cell
+        # stays finite.
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self._run_captured(
+                capsys, "theory", "--m", "2", "--A", "0.005", "--D", "0",
+                "--d-max", "3000", "--out", str(out),
+            )
+        assert code == 0 and err == ""
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2999
+        assert [int(r["d"]) for r in rows if r["c_asym"] == "inf"] == list(range(2, 15))
+        for r in rows:
+            cells = [v for k, v in r.items() if not (k == "c_asym" and v == "inf")]
+            assert all(math.isfinite(float(v)) for v in cells), r
 
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the one dependency: importing the CLI and running theory

@@ -28,6 +28,7 @@ class TestModelParams:
         [
             (0, 0.2, 0.0), (2, -0.1, 0.0), (2, 1.5, 0.0), (2, 0.2, -0.1),
             (2, math.nan, 0.2), (2, 0.2, math.nan), (2, 0.2, math.inf),
+            (2, 0.0, 0.0), (2, 1.0, 0.0),
         ],
     )
     def test_invalid_inputs_rejected(self, m, A, D):
@@ -87,6 +88,12 @@ class TestDeriveGeneratorParams:
         D = 0.38367755426188344
         with pytest.raises(ValueError, match="reachable region"):
             derive_generator_params(2, feasible_attachment_interval(2, D)[1], D)
+
+    def test_knobs_rounding_to_A_one_rejected(self):
+        # c one ulp above -m gives s/(2m+c) = 1.0 exactly: no reachable
+        # (m, A, D) maps here, and it once returned ModelParams(A=1.0).
+        with pytest.raises(ValueError, match="0 < A < 1"):
+            derive_model_params(GeneratorParams(m=2, beta=0.0, c=math.nextafter(-2.0, 0.0)))
 
     def test_m1_degenerate(self):
         g = derive_generator_params(1, 0.4, 0.0)

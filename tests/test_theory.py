@@ -10,6 +10,8 @@ Reference values below are hand-derived from the defining formulas at
   Y(3) = (0.85*3/2.75 + 0.15*2/1.5 + 2) / 2.5 = 1.25090909...
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import digamma
@@ -177,6 +179,22 @@ class TestNeighborSumCoefficient:
         # The int64 cast once tabulated d = 2.5 as d = 2.
         with pytest.raises(ValueError, match="degree must be an integer"):
             build_theory_curve(P, d)
+
+    @pytest.mark.parametrize("A", [5e-5, 5e-4])
+    def test_small_A_dnn_survives_underflowing_c(self, A):
+        # c(m,d) underflows to 0 (A = 5e-5) or sticks at the smallest
+        # subnormal (5e-4) well below d = 1e4; d_nn = M/(d*c) once read NaN
+        # there with a RuntimeWarning, or drifted by up to 3e-7.
+        p = make_model_params(2, A, 0.0)
+        d = np.arange(p.m, 10**4 + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = build_theory_curve(p, d)
+        assert curve.c_exact[-1] < 1e-300
+        assert np.all(np.isfinite(curve.M_exact)) and np.all(np.isfinite(curve.dnn_exact))
+        big = curve.c_exact > 1e-300
+        via_c = curve.M_exact[big] / (d[big] * curve.c_exact[big])
+        np.testing.assert_allclose(curve.dnn_exact[big], via_c, rtol=1e-13, atol=0)
 
     def test_integral_float_degrees_accepted(self):
         got = build_theory_curve(P, [2.0, 17.0])
