@@ -6,13 +6,13 @@ the original sizes).
 Determinism: every (n, seed-index) run derives its generator seed from the
 scenario root seed, and aggregation folds results in (n, seed-index) order,
 so output bytes do not depend on worker scheduling.  Jobs run on one
-worker per CPU in the process's affinity mask (`taskset` narrows it), in
-a pool that every run_scenario call of the process reuses (see _pool).
+worker per CPU (parallel.cpu_count: the affinity mask, which `taskset`
+narrows), in a pool that every run_scenario call of the process reuses
+(see _pool).
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import os
@@ -23,6 +23,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from . import parallel
 from .graphgen import child_seed, generate
 from .metrics import degree_profile, dnn_empirical
 from .params import ModelParams, derive_generator_params, make_model_params
@@ -212,22 +213,16 @@ def _chunks(tasks: list[tuple]) -> list[list[tuple]]:
     return chunks
 
 
-def _keep_freed_memory() -> tuple[int, int] | None:
+def _keep_freed_memory() -> tuple[int | None, int | None]:
     """Pool initializer: numpy blocks up to 32 MiB come from the heap and
     stay there when freed, instead of being mapped and zeroed afresh for
     every job, and an idle worker returns its heap top only beyond 256 MiB
-    free.  Returns glibc mallopt's two results (1 on success), or None
-    without mallopt.  Measured on 2 cores, the `presets` benchmark's
+    free.  Returns glibc mallopt's two results (1 on success, None
+    without mallopt).  Measured on 2 cores, the `presets` benchmark's
     pass_s read 0.428-0.448 reference s without it and 0.336-0.339 with
     it (about +30%), so measure before removing it."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no such symbol, or no C library
-        return None
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
     # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h.
-    return mallopt(-3, 32 << 20), mallopt(-1, 256 << 20)
+    return parallel.mallopt(-3, 32 << 20), parallel.mallopt(-1, 256 << 20)
 
 
 # (pid of the process that made it, worker count, pool), or None.  The
@@ -281,10 +276,9 @@ def _run_pooled(chunks: list[list[tuple]], workers: int) -> list[tuple]:
 
 def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
     """Generate seeds x sizes graphs, pool per-degree statistics, keep
-    per-seed probe values for error bars.  workers=None: one per CPU in
-    the affinity mask (os.cpu_count() off Linux), at most one per pool
-    chunk (see _chunks).  Raises ValueError if a graph has no vertex of
-    the probe degree."""
+    per-seed probe values for error bars.  workers=None: one per CPU
+    (parallel.cpu_count), at most one per pool chunk (see _chunks).
+    Raises ValueError if a graph has no vertex of the probe degree."""
     d0 = s.probe_degree
     tasks = []
     for n, n_seeds in zip(s.n_list, s.seeds_for_n):
@@ -292,9 +286,7 @@ def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
             tasks.append((s.m, s.A, s.D, n, child_seed(s.root_seed, n, i), d0))
     chunks = _chunks(tasks)
     if workers is None:
-        affinity = getattr(os, "sched_getaffinity", None)
-        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-        workers = min(cpus, len(chunks))
+        workers = min(parallel.cpu_count(), len(chunks))
 
     if workers > 1:
         raws = _run_pooled(chunks, workers)

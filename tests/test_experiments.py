@@ -12,15 +12,17 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import panet
-from panet import cli, experiments
+from panet import cli, experiments, graphgen, parallel
 from panet.cli import main
 from panet.experiments import (
     _CHUNK_EDGES,
@@ -696,6 +698,17 @@ class TestCLI:
         assert code == 2
         assert err == f"error: vertex id {vid} is not below 2E = 4 (twice the edge count)\n"
         assert not out.exists()
+
+    def test_metrics_leaves_no_thread(self, tmp_path, capsys):
+        # Three threads over several file blocks and wedge runs, all joined
+        # before main returns.
+        f = tmp_path / "g.txt"
+        graphgen.export_edge_list(generate(derive_generator_params(2, 0.25, 0.3), 3000, seed=1), f)
+        before = threading.active_count()
+        with mock.patch.object(parallel, "cpu_count", lambda: 3), mock.patch.object(graphgen, "_READ_BLOCK", 4096):
+            code, err = self._run_captured(capsys, "metrics", "--in", str(f), "--out", str(tmp_path / "m.csv"))
+        assert (code, err) == (0, "")
+        assert threading.active_count() == before
 
     def test_metrics_isolated_vertex(self, tmp_path, capsys):
         # Vertex 2 has degree 0: its row reads dnn = nan (was a

@@ -4,8 +4,10 @@ sequential reference, and edge-list IO."""
 
 import io
 import math
+import os
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from panet import graphgen
+from panet import graphgen, parallel
 from panet.graphgen import (
     Multigraph,
     child_seed,
@@ -415,12 +417,134 @@ def _assert_matches_line_scanner(text: str, path) -> None:
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=_TEXTS)
-def test_importer_matches_line_scanner(text, tmp_path_factory):
+@given(text=_TEXTS, block=st.sampled_from([1, 2, 3, 7, 1 << 17]), threads=st.sampled_from([1, 2, 3]))
+def test_importer_matches_line_scanner(text, block, threads, tmp_path_factory):
     """import_edge_list accepts exactly the texts the line scanner accepts,
     with the same ids, and otherwise raises the scanner's message; a lone
-    CR ends a line, as in text mode."""
-    _assert_matches_line_scanner(text, tmp_path_factory.getbasetemp() / "edges.txt")
+    CR ends a line, as in text mode.  So it does on 1, 2 or 3 threads and
+    for blocks small enough to end inside every kind of line break."""
+    with mock.patch.object(graphgen, "_READ_BLOCK", block), mock.patch.object(
+        parallel, "cpu_count", lambda: threads
+    ):
+        _assert_matches_line_scanner(text, tmp_path_factory.getbasetemp() / "edges.txt")
+
+
+# Malformed texts with the scanner's message for each: test_malformed_inputs'
+# cases and the pinned texts that go through the scanner.
+_MALFORMED = [
+    "0 1\n2 2\n",
+    "0 1 2\n",
+    "0 x\n",
+    "-1 2\n",
+    "",
+    "12345678901234567890 1\n0 1\n",
+    "0 1 2\n3\n",
+    " \n\t\n",
+]
+
+
+class TestThreadedImport:
+    """The numpy path on 1, 2 and 3 threads (parallel.cpu_count patched),
+    over blocks small enough to put block ends inside every kind of line
+    break: the ids, and the scanner's message, never depend on either."""
+
+    @pytest.fixture(params=[1, 2, 3], ids=lambda t: f"threads{t}")
+    def threads(self, request, monkeypatch):
+        monkeypatch.setattr(parallel, "cpu_count", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_same_ids(self, threads, block, monkeypatch, tmp_path):
+        g = generate(GP, 2000, seed=4)
+        path = tmp_path / "g.txt"
+        export_edge_list(g, path)
+        monkeypatch.setattr(graphgen, "_READ_BLOCK", block)
+        h = import_edge_list(path)
+        assert h.n == g.n
+        assert h.u.tolist() == g.u.tolist() and h.v.tolist() == g.v.tolist()
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 1 << 20])
+    @pytest.mark.parametrize("text", _MALFORMED)
+    def test_malformed_same_message(self, threads, block, text, monkeypatch, tmp_path):
+        monkeypatch.setattr(graphgen, "_READ_BLOCK", block)
+        _assert_matches_line_scanner(text, tmp_path / "g.txt")
+
+    def test_blocks_cover_the_file_at_line_ends(self, monkeypatch, tmp_path):
+        text = b"0 1\r\n2 3\r4 5\n\n\n6 7"
+        path = tmp_path / "g.txt"
+        path.write_bytes(text)
+        for block in range(1, len(text) + 2):
+            monkeypatch.setattr(graphgen, "_READ_BLOCK", block)
+            with open(path, "rb") as fh:
+                blocks = graphgen._line_blocks(fh.fileno())
+            assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+            assert blocks[-1][1] == len(text)
+            for start, end in blocks:
+                assert end - start >= block or end == len(text)
+                # A block ends at its first line end from byte start + block - 1 on.
+                tail = text[start + block - 1 : end]
+                assert end == len(text) or (tail[-1:] in (b"\r", b"\n") and not any(c in tail[:-1] for c in b"\r\n"))
+
+    def test_crlf_split_between_cr_and_lf(self, threads, monkeypatch, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\r\n2 3\r\n")
+        monkeypatch.setattr(graphgen, "_READ_BLOCK", 4)
+        with open(path, "rb") as fh:
+            assert graphgen._line_blocks(fh.fileno()) == [(0, 4), (4, 9), (9, 10)]
+        self._assert_reads(path, [0, 2], [1, 3])
+
+    def test_cr_only_line_ends(self, threads, monkeypatch, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\r1 2\r2 0\r")
+        monkeypatch.setattr(graphgen, "_READ_BLOCK", 3)
+        self._assert_reads(path, [0, 1, 2], [1, 2, 0])
+
+    def test_fewer_lines_than_threads(self, threads, monkeypatch, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n")
+        self._assert_reads(path, [0], [1])
+        monkeypatch.setattr(graphgen, "_READ_BLOCK", 1)
+        self._assert_reads(path, [0], [1])
+
+    @pytest.mark.parametrize("block", [1, 5, 1 << 20])
+    def test_blank_trailing_lines(self, threads, block, monkeypatch, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n1 2\n\n \t\n\r\n\n")
+        monkeypatch.setattr(graphgen, "_READ_BLOCK", block)
+        self._assert_reads(path, [0, 1], [1, 2])
+
+    @pytest.mark.parametrize("bad, match", [("7 x", "non-integer id in '7 x'"), ("5 5", "self-loop at 5")])
+    def test_bad_line_in_last_block(self, threads, bad, match, monkeypatch, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(("".join(f"{i} {i + 1}\n" for i in range(300)) + bad + "\n").encode())
+        monkeypatch.setattr(graphgen, "_READ_BLOCK", 64)
+        with pytest.raises(ValueError, match=f"^line 301: {match}"):
+            import_edge_list(path)
+
+    @pytest.mark.parametrize("n", [200_000, 1_000_000])
+    def test_peak_is_the_ids_plus_a_buffer_per_thread(self, n, monkeypatch, tmp_path):
+        # Two threads, each with one block and its parse in hand: u and v
+        # (16 B/edge) and under 1 MiB.  A reader that held the whole file
+        # (12-14 B/edge here), let alone a copy of its blocks, is over.
+        path = tmp_path / "g.txt"
+        export_edge_list(generate(GP, n, seed=3), path)
+        E = 2 * n
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            import_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert os.path.getsize(path) > 2 * 2**20
+        assert peak < 16 * E + 2 * 2**20, f"import peaked at {peak / E:.1f} B/edge"
+
+    @staticmethod
+    def _assert_reads(path, u, v):
+        g = import_edge_list(path)
+        assert (g.u.tolist(), g.v.tolist()) == (u, v)
+        with open(path) as fh:
+            assert scan_edge_list(fh) == (u, v)
 
 
 class TestChildSeed:

@@ -1,7 +1,9 @@
 """Graph statistics against hand-computed values on tiny graphs, the
 brute-force and loop references, networkx, and the log-binning helper."""
 
+import itertools
 import math
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panet import metrics
+from panet import metrics, parallel
 from panet.graphgen import Multigraph, generate, seed_graph
 from panet.metrics import (
     ClusteringProfile,
@@ -209,11 +211,14 @@ class TestClusteringKernel:
     # chunk edges between every pair of sources with out-edges, or a few
     # sources apart, and give each source of out-degree >= 2 (>= 3 at 7) a
     # chunk of its own.  K6 plus a pendant makes a source with 10 wedges.
-    @settings(max_examples=100, deadline=None)
-    @given(g=_multigraphs(), chunk=st.sampled_from([1, 7]))
-    @example(g=_graph(7, [(i, j) for i in range(6) for j in range(i)] + [(0, 6)]), chunk=7)
-    def test_small_wedge_chunks(self, g, chunk):
-        with mock.patch.object(metrics, "_WEDGE_CHUNK", chunk):
+    # The runs go to 1, 2 or 3 threads (parallel.cpu_count patched).
+    @settings(max_examples=150, deadline=None)
+    @given(g=_multigraphs(), chunk=st.sampled_from([1, 7]), threads=st.sampled_from([1, 2, 3]))
+    @example(g=_graph(7, [(i, j) for i in range(6) for j in range(i)] + [(0, 6)]), chunk=7, threads=2)
+    def test_small_wedge_chunks(self, g, chunk, threads):
+        with mock.patch.object(metrics, "_WEDGE_CHUNK", chunk), mock.patch.object(
+            parallel, "cpu_count", lambda: threads
+        ):
             fast = clustering(g)
         slow = clustering_loop(g)
         assert (fast.C1, fast.C2) == (slow.C1, slow.C2)
@@ -223,11 +228,34 @@ class TestClusteringKernel:
     def test_small_wedge_chunks_generated(self, A, D, n, seed):
         g = _with_isolated_vertex(A, D, n, seed)
         slow = clustering_loop(g)
-        for chunk in (1, 7):
-            with mock.patch.object(metrics, "_WEDGE_CHUNK", chunk):
+        for chunk, threads in itertools.product((1, 7), (1, 2, 3)):
+            with mock.patch.object(metrics, "_WEDGE_CHUNK", chunk), mock.patch.object(
+                parallel, "cpu_count", lambda: threads
+            ):
                 fast = clustering(g)
-            assert (fast.C1, fast.C2) == (slow.C1, slow.C2), chunk
-            assert list(fast.C_by_degree.items()) == list(slow.C_by_degree.items()), chunk
+            assert (fast.C1, fast.C2) == (slow.C1, slow.C2), (chunk, threads)
+            assert list(fast.C_by_degree.items()) == list(slow.C_by_degree.items()), (chunk, threads)
+
+    def test_worker_exception_propagates(self):
+        # The caller's first run waits until a worker has raised in its own
+        # run, so the error is a worker's, and clustering raises it.
+        raised = threading.Event()
+        argsort = np.argsort
+
+        def failing_in_workers(a, *args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                raised.wait(10)
+                return argsort(a, *args, **kwargs)
+            raised.set()
+            raise RuntimeError("wedge run failed")
+
+        g = _with_isolated_vertex(0.25, 0.3, 2000, 5)
+        with mock.patch.object(parallel, "cpu_count", lambda: 2), mock.patch.object(
+            metrics, "_WEDGE_CHUNK", 7
+        ), mock.patch.object(np, "argsort", failing_in_workers):
+            with pytest.raises(RuntimeError, match="wedge run failed"):
+                clustering(g)
+        assert raised.is_set()
 
     @pytest.mark.parametrize("A, D", [(0.25, 0.3), (0.6, 0.2)])
     def test_peak_memory_per_edge(self, A, D):
