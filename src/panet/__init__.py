@@ -15,15 +15,15 @@ from .params import (
 )
 from .graphgen import child_seed, export_edge_list, generate, import_edge_list
 from .metrics import clustering, degree_profile, pearson_assortativity
-from .theory import M_exact, build_theory_curve, dnn_asymptotic, dnn_overlay, dnn_theory
-from .oracle import compare_closed_form, integrate_S
-from .experiments import (
-    PRESETS,
-    Scenario,
-    ScenarioResult,
-    make_preset,
-    run_scenario,
+from .theory import (
+    M_exact,
+    build_theory_curve,
+    dnn_asymptotic,
+    dnn_overlay,
+    dnn_theory,
     theory_tables,
 )
+from .oracle import compare_closed_form, integrate_S
+from .experiments import PRESETS, Scenario, ScenarioResult, make_preset, run_scenario
 
 __version__ = "0.1.0"

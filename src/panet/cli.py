@@ -29,7 +29,6 @@ from .experiments import (
     check_preset,
     make_preset,
     run_scenario,
-    theory_tables,
 )
 from .graphgen import export_edge_list, generate, import_edge_list
 from .metrics import clustering, degree_profile, dnn_empirical, pearson_assortativity
@@ -40,7 +39,7 @@ from .params import (
     derive_model_params,
     make_model_params,
 )
-from .theory import build_theory_curve, dnn_overlay
+from .theory import build_theory_curve, dnn_overlay, theory_tables
 
 _EXIT_OK = 0
 _EXIT_INVALID = 2
@@ -105,15 +104,10 @@ def _cmd_metrics(args) -> int:
     return _EXIT_OK
 
 
-def _write_theory_table(rows: list[dict], path: Path) -> None:
-    """theory_tables rows as CSV, one column per row key."""
-    _write_csv(path, list(rows[0]), [r.values() for r in rows])
-
-
 def _cmd_theory(args) -> int:
     p = make_model_params(args.m, args.A, args.D)
     rows = theory_tables(p, args.d_max, n_list=args.n or ())
-    _write_theory_table(rows, Path(args.out))
+    _write_csv(Path(args.out), list(rows[0]), [r.values() for r in rows])
     print(f"wrote {len(rows)} theory rows to {args.out}")
     return _EXIT_OK
 
@@ -175,14 +169,14 @@ _GNUPLOT_TEMPLATES = {
 }
 
 
-def _emit_gnuplot(tables: list[tuple[str, Path]], out_dir: Path, label: str) -> Path:
-    """A script plotting each (kind, path) table by its kind's template;
-    kinds without one (theory tables) are left out."""
+def _emit_gnuplot(tables: list[tuple], out_dir: Path, label: str) -> Path:
+    """A script plotting each (kind, file name, header, rows) table by its
+    kind's template; kinds without one (theory tables) are left out."""
     lines = ["set terminal pngcairo size 800,600", ""]
-    for kind, p in tables:
+    for kind, name, _, _ in tables:
         if kind in _GNUPLOT_TEMPLATES:
-            lines.append(f'set output "{p.stem}.png"')
-            lines.append(_GNUPLOT_TEMPLATES[kind].format(csv=p.name))
+            lines.append(f'set output "{Path(name).stem}.png"')
+            lines.append(_GNUPLOT_TEMPLATES[kind].format(csv=name))
     path = out_dir / f"{label}.gp"
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -202,47 +196,41 @@ def _cmd_experiment(args) -> int:
     else:
         scenarios = make_preset(args.name, full=args.full, n=args.n, seeds=args.seeds)
         label = args.name
-    # Theory-only tables first: one that theory cannot tabulate fails before
-    # anything is written.
-    theory_rows = {
-        s.name: theory_tables(s.model, 10**4 if s.A < 0.5 else 100, s.n_list)
-        for s in scenarios
-        if "theory_only" in s.outputs
-    }
+    # Every table is built before --out-dir is made, so a scenario that
+    # raises leaves no directory and no file.
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     results: list[ScenarioResult] = []
-    written: list[tuple[str, Path]] = []  # (kind, path) of each table
+    tables = []  # (kind, file name, header, rows), in write order
+    lines = []  # stdout, printed once every table is written
     sweep_rows = []  # per dnn_vs_D scenario: d_nn at its probe degree and largest size
     for s in scenarios:
-        if s.name in theory_rows:
-            path = out_dir / f"{s.name}_theory.csv"
-            _write_theory_table(theory_rows[s.name], path)
-            written.append(("theory", path))
-            print(f"{s.name}: wrote {path}")
+        if "theory_only" in s.outputs:
+            rows = theory_tables(s.model, 10**4 if s.A < 0.5 else 100, s.n_list)
+            name = f"{s.name}_theory.csv"
+            tables.append(("theory", name, list(rows[0]), [r.values() for r in rows]))
+            lines.append(f"{s.name}: wrote {out_dir / name}")
             continue
         res = run_scenario(s)
         results.append(res)
-        tables = list(_scenario_tables(res))
-        for kind, name, header, rows in tables:
-            _write_csv(out_dir / name, header, rows)
-            written.append((kind, out_dir / name))
+        mine = list(_scenario_tables(res))
+        tables += mine
         if "dnn_vs_D" in s.outputs:
             n = s.n_list[-1]
             sweep_rows.append((s.D, s.probe_degree, res.probe_mean(n), res.probe_stderr(n)))
         fit = res.fitted_constant
         extra = "" if fit is None else f" (fitted constant {fit:.4g})"
-        print(f"{s.name}: wrote {', '.join(t[1] for t in tables)}{extra}")
-
+        lines.append(f"{s.name}: wrote {', '.join(t[1] for t in mine)}{extra}")
     if sweep_rows:
-        sweep = out_dir / f"{label}_dnn_vs_D.csv"
-        _write_csv(sweep, ["D", "d0", "dnn_mean", "dnn_stderr"], sweep_rows)
-        written.append(("dnn_vs_D", sweep))
-        print(f"wrote {sweep}")
+        name = f"{label}_dnn_vs_D.csv"
+        tables.append(("dnn_vs_D", name, ["D", "d0", "dnn_mean", "dnn_stderr"], sweep_rows))
+        lines.append(f"wrote {out_dir / name}")
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for _, name, header, rows in tables:
+        _write_csv(out_dir / name, header, rows)
     if args.gnuplot:
-        gp = _emit_gnuplot(written, out_dir, label)
-        print(f"wrote {gp}")
+        lines.append(f"wrote {_emit_gnuplot(tables, out_dir, label)}")
+    print("\n".join(lines))
 
     if args.mode == "preset" and args.check:
         fails = check_preset(label, results)

@@ -1,7 +1,9 @@
 """Scenario runner: multi-seed generation, pooled statistics, theory
-overlays and regression fits, reproducing the reference figures at desk
-scale (n = 1e5 by default instead of 1e6; pass full=True to presets for
-the original sizes).
+overlays (theory.dnn_overlay, the one theory name used here) and
+regression fits, reproducing the reference figures at desk scale (n = 1e5
+by default instead of 1e6; pass full=True to presets for the original
+sizes).  A theory_only scenario is not run here: its table is
+theory.theory_tables.
 
 Determinism: every (n, seed-index) run derives its generator seed from the
 scenario root seed, and aggregation folds results in (n, seed-index) order,
@@ -27,15 +29,7 @@ from . import parallel
 from .graphgen import child_seed, generate
 from .metrics import degree_profile, dnn_empirical
 from .params import ModelParams, derive_generator_params, make_model_params
-from .theory import (
-    build_theory_curve,
-    c_asymptotic,
-    c_exact,
-    dnn_asymptotic,
-    dnn_hypothesis_critical,
-    dnn_hypothesis_supercritical,
-    dnn_overlay,
-)
+from .theory import dnn_overlay
 
 __all__ = [
     "Scenario",
@@ -43,7 +37,6 @@ __all__ = [
     "run_scenario",
     "fit_power_exponent",
     "fit_hypothesis_constant",
-    "theory_tables",
     "PRESETS",
     "make_preset",
     "check_preset",
@@ -353,50 +346,6 @@ def fit_hypothesis_constant(res: ScenarioResult) -> float:
     if cells == 0:
         raise ValueError("no populated (d, n) cells to fit")
     return num / den
-
-
-def theory_tables(p: ModelParams, d_max: int, n_list=()):
-    """Theory-only rows per degree d in [m, d_max]: subcritical closed
-    forms for A < 1/2; for A >= 1/2 the hypothesis predictor (constant 1)
-    and its asymptotic form, one block per n."""
-    if d_max < p.m:
-        raise ValueError(f"d_max must be >= m = {p.m}, got {d_max}")
-    if any(n < p.m + 1 for n in n_list):
-        raise ValueError(f"all sizes must be >= seed size m+1 = {p.m + 1}")
-    d_values = np.arange(p.m, d_max + 1)
-    rows = []
-    if p.A < 0.5:
-        curve = build_theory_curve(p, d_values)
-        d_f = d_values.astype(float)
-        c_as, dnn_as = c_asymptotic(p, d_f), dnn_asymptotic(p, d_f)
-        for i, d in enumerate(d_values):
-            rows.append(
-                {
-                    "d": int(d),
-                    "c_exact": float(curve.c_exact[i]),
-                    "c_asym": float(c_as[i]),
-                    "M": float(curve.M_exact[i]),
-                    "dnn_theory": float(curve.dnn_exact[i]),
-                    "dnn_asym": float(dnn_as[i]),
-                }
-            )
-        return rows
-    hyp = dnn_hypothesis_supercritical if p.A > 0.5 else dnn_hypothesis_critical
-    c = c_exact(p, d_values)
-    for n in tuple(n_list) or (10**5,):
-        y = dnn_overlay(p, d_values, n, 1.0)
-        y_asym = hyp(p, d_values, n, 1.0, form="asymptotic")
-        for i, d in enumerate(d_values):
-            rows.append(
-                {
-                    "d": int(d),
-                    "n": int(n),
-                    "c_exact": float(c[i]),
-                    "dnn_hyp": float(y[i]),
-                    "dnn_hyp_asym": float(y_asym[i]),
-                }
-            )
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ the standard library alone.  The degree-distribution coefficient c(m,d) runs
 its defining recursion, and the neighbor-degree-sum coefficient M(d) and the
 triangle profile t(d) are prefix sums from i = m+1; c, M and t share one
 chunked scan (_scan), each caller asking only for what it reads.
-dnn_overlay picks the d_nn curve of the regime A falls in.
+d_nn has three regimes: the closed form below A = 1/2, the critical
+predictor at A = 1/2 and the supercritical one above.  _hypothesis picks
+the predictor at A >= 1/2 for both dnn_overlay (the d_nn curve of A's
+regime) and theory_tables (the theory-only CSV rows).
 
 "log" means the natural logarithm throughout.
 """
@@ -32,6 +35,7 @@ __all__ = [
     "dnn_hypothesis_supercritical",
     "dnn_hypothesis_critical",
     "dnn_overlay",
+    "theory_tables",
     "build_theory_curve",
 ]
 
@@ -257,9 +261,45 @@ def dnn_overlay(p: ModelParams, d, n: int, C: float):
         curve = build_theory_curve(p, np.atleast_1d(d))
         out = curve.dnn_exact[np.searchsorted(curve.d_values, d)]
         return float(out) if out.ndim == 0 else out
-    if p.A > 0.5:
-        return dnn_hypothesis_supercritical(p, d, n, C)
-    return dnn_hypothesis_critical(p, d, n, C)
+    return _hypothesis(p)(p, d, n, C)
+
+
+def _hypothesis(p: ModelParams):
+    """The hypothesis predictor of A's regime, for A >= 1/2."""
+    return dnn_hypothesis_critical if p.A == 0.5 else dnn_hypothesis_supercritical
+
+
+def _rows(**columns) -> list[dict]:
+    """One dict per row of equal-length columns, keyed in argument order;
+    .tolist() makes each cell a Python int or float of the same value."""
+    return [dict(zip(columns, r)) for r in zip(*(np.asarray(c).tolist() for c in columns.values()))]
+
+
+def theory_tables(p: ModelParams, d_max: int, n_list=()) -> list[dict]:
+    """Theory-only rows per degree d in [m, d_max]: subcritical closed
+    forms for A < 1/2; for A >= 1/2 the hypothesis predictor (constant 1)
+    and its asymptotic form, one block per size n (10^5 if none)."""
+    if d_max < p.m:
+        raise ValueError(f"d_max must be >= m = {p.m}, got {d_max}")
+    if any(n < p.m + 1 for n in n_list):
+        raise ValueError(f"all sizes must be >= seed size m+1 = {p.m + 1}")
+    for i, n in enumerate(n_list):
+        if n in n_list[:i]:  # its block would be written twice
+            raise ValueError(f"size {n} appears twice in n_list")
+    d = np.arange(p.m, d_max + 1)
+    if p.A < 0.5:
+        curve, d_f = build_theory_curve(p, d), d.astype(float)
+        return _rows(
+            d=d, c_exact=curve.c_exact, c_asym=c_asymptotic(p, d_f),
+            M=curve.M_exact, dnn_theory=curve.dnn_exact, dnn_asym=dnn_asymptotic(p, d_f),
+        )
+    hyp, c = _hypothesis(p), c_exact(p, d)
+    rows = []
+    for n in tuple(n_list) or (10**5,):
+        n_col = np.full(d.shape, n, dtype=np.int64)
+        y, y_asym = hyp(p, d, n, 1.0), hyp(p, d, n, 1.0, form="asymptotic")
+        rows += _rows(d=d, n=n_col, c_exact=c, dnn_hyp=y, dnn_hyp_asym=y_asym)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,11 @@ from panet.experiments import (
     fit_power_exponent,
     make_preset,
     run_scenario,
-    theory_tables,
 )
 from panet.graphgen import child_seed, generate
 from panet.metrics import degree_profile
 from panet.params import derive_generator_params, make_model_params
-from panet.theory import dnn_hypothesis_critical
+from panet.theory import dnn_hypothesis_critical, theory_tables
 
 from reference import fit_hypothesis_constant_cells, pooled_ccdf, scenario_json
 
@@ -652,7 +651,48 @@ class TestCLI:
         code, err = self._run_captured(capsys, "experiment", "run", str(f), "--out-dir", str(out))
         assert code == 2
         assert err == "error: probe degree d0 = 40 is missing from 4 of 4 graphs at n = 300\n"
-        assert not list(out.iterdir())
+        assert not out.exists()
+
+    def test_later_scenario_failing_writes_nothing(self, tmp_path, capsys):
+        # The first scenario's CSVs were once written, and its line printed,
+        # before the second scenario's probe degree was found missing.
+        f = tmp_path / "s.json"
+        f.write_text(
+            json.dumps(
+                [
+                    {"name": "ok", "m": 2, "A": 0.25, "D": 0.3, "n_list": [300], "seeds": 2},
+                    {"name": "nanprobe", "m": 2, "A": 0.25, "D": 0.3, "n_list": [300], "seeds": 2, "d0": 40},
+                ]
+            )
+        )
+        out = tmp_path / "out"
+        code = self._run("experiment", "run", str(f), "--out-dir", str(out), "--gnuplot")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: probe degree d0 = 40 is missing from 2 of 2 graphs at n = 300\n"
+        assert "wrote" not in captured.out
+        assert not out.exists()
+
+    def test_out_dir_is_a_file_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"name": "ok", "m": 2, "A": 0.25, "D": 0.3, "n_list": [300], "seeds": 2}))
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        code, err = self._run_captured(capsys, "experiment", "run", str(f), "--out-dir", str(out))
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(out) in err
+        assert out.read_text() == "not a directory\n"
+
+    def test_theory_repeated_size_exit_2(self, tmp_path, capsys):
+        # Once exited 0, writing the n = 1000 block twice.
+        out = tmp_path / "t.csv"
+        code, err = self._run_captured(
+            capsys, "theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3",
+            "--n", "1000", "1000", "--out", str(out),
+        )
+        assert code == 2
+        assert err == "error: size 1000 appears twice in n_list\n"
+        assert not out.exists()
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         out = tmp_path / "g.txt"

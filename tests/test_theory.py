@@ -31,6 +31,7 @@ from panet.theory import (
     dnn_overlay,
     dnn_theory,
     expected_triangles,
+    theory_tables,
 )
 
 from reference import expected_sum_squares
@@ -350,3 +351,38 @@ class TestOverlay:
                 build_theory_curve(P, d)
             with pytest.raises(ValueError, match="no degrees"):
                 dnn_overlay(P, d, 100, 1.0)
+
+
+class TestTheoryTables:
+    @pytest.mark.parametrize(
+        "A, predictor", [(0.5, dnn_hypothesis_critical), (0.6, dnn_hypothesis_supercritical)]
+    )
+    @pytest.mark.parametrize("n_list", [(), (1000, 10**4)])
+    def test_hypothesis_cells_are_the_predictors(self, A, predictor, n_list):
+        # Each cell, bit for bit, is the overlay and the regime's asymptotic
+        # predictor at its own (d, n); one block per size, 10^5 if none.
+        p = make_model_params(2, A, 0.2)
+        rows = theory_tables(p, 40, n_list)
+        assert [(r["n"], r["d"]) for r in rows] == [(n, d) for n in n_list or (10**5,) for d in range(2, 41)]
+        for r in rows:
+            d, n = r["d"], r["n"]
+            assert type(d) is int and type(n) is int
+            assert r["c_exact"] == c_exact(p, d)
+            assert r["dnn_hyp"] == dnn_overlay(p, d, n, 1.0)
+            assert r["dnn_hyp_asym"] == predictor(p, d, n, 1.0, form="asymptotic")
+
+    def test_subcritical_cells_are_the_closed_forms(self):
+        rows = theory_tables(P, 30)
+        curve = build_theory_curve(P, np.arange(2, 31))
+        assert [r["d"] for r in rows] == list(range(2, 31))
+        assert [r["M"] for r in rows] == curve.M_exact.tolist()
+        assert [r["dnn_theory"] for r in rows] == curve.dnn_exact.tolist()
+        for r in rows:
+            assert r["c_exact"] == c_exact(P, r["d"])
+            assert r["c_asym"] == c_asymptotic(P, float(r["d"]))
+            assert r["dnn_asym"] == dnn_asymptotic(P, float(r["d"]))
+
+    def test_repeated_size_rejected(self):
+        # Once wrote the n = 1000 block twice.
+        with pytest.raises(ValueError, match="^size 1000 appears twice in n_list$"):
+            theory_tables(make_model_params(2, 0.6, 0.2), 3, [1000, 10**4, 1000])
