@@ -233,6 +233,9 @@ def _cmd_experiment(args) -> int:
     print("\n".join(lines))
 
     if args.mode == "preset" and args.check:
+        if not results:
+            print(f"CHECK SKIP [{label}]: theory-only preset, no rule")
+            return _EXIT_OK
         fails = check_preset(label, results)
         if fails:
             for msg in fails:

@@ -7,20 +7,15 @@ theory.theory_tables.
 
 Determinism: every (n, seed-index) run derives its generator seed from the
 scenario root seed, and aggregation folds results in (n, seed-index) order,
-so output bytes do not depend on worker scheduling.  Jobs run on one
-worker per CPU (parallel.cpu_count: the affinity mask, which `taskset`
-narrows), in a pool that every run_scenario call of the process reuses
-(see _pool).
+so output bytes do not depend on worker scheduling.  How jobs are cut
+into chunks and spread over the CPUs is parallel's: parallel.runs and the
+warm pool behind parallel.process_map.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -186,105 +181,26 @@ def _run_chunk(chunk) -> list[tuple[int, dict[int, int], dict[int, int], int, fl
     return [_run_one(args) for args in chunk]
 
 
-# A pool chunk holds consecutive tasks of at least this many edges (m*n
-# per task): one chunk per big graph, so equal jobs split evenly over the
-# workers, and many small graphs per chunk, so dispatch costs stay small.
+# A pool chunk holds consecutive tasks of at most this many edges (m*n
+# per task), or one bigger task: one chunk per big graph, so equal jobs
+# split evenly over the workers, and many small graphs per chunk, so
+# dispatch costs stay small.
 _CHUNK_EDGES = 1 << 17
-
-
-def _chunks(tasks: list[tuple]) -> list[list[tuple]]:
-    """Split tasks, in order, into runs whose m*n sum reaches _CHUNK_EDGES;
-    only the last run may fall short."""
-    chunks: list[list[tuple]] = [[]]
-    edges = 0
-    for task in tasks:
-        if edges >= _CHUNK_EDGES:
-            chunks.append([])
-            edges = 0
-        chunks[-1].append(task)
-        edges += task[0] * task[3]
-    return chunks
-
-
-def _keep_freed_memory() -> tuple[int | None, int | None]:
-    """Pool initializer: numpy blocks up to 32 MiB come from the heap and
-    stay there when freed, instead of being mapped and zeroed afresh for
-    every job, and an idle worker returns its heap top only beyond 256 MiB
-    free.  Returns glibc mallopt's two results (1 on success, None
-    without mallopt).  Measured on 2 cores, the `presets` benchmark's
-    pass_s read 0.428-0.448 reference s without it and 0.336-0.339 with
-    it (about +30%), so measure before removing it."""
-    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h.
-    return parallel.mallopt(-3, 32 << 20), parallel.mallopt(-1, 256 << 20)
-
-
-# (pid of the process that made it, worker count, pool), or None.  The
-# pool lives until interpreter exit, where concurrent.futures joins it.
-_POOL: tuple[int, int, ProcessPoolExecutor] | None = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pool(workers: int) -> ProcessPoolExecutor:
-    """This process's pool of `workers` workers, made on first use.  One
-    of another size is shut down and replaced; one inherited through
-    os.fork belongs to the parent and is left alone."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is not None and _POOL[:2] == (os.getpid(), workers):
-            return _POOL[2]
-        if _POOL is not None and _POOL[0] == os.getpid():
-            _POOL[2].shutdown()
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_memory)
-        _POOL = (os.getpid(), workers, pool)
-        return pool
-
-
-def _drop_pool(pool: ProcessPoolExecutor) -> None:
-    """Forget a broken pool, so that the next _pool call makes a new one."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is not None and _POOL[2] is pool:
-            _POOL = None
-    pool.shutdown()
-
-
-def _run_pooled(chunks: list[list[tuple]], workers: int) -> list[tuple]:
-    """_run_chunk over chunks on the shared pool, results in chunk order.
-    A pool found broken before any job of this call ran (a worker died
-    since the last call) is rebuilt once; one that breaks during the call
-    is dropped and the error raised."""
-    pool = _pool(workers)
-    try:
-        done = pool.map(_run_chunk, chunks)
-    except BrokenProcessPool:
-        _drop_pool(pool)
-        pool = _pool(workers)
-        done = pool.map(_run_chunk, chunks)
-    try:
-        return [raw for chunk in done for raw in chunk]
-    except BrokenProcessPool:
-        _drop_pool(pool)
-        raise
 
 
 def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
     """Generate seeds x sizes graphs, pool per-degree statistics, keep
     per-seed probe values for error bars.  workers=None: one per CPU
-    (parallel.cpu_count), at most one per pool chunk (see _chunks).
+    (parallel.cpu_count), at most one per pool chunk (see _CHUNK_EDGES).
     Raises ValueError if a graph has no vertex of the probe degree."""
     d0 = s.probe_degree
     tasks = []
     for n, n_seeds in zip(s.n_list, s.seeds_for_n):
         for i in range(n_seeds):
             tasks.append((s.m, s.A, s.D, n, child_seed(s.root_seed, n, i), d0))
-    chunks = _chunks(tasks)
-    if workers is None:
-        workers = min(parallel.cpu_count(), len(chunks))
-
-    if workers > 1:
-        raws = _run_pooled(chunks, workers)
-    else:
-        raws = _run_chunk(tasks)
+    edges = np.cumsum([0] + [task[0] * task[3] for task in tasks])
+    chunks = [tasks[lo:hi] for lo, hi in parallel.runs(edges, _CHUNK_EDGES)]
+    raws = [raw for chunk in parallel.process_map(_run_chunk, chunks, workers) for raw in chunk]
 
     res = ScenarioResult(scenario=s)
     for n, N, S, W, probe in raws:  # task order == (n, seed) order

@@ -65,9 +65,11 @@ def _checkpoints(n_end: int, record_at, n0: int) -> np.ndarray:
     if record_at is None:
         record_at = [n_end]
     try:  # sizes follow the rule of degrees: integral floats pass
-        pts = np.unique(_integer_degrees(record_at))
+        pts, count = np.unique(_integer_degrees(record_at), return_counts=True)
     except ValueError:
         raise ValueError(f"checkpoints must be integers, got {record_at!r}") from None
+    if np.any(count > 1):
+        raise ValueError(f"checkpoint {pts[count > 1][0]} appears twice")
     if pts.size == 0:
         raise ValueError(f"checkpoints must name at least one size, got {record_at!r}")
     if pts[0] < n0 or pts[-1] > n_end:

@@ -161,6 +161,7 @@ def dnn_theory(p: ModelParams, d: int) -> float:
 
 def dnn_asymptotic(p: ModelParams, d) -> float:
     """Large-d logarithmic growth (Am+B)/A * log(d); ModelParams keeps A > 0."""
+    _check_degree(p, d)
     return (p.A * p.m + p.B) / p.A * np.log(d)
 
 
@@ -205,6 +206,8 @@ def dnn_hypothesis_supercritical(
         raise ValueError(f"supercritical predictor needs A > 1/2, got A={p.A}")
     if C1 <= 0:
         raise ValueError(f"C1 must be > 0, got {C1}")
+    if n < p.m + 1:
+        raise ValueError(f"size n must be >= seed size m+1 = {p.m + 1}, got {n}")
     _check_degree(p, d)
     m, A, B = p.m, p.A, p.B
     d = np.asarray(d, dtype=float)
@@ -236,6 +239,8 @@ def dnn_hypothesis_critical(
         raise ValueError(f"critical predictor needs A = 1/2, got A={p.A}")
     if C2 <= 0:
         raise ValueError(f"C2 must be > 0, got {C2}")
+    if n < p.m + 1:
+        raise ValueError(f"size n must be >= seed size m+1 = {p.m + 1}, got {n}")
     _check_degree(p, d)
     d = np.asarray(d, dtype=float)
     base = C2 / (2.0 * (p.m + 1.0)) * np.log(n)

@@ -29,8 +29,6 @@ from panet.experiments import (
     PRESETS,
     Scenario,
     ScenarioResult,
-    _chunks,
-    _keep_freed_memory,
     fit_hypothesis_constant,
     fit_power_exponent,
     make_preset,
@@ -182,9 +180,9 @@ class TestRunScenario:
             assert a.probe_per_seed == b.probe_per_seed
 
     def test_mixed_sizes_pooled_equals_serial(self):
-        """The first pool chunk spans both sizes (50 graphs at n = 300, two
-        at 40000) and the last holds one graph; pooled sums and per-seed
-        lists, in (n, seed) order, equal the serial run's."""
+        """The first pool chunk spans both sizes (50 graphs at n = 300, one
+        at 40000) and the other four hold one graph each; pooled sums and
+        per-seed lists, in (n, seed) order, equal the serial run's."""
         s = Scenario(name="mixed", m=2, A=0.25, D=0.3, n_list=(300, 40000), seeds=(50, 5))
         a, b = run_scenario(s, workers=1), run_scenario(s, workers=2)
         for attr in ("pooled_N", "pooled_S", "W_per_seed", "probe_per_seed"):
@@ -196,22 +194,24 @@ class TestRunScenario:
     @pytest.mark.parametrize(
         "sizes, lengths",
         [
-            ([300] * 50 + [40000] * 5, [52, 2, 1]),
+            ([300] * 50 + [40000] * 5, [51, 1, 1, 1, 1]),
             ([100_000] * 10, [1] * 10),  # a preset at n = 1e5: one graph per chunk
-            ([1000] * 200 + [5000] * 60 + [30000] * 30, [66, 66, 66, 15, 14, 14, 14, 7] + [3] * 9 + [1]),
+            ([1000] * 200 + [5000] * 60 + [30000] * 30, [65, 65, 65, 17, 13, 13, 13, 9] + [2] * 15),
             ([5], [1]),
         ],
     )
     def test_chunks_cover_tasks_in_order(self, sizes, lengths):
-        """Each task once, in order; each chunk reaches the edge floor only
-        with its last task, except the last chunk, which may fall short."""
+        """run_scenario's chunks (parallel.runs over the m*n prefix): each
+        task once, in order; each chunk holds at most _CHUNK_EDGES edges
+        or one bigger task, and the next task would not fit in it."""
         tasks = [(2, 0.25, 0.3, n, i, 3) for i, n in enumerate(sizes)]
-        chunks = _chunks(tasks)
+        spans = parallel.runs(np.cumsum([0] + [m * n for m, _, _, n, _, _ in tasks]), _CHUNK_EDGES)
+        chunks = [tasks[lo:hi] for lo, hi in spans]
         assert [t for c in chunks for t in c] == tasks
         assert [len(c) for c in chunks] == lengths
         edges = [[m * n for m, _, _, n, _, _ in c] for c in chunks]
-        assert all(sum(e) >= _CHUNK_EDGES for e in edges[:-1])
-        assert all(sum(e[:-1]) < _CHUNK_EDGES for e in edges)
+        assert all(sum(e) <= _CHUNK_EDGES or len(e) == 1 for e in edges)
+        assert all(sum(e) + nxt[0] > _CHUNK_EDGES for e, nxt in zip(edges, edges[1:]))
 
     def test_aggregation_shape(self):
         res = run_scenario(self.S, workers=1)
@@ -284,7 +284,7 @@ def _same_result(a: ScenarioResult, b: ScenarioResult) -> bool:
 @pytest.mark.usefixtures("deadline")
 class TestPool:
     """run_scenario's pooled calls share one pool per process (see
-    experiments._pool)."""
+    parallel._pool)."""
 
     S = Scenario(name="pool", m=2, A=0.25, D=0.3, n_list=(70_000,), seeds=3)  # three chunks
 
@@ -326,7 +326,7 @@ class TestPool:
                 code = 0 if _same_result(run_scenario(self.S, workers=2), serial) else 1
             finally:
                 try:
-                    experiments._pool(2).shutdown()
+                    parallel._pool(2).shutdown()
                 finally:
                     os._exit(code)
         try:
@@ -359,10 +359,10 @@ class TestPool:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
     def test_workers_keep_freed_memory(self):
         run_scenario(self.S, workers=2)
-        pool = experiments._pool(2)
+        pool = parallel._pool(2)
         # 4096 pages when the freed blocks go back to the system
         assert pool.submit(_refaults).result() < 512
-        assert pool.submit(_keep_freed_memory).result() == (1, 1)
+        assert pool.submit(parallel._keep_freed_memory).result() == (1, 1)
 
 
 class TestTheoryTables:
@@ -726,6 +726,14 @@ class TestCLI:
         assert code == 3
         assert err.startswith(f"CHECK FAIL [{name}]: cannot compute the check: ")
         assert err.count("\n") == 1 and why in err
+
+    def test_theory_only_check_says_skip(self, tmp_path, capsys):
+        # fig3 has no rule; its --check once printed CHECK PASS.
+        code = self._run("experiment", "preset", "fig3", "--check", "--out-dir", str(tmp_path))
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "CHECK SKIP [fig3]: theory-only preset, no rule"
+        assert "CHECK PASS" not in out
 
     @pytest.mark.parametrize("vid", ["99999999999999999999", "1000000000000"])
     def test_metrics_huge_vertex_id_exit_2(self, tmp_path, capsys, vid):

@@ -31,6 +31,11 @@ class TestSeedState:
         with pytest.raises(ValueError, match="checkpoints must be integers"):
             integrate_S(P, 100, d_max=10, record_at=[3.5, 50])
 
+    def test_repeated_checkpoint_rejected(self):
+        # [100, 100, 200] once returned two checkpoints for the three asked.
+        with pytest.raises(ValueError, match="^checkpoint 100 appears twice$"):
+            integrate_S(P, 200, d_max=10, record_at=[100, 100, 200])
+
 
 class TestIntegrateN:
     """The N half of integrate_S."""

@@ -1,6 +1,7 @@
-"""parallel: the CPU count, and thread_map on more threads than CPUs:
-every item once, results in item order, a worker's exception raised in
-the caller, and no thread left behind."""
+"""parallel: the CPU count, the run splitter, and thread_map on more
+threads than CPUs: every item once, results in item order, a worker's
+exception raised in the caller, and no thread left behind.  The process
+pool is tested through run_scenario (test_experiments.TestPool)."""
 
 import os
 import platform
@@ -8,7 +9,10 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from panet import parallel
 
@@ -16,6 +20,21 @@ from panet import parallel
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
 def test_cpu_count_is_the_affinity_mask():
     assert parallel.cpu_count() == len(os.sched_getaffinity(0))
+
+
+# Costs of 0 to 25 against limits of 1 to 12: zeros, items that fit
+# several to a run, and items above the limit, which run alone.
+@given(costs=st.lists(st.integers(0, 25)), limit=st.integers(1, 12))
+@example(costs=[], limit=10)
+@example(costs=[0, 0, 11, 0, 10, 0, 3], limit=10)
+def test_runs_cover_items_in_order(costs, limit):
+    total = np.cumsum([0] + costs)
+    spans = parallel.runs(total, limit)
+    assert [i for lo, hi in spans for i in range(lo, hi)] == list(range(len(costs)))
+    for lo, hi in spans:
+        assert total[hi] - total[lo] <= limit or hi - lo == 1
+        assert hi == len(costs) or total[hi + 1] - total[lo] > limit  # the next item does not fit
+    assert (spans == []) == (costs == [])
 
 
 @pytest.mark.parametrize("threads", [1, 2, 8])

@@ -175,6 +175,12 @@ class TestNeighborSumCoefficient:
         with pytest.raises(ValueError, match="A < 1/2"):
             M_exact(make_model_params(2, 0.6, 0.2), 5)
 
+    @pytest.mark.parametrize("d", [0, 1, [1, 5]])
+    def test_asymptote_degree_below_m_rejected(self, d):
+        # d = 0 once warned and gave -inf, and d = 1 gave 0.0 at m = 2.
+        with pytest.raises(ValueError, match="degree must be >= m"):
+            dnn_asymptotic(P, d)
+
     @pytest.mark.parametrize("d", [[2.5], [2, 3.5], [np.nan]])
     def test_non_integer_degree_rejected(self, d):
         # The int64 cast once tabulated d = 2.5 as d = 2.
@@ -307,6 +313,16 @@ class TestHypothesisPredictors:
     def test_constant_must_be_positive(self):
         with pytest.raises(ValueError, match="C2"):
             dnn_hypothesis_critical(make_model_params(2, 0.5, 0.2), 3, 100, -1.0)
+
+    @pytest.mark.parametrize("A", [0.5, 0.6])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_size_below_seed_rejected(self, A, n):
+        # n = 0 once gave 0.0 (supercritical) or a warning and -inf
+        # (critical), and n = 2 passed, below the seed of m+1 = 3 vertices.
+        p = make_model_params(2, A, 0.2)
+        for predict in (dnn_hypothesis_critical if A == 0.5 else dnn_hypothesis_supercritical, dnn_overlay):
+            with pytest.raises(ValueError, match=rf"size n must be >= seed size m\+1 = 3, got {n}"):
+                predict(p, 3, n, 1.0)
 
 
 class TestOverlay:
