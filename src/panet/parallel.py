@@ -44,7 +44,9 @@ def thread_map(fn, items) -> list:
     alone.  Each thread takes the next item when it is done with one, so
     uneven items even out.  The first exception fn raises stops every
     thread from taking another item and is raised here; no thread outlives
-    the call."""
+    the call.  An fn that itself calls thread_map starts threads of its
+    own, so while both maps run the threads may briefly exceed
+    cpu_count()."""
     items = list(items)
     out = [None] * len(items)
     todo = iter(range(len(items)))

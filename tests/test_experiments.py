@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import panet
-from panet import cli, experiments, graphgen, parallel
+from panet import cli, experiments, graphgen, metrics, parallel
 from panet.cli import main
 from panet.experiments import (
     _CHUNK_EDGES,
@@ -756,6 +756,27 @@ class TestCLI:
         with mock.patch.object(parallel, "cpu_count", lambda: 3), mock.patch.object(graphgen, "_READ_BLOCK", 4096):
             code, err = self._run_captured(capsys, "metrics", "--in", str(f), "--out", str(tmp_path / "m.csv"))
         assert (code, err) == (0, "")
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_metrics_profile_error_beside_clustering(self, tmp_path, capsys, threads):
+        # degree_profile runs beside clustering, which maps its wedge runs
+        # over threads of its own; an error in the profile still ends in
+        # one line and exit 2, with no CSV and every thread joined.
+        f = tmp_path / "g.txt"
+        graphgen.export_edge_list(generate(derive_generator_params(2, 0.25, 0.3), 3000, seed=1), f)
+        out = tmp_path / "m.csv"
+
+        def failing_profile(g):
+            raise ValueError("profile failed")
+
+        before = threading.active_count()
+        with mock.patch.object(parallel, "cpu_count", lambda: threads), mock.patch.object(
+            metrics, "_WEDGE_CHUNK", 7
+        ), mock.patch.object(cli, "degree_profile", failing_profile):
+            code, err = self._run_captured(capsys, "metrics", "--in", str(f), "--out", str(out))
+        assert (code, err) == (2, "error: profile failed\n")
+        assert not out.exists()
         assert threading.active_count() == before
 
     def test_metrics_isolated_vertex(self, tmp_path, capsys):

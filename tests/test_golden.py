@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from panet import parallel
 from panet.cli import main
 from panet.experiments import PRESETS
 
@@ -105,6 +106,15 @@ def test_theory_table(key, tmp_path):
 
 @pytest.mark.parametrize("key", sorted(METRICS_ARGS))
 def test_metrics_table(key, tmp_path):
+    assert metrics_digest(key, tmp_path) == _golden()["metrics"][key]
+
+
+# The import, the profile beside clustering and the wedge runs each split
+# their work by the CPU count; the bytes written must not depend on it.
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("key", sorted(METRICS_ARGS))
+def test_metrics_table_on_any_cpu_count(key, threads, tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "cpu_count", lambda: threads)
     assert metrics_digest(key, tmp_path) == _golden()["metrics"][key]
 
 

@@ -49,6 +49,25 @@ def star4():
     return _graph(4, [(0, 1), (0, 2), (0, 3)])
 
 
+@st.composite
+def _multigraphs(draw):
+    """Random edges plus a clique of up to 30 and a star on shuffled ids,
+    some edges repeated, in random order and orientation: parallel edges,
+    isolated vertices, ties in simple degree and long out-lists."""
+    n = draw(st.integers(1, 60))
+    ids = st.integers(0, n - 1)
+    perm = draw(st.permutations(range(n)))
+    k = draw(st.integers(0, min(n, 30)))
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=150))
+    edges += [(perm[i], perm[j]) for i in range(k) for j in range(i)]
+    edges += [(perm[-1], x) for x in draw(st.lists(ids, max_size=60))]
+    edges = [e for e in edges if e[0] != e[1]]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=30))
+    edges = draw(st.permutations(edges))
+    return Multigraph(n, [a for a, _ in edges], [b for _, b in edges])
+
+
 class TestDegreeProfile:
     def test_path_hand_values(self, path3):
         p = degree_profile(path3)
@@ -83,6 +102,22 @@ class TestDegreeProfile:
         p = degree_profile(_graph(4, [(0, 3), (1, 3)]))
         assert p.N[0] == 1 and math.isnan(dnn_empirical(p, 0))
 
+    @pytest.mark.parametrize("A, D", [(0.25, 0.3), (0.6, 0.2)])
+    def test_peak_memory_per_edge(self, A, D):
+        # At m = 2 the degree array and the neighbor-degree sums take
+        # 8 B/edge, and one edge chunk's gathered degrees about 2.6 B/edge
+        # more at n = 1e5 (10.65 B/edge measured).  The bound of 12 B/edge
+        # leaves 1.35 B/edge of margin, and no room for an int64 gather
+        # over all edges (8 B/edge; the peak was 16 B/edge with two).
+        g = generate(derive_generator_params(2, A, D), 100_000, seed=1)
+        tracemalloc.start()
+        try:
+            degree_profile(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * g.num_edges
+
 
 class TestBruteForceOracle:
     def test_equals_streaming_on_generated_graphs(self):
@@ -94,6 +129,16 @@ class TestBruteForceOracle:
             assert fast.N == slow.N
             assert fast.S == slow.S
             assert fast.W == slow.W
+
+    # Edge chunks of 1 or 7 edges put a chunk edge between parallel edges
+    # and around every vertex's edges.
+    @settings(max_examples=150, deadline=None)
+    @given(g=_multigraphs(), chunk=st.sampled_from([1, 7]))
+    def test_equals_brute_force_across_edge_chunks(self, g, chunk):
+        with mock.patch.object(metrics, "_EDGE_CHUNK", chunk):
+            fast = degree_profile(g)
+        assert fast == brute_force_profile(g)
+        assert list(fast.N) == sorted(fast.N) and list(fast.S) == list(fast.N)
 
     def test_size_cap(self):
         gp = derive_generator_params(2, 0.2, 0.3)
@@ -163,25 +208,6 @@ class TestClusteringAgainstLoop:
         tiny = [_graph(2, [(0, 1)]), _graph(4, [(0, 3), (1, 3)]), _graph(3, [(0, 1), (1, 0), (0, 2)])]
         for g in tiny + [Multigraph(3, [], [])]:
             assert clustering(g) == clustering_loop(g)
-
-
-@st.composite
-def _multigraphs(draw):
-    """Random edges plus a clique of up to 30 and a star on shuffled ids,
-    some edges repeated, in random order and orientation: parallel edges,
-    isolated vertices, ties in simple degree and long out-lists."""
-    n = draw(st.integers(1, 60))
-    ids = st.integers(0, n - 1)
-    perm = draw(st.permutations(range(n)))
-    k = draw(st.integers(0, min(n, 30)))
-    edges = draw(st.lists(st.tuples(ids, ids), max_size=150))
-    edges += [(perm[i], perm[j]) for i in range(k) for j in range(i)]
-    edges += [(perm[-1], x) for x in draw(st.lists(ids, max_size=60))]
-    edges = [e for e in edges if e[0] != e[1]]
-    if edges:
-        edges += draw(st.lists(st.sampled_from(edges), max_size=30))
-    edges = draw(st.permutations(edges))
-    return Multigraph(n, [a for a, _ in edges], [b for _, b in edges])
 
 
 class TestClusteringKernel:

@@ -82,6 +82,27 @@ def test_items_run_at_once_and_all_finish(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_nested_maps_keep_order_and_join(threads, monkeypatch):
+    # An item that maps again, as clustering does beside degree_profile
+    # in `panet metrics`: each map returns in item order, and the threads
+    # of both levels are joined when the outer map returns.
+    monkeypatch.setattr(parallel, "cpu_count", lambda: threads)
+    before = threading.active_count()
+
+    def inner(x):
+        return parallel.thread_map(lambda y: (x, y), range(x))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = parallel.thread_map(inner, range(40))
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [[(x, y) for y in range(x)] for x in range(40)]
+    assert threading.active_count() == before
+
+
 def test_worker_error_stops_the_map_and_joins(monkeypatch):
     monkeypatch.setattr(parallel, "cpu_count", lambda: 4)
     before = threading.active_count()
