@@ -136,10 +136,10 @@ def _cmd_oracle(args) -> int:
 def _scenario_tables(res: ScenarioResult):
     """(kind, file name, header, rows) of each table a simulated scenario
     writes: one d-sweep per size, then the n-sweep at the probe degree."""
-    s, C = res.scenario, res.fitted_constant or 1.0
+    s = res.scenario
     for n in s.n_list:
         ds = res.populated_degrees(n)
-        theory = dnn_overlay(s.model, np.asarray(ds), n, C).tolist()
+        theory = dnn_overlay(s.model, np.asarray(ds), n).tolist()
         rows = [(d, res.pooled_N[n][d], res.dnn_pooled(n, d), t) for d, t in zip(ds, theory)]
         header = ["d", "N_pooled", "dnn_mean", "dnn_theory"]
         yield "dnn_vs_d", f"{s.name}_dnn_vs_d_n{n}.csv", header, rows
@@ -147,7 +147,7 @@ def _scenario_tables(res: ScenarioResult):
         d0 = s.probe_degree
         rows = []
         for n in s.n_list:
-            mean, overlay = res.probe_mean(n), dnn_overlay(s.model, d0, n, C)
+            mean, overlay = res.probe_mean(n), dnn_overlay(s.model, d0, n)
             rows.append((n, d0, mean, res.probe_stderr(n), overlay, abs(mean - overlay)))
         header = ["n", "d0", "dnn_mean", "dnn_stderr", "overlay", "err"]
         yield "dnn_vs_n", f"{s.name}_dnn_vs_n.csv", header, rows
@@ -219,9 +219,7 @@ def _cmd_experiment(args) -> int:
         if "dnn_vs_D" in s.outputs:
             n = s.n_list[-1]
             sweep_rows.append((s.D, s.probe_degree, res.probe_mean(n), res.probe_stderr(n)))
-        fit = res.fitted_constant
-        extra = "" if fit is None else f" (fitted constant {fit:.4g})"
-        lines.append(f"{s.name}: wrote {', '.join(t[1] for t in mine)}{extra}")
+        lines.append(f"{s.name}: wrote {', '.join(t[1] for t in mine)}")
     if sweep_rows:
         name = f"{label}_dnn_vs_D.csv"
         tables.append(("dnn_vs_D", name, ["D", "d0", "dnn_mean", "dnn_stderr"], sweep_rows))

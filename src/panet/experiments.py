@@ -1,9 +1,9 @@
 """Scenario runner: multi-seed generation, pooled statistics, theory
-overlays (theory.dnn_overlay, the one theory name used here) and
-regression fits, reproducing the reference figures at desk scale (n = 1e5
-by default instead of 1e6; pass full=True to presets for the original
-sizes).  A theory_only scenario is not run here: its table is
-theory.theory_tables.
+overlays (theory.dnn_overlay, the one theory name used here, with nothing
+fitted to the pooled curves) and power-law fits, reproducing the reference
+figures at desk scale (n = 1e5 by default instead of 1e6; pass full=True
+to presets for the original sizes).  A theory_only scenario is not run
+here: its table is theory.theory_tables.
 
 Determinism: every (n, seed-index) run derives its generator seed from the
 scenario root seed, and aggregation folds results in (n, seed-index) order,
@@ -31,7 +31,6 @@ __all__ = [
     "ScenarioResult",
     "run_scenario",
     "fit_power_exponent",
-    "fit_hypothesis_constant",
     "PRESETS",
     "make_preset",
     "check_preset",
@@ -146,7 +145,6 @@ class ScenarioResult:
     # per size n: per-seed probe values and W_n
     probe_per_seed: dict[int, list[float]] = field(default_factory=dict)
     W_per_seed: dict[int, list[int]] = field(default_factory=dict)
-    fitted_constant: float | None = None
 
     def dnn_pooled(self, n: int, d: int) -> float:
         N = self.pooled_N[n].get(d, 0)
@@ -192,7 +190,8 @@ def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
     """Generate seeds x sizes graphs, pool per-degree statistics, keep
     per-seed probe values for error bars.  workers=None: one per CPU
     (parallel.cpu_count), at most one per pool chunk (see _CHUNK_EDGES).
-    Raises ValueError if a graph has no vertex of the probe degree."""
+    Raises ValueError if a graph has no vertex of the probe degree, or a
+    size has no degree with pooled N >= the support threshold."""
     d0 = s.probe_degree
     tasks = []
     for n, n_seeds in zip(s.n_list, s.seeds_for_n):
@@ -217,9 +216,8 @@ def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
             raise ValueError(
                 f"probe degree d0 = {d0} is missing from {missing} of {len(probes)} graphs at n = {n}"
             )
-
-    if s.A >= 0.5:
-        res.fitted_constant = fit_hypothesis_constant(res)
+        if not res.populated_degrees(n):
+            raise ValueError(f"no degree has pooled N >= {s.support_threshold} at n = {n}")
     return res
 
 
@@ -242,26 +240,6 @@ def fit_power_exponent(points) -> tuple[float, float, float]:
     resid = ly - (intercept + slope * lx)
     stderr = math.sqrt(float(np.dot(resid, resid)) / max(len(pts) - 2, 1) / sxx)
     return slope, intercept, stderr
-
-
-def fit_hypothesis_constant(res: ScenarioResult) -> float:
-    """Least-squares scale factor of the hypothesis predictor (A >= 1/2)
-    against the pooled empirical curve over every populated (d, n) cell.
-    One constant serves both the d-sweep and the n-sweep outputs."""
-    p = res.scenario.model
-    if p.A < 0.5:
-        raise ValueError(f"hypothesis fit needs A >= 1/2, got A={p.A}")
-    num = den = 0.0
-    cells = 0
-    for n in res.pooled_N:
-        ds = res.populated_degrees(n)
-        for d, u in zip(ds, dnn_overlay(p, np.asarray(ds), n, 1.0).tolist()):
-            num += u * res.dnn_pooled(n, d)
-            den += u * u
-        cells += len(ds)
-    if cells == 0:
-        raise ValueError("no populated (d, n) cells to fit")
-    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +303,7 @@ def make_preset(name: str, full: bool = False, n: int | None = None, seeds: int 
     raise ValueError(f"unknown preset {name!r}")
 
 
-PRESETS = (
-    "fig1a",
-    "fig1b",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5a",
-    "fig5b",
-    "fig6a",
-    "fig6b",
-)
+PRESETS = ("fig1a", "fig1b", "fig2", "fig3", "fig4", "fig5a", "fig5b", "fig6a", "fig6b")
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +336,7 @@ def _rule_failures(preset: str, results: list[ScenarioResult]) -> list[str]:
         ds = res.populated_degrees(n, threshold=500)
         if not ds:
             raise ValueError(f"no degree with pooled N >= 500 at n={n}")
-        theory = dnn_overlay(res.scenario.model, np.asarray(ds), n, 1.0)
+        theory = dnn_overlay(res.scenario.model, np.asarray(ds), n)
         for d, t in zip(ds, theory):
             rel = abs(res.dnn_pooled(n, d) / t - 1.0)
             expect(rel <= 0.10, f"d={d}: dnn off theory by {rel:.1%} (> 10%)")
@@ -376,7 +344,7 @@ def _rule_failures(preset: str, results: list[ScenarioResult]) -> list[str]:
         res = results[0]
         n = res.scenario.n_list[-1]
         ds = res.populated_degrees(n)
-        theory = dnn_overlay(res.scenario.model, np.asarray(ds), n, 1.0)
+        theory = dnn_overlay(res.scenario.model, np.asarray(ds), n)
         below = sum(1 for d, t in zip(ds, theory) if res.dnn_pooled(n, d) <= t)
         frac = below / len(ds)
         expect(frac >= 0.90, f"only {frac:.0%} of bins below theory (< 90%)")
@@ -384,7 +352,9 @@ def _rule_failures(preset: str, results: list[ScenarioResult]) -> list[str]:
         final_errs = {}
         for res in results:
             s = res.scenario
-            t = dnn_overlay(s.model, s.probe_degree, s.n_list[-1], 1.0)
+            if len(s.n_list) < 2:
+                raise ValueError(f"a decreasing err(m+1) needs at least 2 sizes, got {len(s.n_list)}")
+            t = dnn_overlay(s.model, s.probe_degree, s.n_list[-1])
             errs = [abs(res.probe_mean(n) - t) for n in s.n_list]
             expect(
                 all(a > b for a, b in zip(errs, errs[1:])),

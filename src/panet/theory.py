@@ -7,8 +7,9 @@ triangle profile t(d) are prefix sums from i = m+1; c, M and t share one
 chunked scan (_scan), each caller asking only for what it reads.
 d_nn has three regimes: the closed form below A = 1/2, the critical
 predictor at A = 1/2 and the supercritical one above.  _hypothesis picks
-the predictor at A >= 1/2 for both dnn_overlay (the d_nn curve of A's
-regime) and theory_tables (the theory-only CSV rows).
+the predictor at A >= 1/2, with its constant from E W_n (expected_W), for
+both dnn_overlay (the d_nn curve of A's regime) and theory_tables (the
+theory-only CSV rows), so no theory value is fitted to simulation.
 
 "log" means the natural logarithm throughout.
 """
@@ -32,6 +33,7 @@ __all__ = [
     "dnn_theory",
     "dnn_asymptotic",
     "expected_triangles",
+    "expected_W",
     "dnn_hypothesis_supercritical",
     "dnn_hypothesis_critical",
     "dnn_overlay",
@@ -253,25 +255,49 @@ def dnn_hypothesis_critical(
     return float(out) if out.ndim == 0 else out
 
 
-def dnn_overlay(p: ModelParams, d, n: int, C: float):
+def expected_W(p: ModelParams, n: int) -> float:
+    """E W_n, the expected sum of squared degrees at size n >= n0 = m+1.
+
+    E W_{k+1} = (1 + 2A/k) E W_k + s, s = m(m+4B+1), from the seed's
+    W_{n0} = (m+1)(2m)^2, solves to (W_{n0} + s sum_{k=n0+1}^{n} q_k)/q_n
+    with q_k = prod_{j=n0}^{k-1} j/(j+2A), run in _CHUNK-size chunks.  In
+    closed form that is w n + (W_{n0} - w n0) Gamma(n+2A)Gamma(n0) /
+    (Gamma(n)Gamma(n0+2A)), w = s/(1-2A), and n (W_{n0}/n0 + s (H_n - H_{n0}))
+    at A = 1/2, H the harmonic numbers.  Near A = 1/2 the two terms of the
+    Gamma form cancel; the products, all positive, keep full precision."""
+    m, A, n0 = p.m, p.A, p.m + 1
+    if n < n0:
+        raise ValueError(f"size n must be >= seed size m+1 = {n0}, got {n}")
+    total, q, s = n0 * (2.0 * m) ** 2, 1.0, m * (m + 4.0 * p.B + 1.0)
+    for lo in range(n0, n, _CHUNK):
+        j = np.arange(lo, min(lo + _CHUNK, n), dtype=float)
+        qs = q * np.cumprod(j / (j + 2.0 * A))
+        total, q = total + s * float(qs.sum()), float(qs[-1])
+    return total / q
+
+
+def dnn_overlay(p: ModelParams, d, n: int):
     """The d_nn(d) curve of the regime A falls in, at size n.
 
-    A < 1/2: the exact closed form (n and C unused).  A = 1/2: the
-    critical predictor with its (d+2)/d factor.  A > 1/2: the
-    preasymptotic supercritical predictor.  C scales the hypothesis
-    predictors.  Accepts a scalar or array of degrees d >= m, integers
-    below A = 1/2.
+    A < 1/2: the exact closed form (n unused).  A = 1/2: the critical
+    predictor with its (d+2)/d factor.  A > 1/2: the preasymptotic
+    supercritical predictor.  Both take their constant from E W_n.
+    Accepts a scalar or array of degrees d >= m, integers below A = 1/2.
     """
     if p.A < 0.5:
         curve = build_theory_curve(p, np.atleast_1d(d))
         out = curve.dnn_exact[np.searchsorted(curve.d_values, d)]
         return float(out) if out.ndim == 0 else out
-    return _hypothesis(p)(p, d, n, C)
+    hyp, C = _hypothesis(p, n)
+    return hyp(p, d, n, C)
 
 
-def _hypothesis(p: ModelParams):
-    """The hypothesis predictor of A's regime, for A >= 1/2."""
-    return dnn_hypothesis_critical if p.A == 0.5 else dnn_hypothesis_supercritical
+def _hypothesis(p: ModelParams, n: int):
+    """The hypothesis predictor of A's regime (A >= 1/2) and its constant
+    at size n: C2 = E W_n/(n log n) at A = 1/2, C1 = E W_n/n^(2A) above."""
+    if p.A == 0.5:
+        return dnn_hypothesis_critical, expected_W(p, n) / (n * math.log(n))
+    return dnn_hypothesis_supercritical, expected_W(p, n) / n ** (2.0 * p.A)
 
 
 def _rows(**columns) -> list[dict]:
@@ -282,8 +308,9 @@ def _rows(**columns) -> list[dict]:
 
 def theory_tables(p: ModelParams, d_max: int, n_list=()) -> list[dict]:
     """Theory-only rows per degree d in [m, d_max]: subcritical closed
-    forms for A < 1/2; for A >= 1/2 the hypothesis predictor (constant 1)
-    and its asymptotic form, one block per size n (10^5 if none)."""
+    forms for A < 1/2; for A >= 1/2 the hypothesis predictor, with its
+    constant from E W_n, and its asymptotic form, one block per size n
+    (10^5 if none)."""
     if d_max < p.m:
         raise ValueError(f"d_max must be >= m = {p.m}, got {d_max}")
     if any(n < p.m + 1 for n in n_list):
@@ -298,11 +325,12 @@ def theory_tables(p: ModelParams, d_max: int, n_list=()) -> list[dict]:
             d=d, c_exact=curve.c_exact, c_asym=c_asymptotic(p, d_f),
             M=curve.M_exact, dnn_theory=curve.dnn_exact, dnn_asym=dnn_asymptotic(p, d_f),
         )
-    hyp, c = _hypothesis(p), c_exact(p, d)
+    c = c_exact(p, d)
     rows = []
     for n in tuple(n_list) or (10**5,):
         n_col = np.full(d.shape, n, dtype=np.int64)
-        y, y_asym = hyp(p, d, n, 1.0), hyp(p, d, n, 1.0, form="asymptotic")
+        hyp, C = _hypothesis(p, n)
+        y, y_asym = hyp(p, d, n, C), hyp(p, d, n, C, form="asymptotic")
         rows += _rows(d=d, n=n_col, c_exact=c, dnn_hyp=y, dnn_hyp_asym=y_asym)
     return rows
 

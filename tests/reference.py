@@ -3,10 +3,9 @@ the masked slot decode for draw_slots, per-vertex adjacency traversal for
 degree_profile, the set-based triangle loop for clustering, the
 edge-endpoint sums for pearson_assortativity, the line
 scanner that defines the edge-list format for import_edge_list and the
-per-edge writer for export_edge_list, and the per-cell overlay loop for
-fit_hypothesis_constant.  Also the helpers only tests use:
-the scenario file writer, the pooled degree CCDF and its tail slope,
-log-binning, and the leading-order sum of squared degrees."""
+per-edge writer for export_edge_list.  Also the helpers only tests use:
+the scenario file writer, the pooled degree CCDF and its tail slope, and
+log-binning."""
 
 from __future__ import annotations
 
@@ -19,8 +18,7 @@ import numpy as np
 from panet.experiments import Scenario, ScenarioResult, fit_power_exponent
 from panet.graphgen import Multigraph
 from panet.metrics import ClusteringProfile, DegreeProfile
-from panet.params import GeneratorParams, ModelParams
-from panet.theory import dnn_overlay
+from panet.params import GeneratorParams
 
 BRUTE_FORCE_CAP = 10_000
 
@@ -172,30 +170,9 @@ def write_edge_list(g: Multigraph, sink) -> None:
         sink.write(f"{a} {b}\n")
 
 
-def fit_hypothesis_constant_cells(res: ScenarioResult) -> float:
-    """experiments.fit_hypothesis_constant with one scalar dnn_overlay call
-    per populated (d, n) cell, summed in (n, d) order, so its result must
-    equal the per-size array fit exactly."""
-    p = res.scenario.model
-    num = den = 0.0
-    for n in res.pooled_N:
-        for d in res.populated_degrees(n):
-            y = res.dnn_pooled(n, d)
-            u = dnn_overlay(p, d, n, 1.0)
-            num += u * y
-            den += u * u
-    return num / den
-
-
 def scenario_json(s: Scenario) -> str:
     """A scenario file that Scenario.from_json reads back as s."""
     return json.dumps(dataclasses.asdict(s), indent=2, sort_keys=True) + "\n"
-
-
-def expected_sum_squares(p: ModelParams, n: int) -> float:
-    """Leading term w*n of the expected sum of squared degrees at size n,
-    w = m(m+4B+1)/(1-2A), for A < 1/2."""
-    return p.m / (1.0 - 2.0 * p.A) * (p.m + 4.0 * p.B + 1.0) * n
 
 
 def pooled_ccdf(res: ScenarioResult, n: int) -> dict[int, float]:

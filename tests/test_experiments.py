@@ -29,7 +29,6 @@ from panet.experiments import (
     PRESETS,
     Scenario,
     ScenarioResult,
-    fit_hypothesis_constant,
     fit_power_exponent,
     make_preset,
     run_scenario,
@@ -37,9 +36,9 @@ from panet.experiments import (
 from panet.graphgen import child_seed, generate
 from panet.metrics import degree_profile
 from panet.params import derive_generator_params, make_model_params
-from panet.theory import dnn_hypothesis_critical, theory_tables
+from panet.theory import expected_W, theory_tables
 
-from reference import fit_hypothesis_constant_cells, pooled_ccdf, scenario_json
+from reference import pooled_ccdf, scenario_json
 
 
 class TestFitPowerExponent:
@@ -69,50 +68,6 @@ class TestFitPowerExponent:
             fit_power_exponent([(1, 1), (2, -1), (3, 2)])
         with pytest.raises(ValueError, match="degenerate"):
             fit_power_exponent([(2, 1), (2, 2), (2, 3)])
-
-
-class TestFitHypothesisConstant:
-    def test_self_fit_recovers_constant(self):
-        # Pooled data manufactured exactly equal to the critical predictor
-        # with C2 = 2 must fit back to 2.
-        s = Scenario(name="x", m=2, A=0.5, D=0.2, n_list=(1000, 4000), seeds=1)
-        res = ScenarioResult(scenario=s)
-        for n in s.n_list:
-            res.pooled_N[n] = {d: 100 for d in range(2, 8)}
-            res.pooled_S[n] = {
-                d: int(round(dnn_hypothesis_critical(s.model, d, n, 2.0) * 100 * d * 1e6))
-                for d in range(2, 8)
-            }
-            for d in range(2, 8):
-                res.pooled_N[n][d] = 100 * 10**6
-        c = fit_hypothesis_constant(res)
-        assert c == pytest.approx(2.0, rel=1e-6)
-
-    def test_subcritical_rejected(self):
-        # The regime follows from A; below 1/2 there is no constant to fit.
-        s = Scenario(name="x", m=2, A=0.4, D=0.2, n_list=(1000,), seeds=1)
-        res = ScenarioResult(scenario=s)
-        with pytest.raises(ValueError, match="A >= 1/2"):
-            fit_hypothesis_constant(res)
-
-    @pytest.mark.parametrize("A", [0.5, 0.6])
-    def test_equals_per_cell_loop(self, A):
-        # One overlay array per size, summed in (n, d) order, must give
-        # the bits of one scalar overlay call per cell.
-        s = Scenario(name="x", m=2, A=A, D=0.2, n_list=(1000, 3000), seeds=3, support_threshold=3)
-        res = run_scenario(s, workers=1)
-        assert sum(len(res.populated_degrees(n)) for n in s.n_list) > 20
-        assert res.fitted_constant == fit_hypothesis_constant_cells(res)
-        res.pooled_N[500] = {7: 1}  # a size with no populated degree adds no cell
-        assert fit_hypothesis_constant(res) == fit_hypothesis_constant_cells(res)
-
-    def test_empty_grid(self):
-        s = Scenario(name="x", m=2, A=0.5, D=0.2, n_list=(1000,), seeds=1)
-        res = ScenarioResult(scenario=s)
-        res.pooled_N[1000] = {}
-        res.pooled_S[1000] = {}
-        with pytest.raises(ValueError, match="no populated"):
-            fit_hypothesis_constant(res)
 
 
 class TestScenario:
@@ -228,10 +183,25 @@ class TestRunScenario:
             run_scenario(s, workers=1)
         assert str(exc.value) == "probe degree d0 = 40 is missing from 4 of 4 graphs at n = 300"
 
-    def test_critical_fit_attached(self):
-        s = Scenario(name="crit", m=2, A=0.5, D=0.2, n_list=(2000,), seeds=2)
-        res = run_scenario(s, workers=1)
-        assert res.fitted_constant is not None and res.fitted_constant > 0
+    @pytest.mark.parametrize("A", [0.25, 0.6])
+    def test_size_without_populated_degree_raises(self, A):
+        # At n = 8 no degree reaches N >= 10; the curve below A = 1/2 once
+        # failed with "no degrees to tabulate", the fit above it with "no
+        # populated (d, n) cells", and without the fit a header-only table.
+        s = Scenario(name="tiny", m=2, A=A, D=0.2, n_list=(8, 300), seeds=1)
+        with pytest.raises(ValueError) as exc:
+            run_scenario(s, workers=1)
+        assert str(exc.value) == "no degree has pooled N >= 10 at n = 8"
+
+    @pytest.mark.parametrize("A", [0.25, 0.5, 0.6])
+    def test_W_per_seed_mean_is_expected_W(self, A):
+        # |z| <= 4 was fixed before these seeds were run.  A = 0.8 is left
+        # out: its heavy-tailed W makes the seed sd a poor error bar.
+        n = 10**4
+        s = Scenario(name="w", m=2, A=A, D=0.2, n_list=(n,), seeds=20, root_seed=4242)
+        W = np.asarray(run_scenario(s, workers=1).W_per_seed[n], dtype=float)
+        z = (W.mean() - expected_W(s.model, n)) / (W.std(ddof=1) / math.sqrt(len(W)))
+        assert abs(z) <= 4.0, f"z = {z:.2f}"
 
 
 POOL_DEADLINE_S = 120
@@ -708,6 +678,7 @@ class TestCLI:
         "name, why",
         [
             ("fig1a", "no degree with pooled N >= 500"),
+            ("fig2", "needs at least 2 sizes"),
             ("fig5a", "need at least 3 points"),
             ("fig6a", "needs at least 3 sizes"),
             ("fig6b", "need at least 3 points"),

@@ -8,7 +8,8 @@ subcritical and one supercritical, are pinned the same way, and so is
 whose own bytes, as `generate` writes them, are pinned under "edges".
 
 Refactors that keep the generator's RNG stream must keep every digest.  A
-deliberate stream change regenerates the file once, with a CHANGES.md note:
+deliberate output change regenerates the file once, with a CHANGES.md note
+that lists the keys it moved; the script prints them:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -123,7 +124,17 @@ def test_generated_edge_list(key, tmp_path):
     assert _sha(generated_edges(key, tmp_path).read_bytes()) == _golden()["edges"][key]
 
 
+def _leaves(tree: dict, prefix: str = "") -> dict[str, object]:
+    """Each non-dict value of a nested dict, keyed by its /-joined path."""
+    out = {}
+    for key, value in tree.items():
+        path = f"{prefix}{key}"
+        out.update(_leaves(value, path + "/") if isinstance(value, dict) else {path: value})
+    return out
+
+
 def _regenerate() -> None:
+    old = _leaves(_golden()) if DIGESTS.exists() else {}
     out = {"presets": {}, "theory": {}, "metrics": {}, "edges": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name in PRESETS:
@@ -136,6 +147,10 @@ def _regenerate() -> None:
             out["metrics"][key] = metrics_digest(key, Path(tmp))
             out["edges"][key] = _sha(generated_edges(key, Path(tmp)).read_bytes())
     DIGESTS.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    new = _leaves(out)
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            print(f"moved: {key}")
     n_files = sum(len(v["files"]) for v in out["presets"].values())
     print(
         f"wrote {DIGESTS} ({n_files} preset files, {len(out['theory'])} theory tables, "

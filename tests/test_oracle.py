@@ -7,7 +7,7 @@ from scipy.special import gammaln
 
 from panet.oracle import compare_closed_form, integrate_S
 from panet.params import make_model_params
-from panet.theory import c_exact, dnn_theory
+from panet.theory import c_exact, dnn_theory, expected_W
 
 P = make_model_params(2, 0.25, 0.3)
 
@@ -74,18 +74,24 @@ class TestExactW:
         assert t.N.sum(axis=1) == pytest.approx(pts, rel=1e-12)
         assert t.S.sum(axis=1) == pytest.approx(t.W, rel=1e-12)
 
-    @pytest.mark.parametrize("A", [0.25, 0.6])
+    @pytest.mark.parametrize("A", [0.25, 0.5, 0.6, 0.8])
     def test_W_matches_gamma_closed_form(self, A):
+        # theory.expected_W solves the recurrence the oracle iterates.  Away
+        # from A = 1/2 both also match the independent gamma form
         # E W_n = w n + (W_n0 - w n0) G(n+2A)G(n0)/(G(n)G(n0+2A)),
-        # w = m(m+4B+1)/(1-2A), from the seed W_n0 = (m+1)(2m)^2.
+        # w = m(m+4B+1)/(1-2A), from the seed W_n0 = (m+1)(2m)^2, which
+        # loses about 5e-10 to log-gamma cancellation by n = 1e5.
         p = make_model_params(2, A, 0.2)
-        n = np.array([3, 100, 5000])
-        t = integrate_S(p, 5000, 10, record_at=n)
-        m, n0 = p.m, p.m + 1
-        w = m * (m + 4 * p.B + 1) / (1 - 2 * A)
-        growth = np.exp(gammaln(n + 2 * A) + gammaln(n0) - gammaln(n) - gammaln(n0 + 2 * A))
-        closed = w * n + ((m + 1) * (2 * m) ** 2 - w * n0) * growth
-        assert t.W == pytest.approx(closed, rel=1e-10)
+        n = np.array([3, 100, 5000, 10**5])
+        t = integrate_S(p, 10**5, 2 * p.m, record_at=n)
+        assert t.W == pytest.approx([expected_W(p, int(k)) for k in n], rel=1e-9)
+        if A != 0.5:
+            m, n0 = p.m, p.m + 1
+            w = m * (m + 4 * p.B + 1) / (1 - 2 * A)
+            growth = np.exp(gammaln(n + 2 * A) + gammaln(n0) - gammaln(n) - gammaln(n0 + 2 * A))
+            closed = w * n + ((m + 1) * (2 * m) ** 2 - w * n0) * growth
+            assert t.W[:3] == pytest.approx(closed[:3], rel=1e-10)
+            assert t.W[3] == pytest.approx(closed[3], rel=1e-9)
 
     def test_closed_form_comparison_needs_subcritical(self):
         t = integrate_S(make_model_params(2, 0.6, 0.2), 100, d_max=10)

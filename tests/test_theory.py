@@ -10,6 +10,7 @@ Reference values below are hand-derived from the defining formulas at
   Y(3) = (0.85*3/2.75 + 0.15*2/1.5 + 2) / 2.5 = 1.25090909...
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -31,12 +32,16 @@ from panet.theory import (
     dnn_overlay,
     dnn_theory,
     expected_triangles,
+    expected_W,
     theory_tables,
 )
 
-from reference import expected_sum_squares
-
 P = make_model_params(2, 0.25, 0.3)
+
+
+def hypothesis_constant(p, n):
+    """C2 = E W_n/(n log n) at A = 1/2, C1 = E W_n/n^(2A) above."""
+    return expected_W(p, n) / (n * math.log(n) if p.A == 0.5 else n ** (2.0 * p.A))
 
 
 class TestDegreeCoefficient:
@@ -67,7 +72,7 @@ class TestDegreeCoefficient:
     def test_subcritical_non_integer_degree_rejected(self, d):
         # [3, 3.5] once ended in an IndexError from the curve lookup.
         with pytest.raises(ValueError, match="degree must be an integer"):
-            dnn_overlay(P, d, 100, 1.0)
+            dnn_overlay(P, d, 100)
 
     def test_degree_below_m_rejected(self):
         with pytest.raises(ValueError, match="degree"):
@@ -267,9 +272,31 @@ class TestTriangleProfile:
 
 class TestScalars:
     def test_sum_squares_constant(self):
+        # E W_n/n -> w = m(m+4B+1)/(1-2A) = 26 at (2, 0.2, 0.3), with an
+        # O(n^(2A-1)) correction from below.
         p = make_model_params(2, 0.2, 0.3)
-        assert expected_sum_squares(p, 1) == pytest.approx(26.0, rel=1e-12)
-        assert expected_sum_squares(p, 1000) == pytest.approx(26000.0, rel=1e-12)
+        gaps = [26.0 - expected_W(p, n) / n for n in (10**3, 10**5, 10**7)]
+        assert 0 < gaps[2] < gaps[1] < gaps[0]
+        assert expected_W(p, 10**7) / 10**7 == pytest.approx(26.0, rel=1e-4)
+
+    @pytest.mark.parametrize("A", [0.25, 0.5, 0.6])
+    def test_expected_W_at_the_seed(self, A):
+        # W_{n0} = (m+1)(2m)^2 = 48 at m = 2.
+        assert expected_W(make_model_params(2, A, 0.2), 3) == 48.0
+
+    def test_expected_W_harmonic_form_at_one_half(self):
+        # n (W_n0/n0 + s (H_n - H_n0)) with n0 = 3, W_n0 = 48, s = 6.
+        p = make_model_params(2, 0.5, 0.2)
+        for n in (4, 1000, 10**5):
+            harmonic = math.fsum(1.0 / k for k in range(4, n + 1))
+            assert expected_W(p, n) == pytest.approx(n * (16.0 + 6.0 * harmonic), rel=1e-12)
+
+    @pytest.mark.parametrize("A", [np.nextafter(0.5, 0.0), 0.5 - 1e-12, 0.5 + 1e-12, np.nextafter(0.5, 1.0)])
+    def test_expected_W_continuous_at_one_half(self, A):
+        # The Gamma form w n + (W_n0 - w n0) G cancels here: at 0.5 -/+ 1e-12
+        # it read -1.28e8 and 1.30e8 at n = 1e5, where E W_n is 7.75e6.
+        at_half = expected_W(make_model_params(2, 0.5, 0.2), 10**5)
+        assert expected_W(make_model_params(2, float(A), 0.2), 10**5) == pytest.approx(at_half, rel=1e-9)
 
 
 class TestHypothesisPredictors:
@@ -320,44 +347,64 @@ class TestHypothesisPredictors:
         # n = 0 once gave 0.0 (supercritical) or a warning and -inf
         # (critical), and n = 2 passed, below the seed of m+1 = 3 vertices.
         p = make_model_params(2, A, 0.2)
-        for predict in (dnn_hypothesis_critical if A == 0.5 else dnn_hypothesis_supercritical, dnn_overlay):
-            with pytest.raises(ValueError, match=rf"size n must be >= seed size m\+1 = 3, got {n}"):
-                predict(p, 3, n, 1.0)
+        predict = dnn_hypothesis_critical if A == 0.5 else dnn_hypothesis_supercritical
+        message = rf"size n must be >= seed size m\+1 = 3, got {n}"
+        with pytest.raises(ValueError, match=message):
+            predict(p, 3, n, 1.0)
+        for f in (dnn_overlay, lambda p, d, n: expected_W(p, n)):
+            with pytest.raises(ValueError, match=message):
+                f(p, 3, n)
 
 
 class TestOverlay:
     D = np.array([2, 3, 7, 40])
 
     def test_subcritical_is_the_exact_curve(self):
-        # n and C play no part below A = 1/2.
+        # n plays no part below A = 1/2.
         expect = build_theory_curve(P, self.D).dnn_exact
-        assert dnn_overlay(P, self.D, 10**4, 5.0).tolist() == expect.tolist()
-        assert dnn_overlay(P, np.array([7, 3]), 1, 1.0).tolist() == [expect[2], expect[1]]
-        assert dnn_overlay(P, 7, 10**9, 2.0) == dnn_theory(P, 7)
+        assert dnn_overlay(P, self.D, 10**4).tolist() == expect.tolist()
+        assert dnn_overlay(P, np.array([7, 3]), 1).tolist() == [expect[2], expect[1]]
+        assert dnn_overlay(P, 7, 10**9) == dnn_theory(P, 7)
 
     def test_critical_and_supercritical_predictors(self):
+        # The regime's predictor, with its constant from E W_n at each n.
         crit = make_model_params(2, 0.5, 0.2)
         sup = make_model_params(2, 0.6, 0.2)
-        for p, f in ((crit, dnn_hypothesis_critical), (sup, dnn_hypothesis_supercritical)):
-            assert dnn_overlay(p, self.D, 10**4, 2.0).tolist() == f(p, self.D, 10**4, 2.0).tolist()
-            assert dnn_overlay(p, 7, 10**4, 2.0) == f(p, 7, 10**4, 2.0)
+        for n in (3, 10**4, 10**6):
+            for p, f in ((crit, dnn_hypothesis_critical), (sup, dnn_hypothesis_supercritical)):
+                C = hypothesis_constant(p, n)
+                assert dnn_overlay(p, self.D, n).tolist() == f(p, self.D, n, C).tolist()
+                assert dnn_overlay(p, 7, n) == f(p, 7, n, C)
+
+    def test_predictors_reduce_to_expected_W_over_n(self):
+        # C2 log(n) and C1 n^(2A-1) are both E W_n/n: at A = 1/2 the
+        # overlay is E W_n/(2(m+1)n) * (d+2)/d, and above it the overlay at
+        # one degree scales with n as E W_n/n does.
+        n = 10**4
+        crit = make_model_params(2, 0.5, 0.2)
+        base = expected_W(crit, n) / (6.0 * n)
+        assert dnn_overlay(crit, 4, n) == pytest.approx(base * 1.5, rel=1e-12)
+        sup = make_model_params(2, 0.6, 0.2)
+        assert dnn_overlay(sup, 4, n) / dnn_overlay(sup, 4, 10 * n) == pytest.approx(
+            expected_W(sup, n) / n / (expected_W(sup, 10 * n) / (10 * n)), rel=1e-12
+        )
 
     def test_scalar_and_array_agree(self):
         for A in (0.25, 0.5, 0.6):
             p = make_model_params(2, A, 0.2)
-            arr = dnn_overlay(p, self.D, 5000, 1.5)
-            assert [dnn_overlay(p, int(d), 5000, 1.5) for d in self.D] == arr.tolist()
+            arr = dnn_overlay(p, self.D, 5000)
+            assert [dnn_overlay(p, int(d), 5000) for d in self.D] == arr.tolist()
 
     @pytest.mark.parametrize("d", [3.5, [3, 3.5]])
     def test_subcritical_non_integer_degree_rejected(self, d):
         # [3, 3.5] once ended in an IndexError from the curve lookup.
         with pytest.raises(ValueError, match="degree must be an integer"):
-            dnn_overlay(P, d, 100, 1.0)
+            dnn_overlay(P, d, 100)
 
     def test_degree_below_m_rejected(self):
         for A in (0.25, 0.5, 0.6):
             with pytest.raises(ValueError, match="degree must be >= m"):
-                dnn_overlay(make_model_params(2, A, 0.2), 1, 100, 1.0)
+                dnn_overlay(make_model_params(2, A, 0.2), 1, 100)
 
     def test_empty_degree_list_rejected(self):
         # fig1a --check at a tiny n reached the curve with no degree and
@@ -366,7 +413,7 @@ class TestOverlay:
             with pytest.raises(ValueError, match="no degrees"):
                 build_theory_curve(P, d)
             with pytest.raises(ValueError, match="no degrees"):
-                dnn_overlay(P, d, 100, 1.0)
+                dnn_overlay(P, d, 100)
 
 
 class TestTheoryTables:
@@ -376,7 +423,8 @@ class TestTheoryTables:
     @pytest.mark.parametrize("n_list", [(), (1000, 10**4)])
     def test_hypothesis_cells_are_the_predictors(self, A, predictor, n_list):
         # Each cell, bit for bit, is the overlay and the regime's asymptotic
-        # predictor at its own (d, n); one block per size, 10^5 if none.
+        # predictor at its own (d, n), with the constant from E W_n; one
+        # block per size, 10^5 if none.
         p = make_model_params(2, A, 0.2)
         rows = theory_tables(p, 40, n_list)
         assert [(r["n"], r["d"]) for r in rows] == [(n, d) for n in n_list or (10**5,) for d in range(2, 41)]
@@ -384,8 +432,8 @@ class TestTheoryTables:
             d, n = r["d"], r["n"]
             assert type(d) is int and type(n) is int
             assert r["c_exact"] == c_exact(p, d)
-            assert r["dnn_hyp"] == dnn_overlay(p, d, n, 1.0)
-            assert r["dnn_hyp_asym"] == predictor(p, d, n, 1.0, form="asymptotic")
+            assert r["dnn_hyp"] == dnn_overlay(p, d, n)
+            assert r["dnn_hyp_asym"] == predictor(p, d, n, hypothesis_constant(p, n), form="asymptotic")
 
     def test_subcritical_cells_are_the_closed_forms(self):
         rows = theory_tables(P, 30)
