@@ -186,7 +186,10 @@ def _emit_gnuplot(tables: list[tuple], out_dir: Path, label: str) -> Path:
 
 def _cmd_experiment(args) -> int:
     if args.mode == "run":
-        payload = json.loads(Path(args.scenario).read_text())
+        try:
+            payload = json.loads(Path(args.scenario).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.scenario}: {exc}") from None
         payload = payload if isinstance(payload, list) else [payload]
         if not payload:
             raise ValueError("the scenario file lists no scenario")

@@ -23,7 +23,7 @@ import numpy as np
 from . import parallel
 from .graphgen import child_seed, generate
 from .metrics import degree_profile, dnn_empirical
-from .params import ModelParams, derive_generator_params, make_model_params
+from .params import ModelParams, derive_generator_params, integer, make_model_params, sizes
 from .theory import dnn_overlay
 
 __all__ = [
@@ -76,24 +76,21 @@ class Scenario:
                 f"scenario name {self.name!r} must be one path component: "
                 "not empty, . or .., no / or \\"
             )
-        if not self.n_list:
-            raise ValueError("n_list must name at least one size")
-        for i, n in enumerate(self.n_list):
-            if n in self.n_list[:i]:  # its seeds would be pooled twice
-                raise ValueError(f"size {n} appears twice in n_list")
+        model = self.model  # m, A and D must make a ModelParams
+        # Each field keeps the int its params rule returns: 1.5 is never read as 1.
+        one = np.ndim(self.seeds) == 0
+        seeds = [integer(k, "seeds", 1) for k in ((self.seeds,) if one else self.seeds)]
+        object.__setattr__(self, "m", model.m)
+        object.__setattr__(self, "n_list", sizes(self.n_list, model.m))
+        object.__setattr__(self, "seeds", seeds[0] if one else tuple(seeds))
+        object.__setattr__(self, "root_seed", integer(self.root_seed, "root_seed", 0))
+        if not one and len(seeds) != len(self.n_list):
+            raise ValueError("per-size seed list must match n_list length")
         if self.probe_degree <= self.m:
             raise ValueError(f"probe degree must exceed m = {self.m}")
-        seeds = self.seeds_for_n
-        if any(s < 1 for s in seeds):
-            raise ValueError("seeds must be >= 1")
-        if any(n < self.m + 1 for n in self.n_list):
-            raise ValueError(f"all sizes must be >= seed size m+1 = {self.m + 1}")
-        if self.root_seed < 0:
-            raise ValueError(f"root_seed must be >= 0, got {self.root_seed}")
         for tag in self.outputs:
             if tag not in OUTPUTS:
                 raise ValueError(f"unknown outputs tag {tag!r} (known: {', '.join(OUTPUTS)})")
-        self.model  # m, A and D must make a ModelParams
         if "theory_only" not in self.outputs:  # a simulated one also needs a generator
             derive_generator_params(self.m, self.A, self.D)
 
@@ -103,11 +100,7 @@ class Scenario:
 
     @property
     def seeds_for_n(self) -> tuple[int, ...]:
-        if isinstance(self.seeds, int):
-            return tuple([self.seeds] * len(self.n_list))
-        if len(self.seeds) != len(self.n_list):
-            raise ValueError("per-size seed list must match n_list length")
-        return tuple(self.seeds)
+        return (self.seeds,) * len(self.n_list) if isinstance(self.seeds, int) else self.seeds
 
     @property
     def model(self) -> ModelParams:
@@ -129,9 +122,6 @@ class Scenario:
         for key, f in known.items():
             if key not in d and f.default is MISSING:
                 raise ValueError(f"scenario key {key!r} is missing")
-        d["n_list"] = tuple(d["n_list"])
-        if isinstance(d.get("seeds"), list):
-            d["seeds"] = tuple(d["seeds"])
         d["outputs"] = tuple(d.get("outputs", ("dnn_vs_d",)))
         return Scenario(**d)
 

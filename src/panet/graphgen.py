@@ -36,7 +36,7 @@ import re
 import numpy as np
 
 from .parallel import thread_map
-from .params import GeneratorParams
+from .params import GeneratorParams, integer, size
 
 __all__ = [
     "Multigraph",
@@ -73,8 +73,7 @@ def seed_graph(m: int) -> Multigraph:
     parallel edges, so each degree is 2m and there are m(m+1) edges.
     Vertex u's slots u*m ... u*m+m-1 point at the other m vertices in
     order, so each pair's two edges have opposite owners."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = integer(m, "m", 1)
     u = np.repeat(np.arange(m + 1), m)
     j = np.tile(np.arange(m), m + 1)
     return Multigraph(m + 1, u, j + (j >= u))
@@ -131,12 +130,9 @@ def resolve_pointers(v: np.ndarray) -> None:
 
 def generate(gp: GeneratorParams, n: int, seed) -> Multigraph:
     """Grow a graph to n vertices; a fixed (gp, n, seed) gives a
-    bit-identical edge list.  seed is a non-negative int."""
+    bit-identical edge list.  n is a size, seed an integer >= 0."""
     m = gp.m
-    if n < m + 1:
-        raise ValueError(f"n must be >= seed size m+1 = {m + 1}, got {n}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    n, seed = size(n, m), integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     v = np.concatenate([seed_graph(m).v, draw_slots(gp, np.arange(m + 1, n), rng).ravel()])
     resolve_pointers(v)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams
-from .theory import _integer_degrees, build_theory_curve
+from .params import ModelParams, size, sizes
+from .theory import build_theory_curve
 
 __all__ = [
     "RecurrenceTable",
@@ -61,26 +61,12 @@ def _seed_state(p: ModelParams, d_max: int) -> tuple[int, np.ndarray, np.ndarray
     return n0, N, S
 
 
-def _checkpoints(n_end: int, record_at, n0: int) -> np.ndarray:
-    if record_at is None:
-        record_at = [n_end]
-    try:  # sizes follow the rule of degrees: integral floats pass
-        pts, count = np.unique(_integer_degrees(record_at), return_counts=True)
-    except ValueError:
-        raise ValueError(f"checkpoints must be integers, got {record_at!r}") from None
-    if np.any(count > 1):
-        raise ValueError(f"checkpoint {pts[count > 1][0]} appears twice")
-    if pts.size == 0:
-        raise ValueError(f"checkpoints must name at least one size, got {record_at!r}")
-    if pts[0] < n0 or pts[-1] > n_end:
-        raise ValueError(f"checkpoints must lie in [{n0}, {n_end}]")
-    return pts
-
-
 def integrate_S(
     p: ModelParams, n_end: int, d_max: int, record_at=None
 ) -> RecurrenceTable:
-    """Jointly iterate the N-, S- and W-recurrences up to the last checkpoint.
+    """Jointly iterate the N-, S- and W-recurrences up to the last
+    checkpoint; record_at holds the checkpoint sizes, none above n_end
+    (default [n_end]).
 
     E N_{n+1}(d) = E N_n(d)(1-(Ad+B)/n) + E N_n(d-1)(A(d-1)+B)/n + [d=m].
     The d = m row of S has the source A*W_n/n + (2B+1)m; rows d > m use
@@ -88,9 +74,10 @@ def integrate_S(
     """
     m, A, B, D = p.m, p.A, p.B, p.D
     n0, N, S = _seed_state(p, d_max)
-    if n_end < n0:
-        raise ValueError(f"n_end must be >= seed size {n0}, got {n_end}")
-    pts = _checkpoints(n_end, record_at, n0)
+    n_end = size(n_end, m)
+    pts = np.array(sorted(sizes([n_end] if record_at is None else record_at, m)), dtype=np.int64)
+    if pts[-1] > n_end:
+        raise ValueError(f"checkpoints must be <= n_end = {n_end}, got {pts[-1]}")
 
     d = np.arange(d_max + 1, dtype=float)
     rate = A * d + B

@@ -1,9 +1,12 @@
-"""Model parameters and the mapping between the (m, A, D) description
-and the concrete generator knobs (m, beta, c).
+"""Model parameters, the mapping between the (m, A, D) description and
+the concrete generator knobs (m, beta, c), and the integer rules.
 
-ModelParams alone decides the model's domain: m >= 1, a finite D >= 0 and
-0 < A < 1, the open interval on which c(m,d) has its d^(-1-1/A) tail and
-which the generator reaches, so theory and the oracle never re-check it.
+ModelParams alone decides the model's domain: an integer m >= 1, a finite
+D >= 0 and 0 < A < 1, the open interval on which c(m,d) has its
+d^(-1-1/A) tail and which the generator reaches, so theory and the oracle
+never re-check it.  This module owns m, sizes and seeds as it owns A: m,
+seeds and seed counts pass integer(), graph sizes (the (m+1)-vertex seed
+at least) size() and sizes(), and no other module restates those rules.
 The attachment intercept B obeys 2mA + B = m, so it is a property derived
 from (m, A), never stored or accepted as an input.  The generator realizes
 a given (m, A, D) through k = floor(m/2) pair-slots (each an edge-copy
@@ -14,6 +17,7 @@ single slots (one shifted-PA draw each).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -23,10 +27,36 @@ __all__ = [
     "derive_generator_params",
     "derive_model_params",
     "feasible_attachment_interval",
+    "integer",
+    "size",
+    "sizes",
 ]
 
 # Below this gap the attachment shift c blows up past any useful range.
 _MIN_A_GAP = 1e-9
+
+
+def integer(value, name: str, lo: int) -> int:
+    """value as a Python int, if it is an integer >= lo: an int, a numpy
+    integer or a float with no fractional part, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        isinstance(value, numbers.Integral) or math.isfinite(value) and float(value).is_integer()
+    ) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value}")
+    return int(value)
+
+
+def size(n, m: int) -> int:
+    """n as a Python int, if it is an integer >= the seed size m+1."""
+    return integer(n, "size n", m + 1)
+
+
+def sizes(n_list, m: int) -> tuple[int, ...]:
+    """The sizes as Python ints: at least one, each a size(), none twice."""
+    out = tuple(size(n, m) for n in n_list)
+    if not out or len(set(out)) < len(out):
+        raise ValueError(f"sizes must name at least one size and none twice, got {list(out)}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -38,8 +68,7 @@ class ModelParams:
     D: float
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        object.__setattr__(self, "m", integer(self.m, "m", 1))
         if not 0.0 < self.A < 1.0:
             raise ValueError(f"A must satisfy 0 < A < 1, got {self.A}")
         if not 0.0 <= self.D < math.inf:
@@ -60,8 +89,7 @@ class GeneratorParams:
     c: float
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        object.__setattr__(self, "m", integer(self.m, "m", 1))
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if not -self.m < self.c < math.inf:
@@ -93,8 +121,7 @@ def feasible_attachment_interval(m: int, D: float) -> tuple[float, float]:
     denominator (A > D/m); the upper end from c > -m, which works out to
     A < 1 - D/m (capped at 1).  Both ends are exclusive.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = integer(m, "m", 1)
     if not D >= 0.0:
         raise ValueError(f"D must be >= 0, got {D}")
     k = m // 2

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams
+from .params import ModelParams, size, sizes
 
 __all__ = [
     "TheoryCurve",
@@ -208,8 +208,7 @@ def dnn_hypothesis_supercritical(
         raise ValueError(f"supercritical predictor needs A > 1/2, got A={p.A}")
     if C1 <= 0:
         raise ValueError(f"C1 must be > 0, got {C1}")
-    if n < p.m + 1:
-        raise ValueError(f"size n must be >= seed size m+1 = {p.m + 1}, got {n}")
+    n = size(n, p.m)
     _check_degree(p, d)
     m, A, B = p.m, p.A, p.B
     d = np.asarray(d, dtype=float)
@@ -241,8 +240,7 @@ def dnn_hypothesis_critical(
         raise ValueError(f"critical predictor needs A = 1/2, got A={p.A}")
     if C2 <= 0:
         raise ValueError(f"C2 must be > 0, got {C2}")
-    if n < p.m + 1:
-        raise ValueError(f"size n must be >= seed size m+1 = {p.m + 1}, got {n}")
+    n = size(n, p.m)
     _check_degree(p, d)
     d = np.asarray(d, dtype=float)
     base = C2 / (2.0 * (p.m + 1.0)) * np.log(n)
@@ -265,9 +263,7 @@ def expected_W(p: ModelParams, n: int) -> float:
     (Gamma(n)Gamma(n0+2A)), w = s/(1-2A), and n (W_{n0}/n0 + s (H_n - H_{n0}))
     at A = 1/2, H the harmonic numbers.  Near A = 1/2 the two terms of the
     Gamma form cancel; the products, all positive, keep full precision."""
-    m, A, n0 = p.m, p.A, p.m + 1
-    if n < n0:
-        raise ValueError(f"size n must be >= seed size m+1 = {n0}, got {n}")
+    m, A, n0, n = p.m, p.A, p.m + 1, size(n, p.m)
     total, q, s = n0 * (2.0 * m) ** 2, 1.0, m * (m + 4.0 * p.B + 1.0)
     for lo in range(n0, n, _CHUNK):
         j = np.arange(lo, min(lo + _CHUNK, n), dtype=float)
@@ -313,11 +309,7 @@ def theory_tables(p: ModelParams, d_max: int, n_list=()) -> list[dict]:
     (10^5 if none)."""
     if d_max < p.m:
         raise ValueError(f"d_max must be >= m = {p.m}, got {d_max}")
-    if any(n < p.m + 1 for n in n_list):
-        raise ValueError(f"all sizes must be >= seed size m+1 = {p.m + 1}")
-    for i, n in enumerate(n_list):
-        if n in n_list[:i]:  # its block would be written twice
-            raise ValueError(f"size {n} appears twice in n_list")
+    n_list = sizes(n_list, p.m) if len(n_list) else (10**5,)
     d = np.arange(p.m, d_max + 1)
     if p.A < 0.5:
         curve, d_f = build_theory_curve(p, d), d.astype(float)
@@ -327,7 +319,7 @@ def theory_tables(p: ModelParams, d_max: int, n_list=()) -> list[dict]:
         )
     c = c_exact(p, d)
     rows = []
-    for n in tuple(n_list) or (10**5,):
+    for n in n_list:
         n_col = np.full(d.shape, n, dtype=np.int64)
         hyp, C = _hypothesis(p, n)
         y, y_asym = hyp(p, d, n, C), hyp(p, d, n, C, form="asymptotic")

@@ -80,15 +80,40 @@ class TestScenario:
             Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(100,), d0=2)
         with pytest.raises(ValueError, match="seeds"):
             Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(100,), seeds=0)
-        with pytest.raises(ValueError, match="sizes"):
+        with pytest.raises(ValueError, match="size n must be an integer >= 3, got 2"):
             Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(2,))
-        with pytest.raises(ValueError, match="size 400 appears twice"):
+        with pytest.raises(ValueError, match=r"none twice, got \[400, 400\]"):
             Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(400, 400))
         # (A, D) = (0.1, 0.3) has a model but no generator: only a
         # theory_only scenario may hold it.
         with pytest.raises(ValueError, match="feasibility bound"):
             Scenario(name="t", m=2, A=0.1, D=0.3, n_list=(100,))
         Scenario(name="t", m=2, A=0.1, D=0.3, n_list=(100,), outputs=("theory_only",))
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            # Once accepted, then a TypeError in run_scenario.
+            ({"n_list": (1000.5,)}, r"^size n must be an integer >= 3, got 1000.5$"),
+            # Once a TypeError: object of type 'float' has no len().
+            ({"seeds": 2.5}, r"^seeds must be an integer >= 1, got 2.5$"),
+            ({"n_list": (100, 200), "seeds": (3, 2.5)}, r"^seeds must be an integer >= 1, got 2.5$"),
+            # Once ran as root seed 1: child_seed truncated it.
+            ({"root_seed": 1.5}, r"^root_seed must be an integer >= 0, got 1.5$"),
+            ({"m": 2.5}, r"^m must be an integer >= 1, got 2.5$"),
+        ],
+        ids=["n_list", "seeds", "seed_list", "root_seed", "m"],
+    )
+    def test_non_integer_values_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            Scenario(**{"name": "t", "m": 2, "A": 0.3, "D": 0.1, "n_list": (100,), **kw})
+
+    def test_fields_hold_python_ints(self):
+        s = Scenario(name="t", m=2.0, A=0.3, D=0.1, n_list=[1000.0, np.int64(200)], seeds=[3.0, 2], root_seed=7.0)
+        assert s == Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(1000, 200), seeds=(3, 2), root_seed=7)
+        assert [type(x) for x in (s.m, s.root_seed, *s.n_list, *s.seeds)] == [int] * 6
+        with pytest.raises(ValueError, match="per-size seed list"):
+            Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(100, 200), seeds=(3,))
 
     def test_default_probe_degree(self):
         s = Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(100,))
@@ -536,7 +561,7 @@ class TestCLI:
                 "'outputs' must be a list of strings",
             ),
             ({"name": "../x", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400]}, "scenario name '../x'"),
-            ({"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": []}, "n_list must name at least one size"),
+            ({"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": []}, "sizes must name at least one size and none twice, got []"),
             ({"name": "s", "m": 2, "A": math.nan, "D": 0.3, "n_list": [400]}, "A must satisfy 0 < A < 1, got nan"),
             ({"name": "s", "m": 2, "A": 0.25, "D": math.inf, "n_list": [400]}, "D must be a finite number"),
             (
@@ -560,7 +585,7 @@ class TestCLI:
             (
                 # Once pooled the same seeds twice and wrote one table twice.
                 {"name": "s", "m": 2, "A": 0.25, "D": 0.3, "n_list": [400, 800, 400], "seeds": 2},
-                "size 400 appears twice in n_list",
+                "none twice, got [400, 800, 400]",
             ),
             (
                 # The theory-only table once failed after the simulated
@@ -653,6 +678,29 @@ class TestCLI:
         assert err.count("\n") == 1 and err.startswith("error: ") and str(out) in err
         assert out.read_text() == "not a directory\n"
 
+    def test_size_below_seed_one_message(self, tmp_path, capsys):
+        # Once three wordings: "n must be >= seed size m+1 = 3, got 2",
+        # "all sizes must be >= seed size m+1 = 3", "n_end must be >= seed size 3, got 2".
+        out = tmp_path / "x"
+        model = ["--m", "2", "--A", "0.25", "--D", "0.3"]
+        errs = [
+            self._run_captured(capsys, *argv, "--out", str(out))
+            for argv in (
+                ["generate", *model, "--n", "2"],
+                ["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "5", "--n", "2"],
+                ["oracle", *model, "--n-end", "2", "--d-max", "10"],
+            )
+        ]
+        assert errs == [(2, "error: size n must be an integer >= 3, got 2\n")] * 3
+        assert not out.exists()
+
+    def test_scenario_file_not_json_names_the_file(self, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_text("not json\n")
+        code, err = self._run_captured(capsys, "experiment", "run", str(f), "--out-dir", str(tmp_path / "out"))
+        assert (code, err) == (2, f"error: {f}: Expecting value: line 1 column 1 (char 0)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_theory_repeated_size_exit_2(self, tmp_path, capsys):
         # Once exited 0, writing the n = 1000 block twice.
         out = tmp_path / "t.csv"
@@ -661,7 +709,7 @@ class TestCLI:
             "--n", "1000", "1000", "--out", str(out),
         )
         assert code == 2
-        assert err == "error: size 1000 appears twice in n_list\n"
+        assert err == "error: sizes must name at least one size and none twice, got [1000, 1000]\n"
         assert not out.exists()
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
@@ -671,7 +719,7 @@ class TestCLI:
             "--n", "100", "--seed", "-1", "--out", str(out),
         )
         assert code == 2
-        assert err == "error: seed must be >= 0, got -1\n"
+        assert err == "error: seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

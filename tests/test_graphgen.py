@@ -58,6 +58,8 @@ class TestSeedGraph:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             seed_graph(0)
+        with pytest.raises(ValueError, match=r"^m must be an integer >= 1, got 2.5$"):
+            seed_graph(2.5)
 
 
 class TestGenerate:
@@ -100,8 +102,28 @@ class TestGenerate:
             generate(GP, 2, seed=0)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed must be >= 0"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             generate(GP, 10, seed=-1)
+
+    def test_integral_float_size_and_seed(self):
+        # n = 1000.0 once gave a graph whose n was a float, which
+        # degree_profile and clustering reject.
+        g, ref = generate(GP, 1000.0, np.float64(1.0)), generate(GP, 1000, 1)
+        assert g.n == 1000 and type(g.n) is int
+        assert (g.u == ref.u).all() and (g.v == ref.v).all()
+
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (1000.5, 1, r"^size n must be an integer >= 3, got 1000.5$"),
+            (1000, 1.5, r"^seed must be an integer >= 0, got 1.5$"),  # once numpy's TypeError
+            (1000, True, r"^seed must be an integer >= 0, got True$"),
+        ],
+        ids=["n", "seed", "seed_bool"],
+    )
+    def test_non_integer_size_or_seed_rejected(self, n, seed, message):
+        with pytest.raises(ValueError, match=message):
+            generate(GP, n, seed)
 
     @pytest.mark.parametrize("A, D", [(0.25, 0.0), (0.5, 0.2), (0.6, 0.2)])
     def test_other_regimes_run(self, A, D):

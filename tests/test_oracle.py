@@ -26,14 +26,25 @@ class TestSeedState:
         with pytest.raises(ValueError, match="checkpoints"):
             integrate_S(P, 100, d_max=10, record_at=[200])
         # An empty list once ended in an IndexError, and 3.5 was read as 3.
-        with pytest.raises(ValueError, match=r"checkpoints must name at least one size, got \[\]"):
+        with pytest.raises(ValueError, match=r"sizes must name at least one size and none twice, got \[\]"):
             integrate_S(P, 100, d_max=10, record_at=[])
-        with pytest.raises(ValueError, match="checkpoints must be integers"):
+        with pytest.raises(ValueError, match="size n must be an integer >= 3, got 3.5"):
             integrate_S(P, 100, d_max=10, record_at=[3.5, 50])
+
+    def test_sizes_by_the_params_rule(self):
+        # n_end = 100.5 was once blamed on "checkpoints".
+        with pytest.raises(ValueError, match=r"^size n must be an integer >= 3, got 100.5$"):
+            integrate_S(P, 100.5, d_max=10)
+        with pytest.raises(ValueError, match=r"^size n must be an integer >= 3, got 2$"):
+            integrate_S(P, 2, d_max=10)
+        t = integrate_S(P, 100.0, d_max=10, record_at=[50.0, 100])
+        ref = integrate_S(P, 100, d_max=10, record_at=[50, 100])
+        assert t.n_values.dtype == np.int64 and t.n_values.tolist() == [50, 100]
+        assert (t.S == ref.S).all() and (t.W == ref.W).all()
 
     def test_repeated_checkpoint_rejected(self):
         # [100, 100, 200] once returned two checkpoints for the three asked.
-        with pytest.raises(ValueError, match="^checkpoint 100 appears twice$"):
+        with pytest.raises(ValueError, match=r"^sizes must name at least one size and none twice, got \[100, 100, 200\]$"):
             integrate_S(P, 200, d_max=10, record_at=[100, 100, 200])
 
 

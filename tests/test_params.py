@@ -1,8 +1,10 @@
 """Parameter mapping: input checks, the derived intercept B, the generator
-inverse map and its feasible region."""
+inverse map and its feasible region, and the integer rules for m, sizes
+and seeds."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,10 @@ from panet.params import (
     derive_generator_params,
     derive_model_params,
     feasible_attachment_interval,
+    integer,
     make_model_params,
+    size,
+    sizes,
 )
 
 
@@ -151,3 +156,60 @@ class TestFeasibleInterval:
     def test_d_cap(self):
         with pytest.raises(ValueError, match="floor"):
             feasible_attachment_interval(2, 1.5)
+
+
+class TestIntegerRules:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), 3.0, np.float64(3.0)])
+    def test_integer_returns_a_python_int(self, value):
+        out = integer(value, "k", 0)
+        assert out == 3 and type(out) is int
+
+    @pytest.mark.parametrize(
+        "value", [2.5, -1, True, False, np.bool_(True), math.nan, math.inf, "3", None, 1 + 0j]
+    )
+    def test_integer_rejects(self, value):
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 0, got "):
+            integer(value, "k", 0)
+
+    def test_size_is_at_least_the_seed(self):
+        assert size(3, 2) == 3 and type(size(np.int64(3), 2)) is int
+        with pytest.raises(ValueError, match=r"^size n must be an integer >= 3, got 2$"):
+            size(2, 2)
+
+    def test_sizes(self):
+        assert sizes([1000.0, np.int64(10)], 2) == (1000, 10)
+        assert sizes(np.array([5, 4]), 2) == (5, 4)
+        with pytest.raises(ValueError, match=r"^size n must be an integer >= 3, got 10.5$"):
+            sizes([100, 10.5], 2)
+        for bad in ([], [100, 100.0]):
+            with pytest.raises(ValueError, match=r"^sizes must name at least one size and none twice, got "):
+                sizes(bad, 2)
+
+
+class TestNonIntegerM:
+    """m = 2.5 once made a ModelParams, then failed later as an IndexError
+    in integrate_S, a degree error in theory_tables and a TypeError in
+    generate."""
+
+    MESSAGE = r"^m must be an integer >= 1, got 2.5$"
+
+    def test_model_params(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            make_model_params(2.5, 0.3, 0.2)
+
+    def test_generator_params(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            GeneratorParams(m=2.5, beta=0.1, c=0.5)
+
+    def test_derive_generator_params(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            derive_generator_params(2.5, 0.3, 0.2)
+
+    def test_feasible_attachment_interval(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            feasible_attachment_interval(2.5, 0.2)
+
+    def test_integral_float_stored_as_int(self):
+        assert type(make_model_params(2.0, 0.3, 0.2).m) is int
+        assert type(GeneratorParams(m=np.int64(2), beta=0.1, c=0.5).m) is int
+        assert make_model_params(2.0, 0.3, 0.2) == make_model_params(2, 0.3, 0.2)

@@ -348,7 +348,7 @@ class TestHypothesisPredictors:
         # (critical), and n = 2 passed, below the seed of m+1 = 3 vertices.
         p = make_model_params(2, A, 0.2)
         predict = dnn_hypothesis_critical if A == 0.5 else dnn_hypothesis_supercritical
-        message = rf"size n must be >= seed size m\+1 = 3, got {n}"
+        message = rf"size n must be an integer >= 3, got {n}"
         with pytest.raises(ValueError, match=message):
             predict(p, 3, n, 1.0)
         for f in (dnn_overlay, lambda p, d, n: expected_W(p, n)):
@@ -448,5 +448,37 @@ class TestTheoryTables:
 
     def test_repeated_size_rejected(self):
         # Once wrote the n = 1000 block twice.
-        with pytest.raises(ValueError, match="^size 1000 appears twice in n_list$"):
+        with pytest.raises(ValueError, match=r"^sizes must name at least one size and none twice, got \[1000, 10000, 1000\]$"):
             theory_tables(make_model_params(2, 0.6, 0.2), 3, [1000, 10**4, 1000])
+
+
+class TestSizeRule:
+    """A float size once raised a TypeError in theory_tables, dnn_overlay
+    and expected_W; every theory entry point now reads sizes by the params
+    rule: an integral float is that size, any other float is rejected."""
+
+    P = make_model_params(2, 0.6, 0.2)
+    PC = make_model_params(2, 0.5, 0.2)
+
+    def test_integral_float_is_the_int(self):
+        p, d = self.P, np.array([2, 3, 7])
+        assert theory_tables(p, 7, [1000.0, np.int64(50)]) == theory_tables(p, 7, [1000, 50])
+        assert (dnn_overlay(p, d, 1000.0) == dnn_overlay(p, d, 1000)).all()
+        assert (dnn_overlay(self.PC, d, 1000.0) == dnn_overlay(self.PC, d, 1000)).all()
+        assert expected_W(p, 1000.0) == expected_W(p, 1000)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, pc: theory_tables(p, 7, [1000, 1000.5]),
+            lambda p, pc: dnn_overlay(p, 3, 1000.5),
+            lambda p, pc: dnn_overlay(pc, 3, 1000.5),
+            lambda p, pc: expected_W(p, 1000.5),
+            lambda p, pc: dnn_hypothesis_supercritical(p, 3, 1000.5, 1.0),
+            lambda p, pc: dnn_hypothesis_critical(pc, 3, 1000.5, 1.0),
+        ],
+        ids=["theory_tables", "overlay_super", "overlay_critical", "expected_W", "supercritical", "critical"],
+    )
+    def test_fractional_size_rejected(self, call):
+        with pytest.raises(ValueError, match=r"^size n must be an integer >= 3, got 1000.5$"):
+            call(self.P, self.PC)
