@@ -84,10 +84,10 @@ class Scenario:
         object.__setattr__(self, "n_list", sizes(self.n_list, model.m))
         object.__setattr__(self, "seeds", seeds[0] if one else tuple(seeds))
         object.__setattr__(self, "root_seed", integer(self.root_seed, "root_seed", 0))
+        if self.d0 is not None:
+            object.__setattr__(self, "d0", integer(self.d0, "probe degree d0", model.m + 1))
         if not one and len(seeds) != len(self.n_list):
             raise ValueError("per-size seed list must match n_list length")
-        if self.probe_degree <= self.m:
-            raise ValueError(f"probe degree must exceed m = {self.m}")
         for tag in self.outputs:
             if tag not in OUTPUTS:
                 raise ValueError(f"unknown outputs tag {tag!r} (known: {', '.join(OUTPUTS)})")

@@ -1,5 +1,5 @@
 """Growing multigraph generator: shifted preferential attachment plus an
-edge-copy triangle step, drawn in a few numpy calls per graph.
+edge-copy triangle step, every step of a graph drawn at once in numpy.
 
 Each new vertex places m edges through k = floor(m/2) pair-slots and
 r = m - 2k single slots.  A pair-slot is, with probability beta, an
@@ -19,9 +19,11 @@ slot j < m*t, and otherwise a uniform vertex < t: one branch for every
 c > -m.  An edge-copy draws a uniform slot f < m*t and takes its endpoints
 (f // m, target of f).  Each draw is a literal vertex or a pointer to an
 earlier slot and none depends on the graph grown so far, so all steps are
-drawn at once and the pointers are then resolved by pointer jumping (the
-copy-model trick of Batagelj & Brandes, PRE 71, 036113, 2005).  All draws
-of one step read the graph before that step.  Multi-edges are kept
+drawn at once and the pointers are then resolved by pointer jumping, block
+by block in slot order (the copy-model trick of Batagelj & Brandes, PRE
+71, 036113, 2005).  The uniform slots are numpy's bounded integers,
+computed in bulk from raw PCG64 words.  All draws of one step read the
+graph before that step.  Multi-edges are kept
 (degrees count multiplicity) and self-loops cannot occur, since a new
 vertex only connects to older vertices.
 """
@@ -36,7 +38,7 @@ import re
 import numpy as np
 
 from .parallel import thread_map
-from .params import GeneratorParams, integer, size
+from .params import GeneratorParams, integer, size, slot_count
 
 __all__ = [
     "Multigraph",
@@ -79,14 +81,84 @@ def seed_graph(m: int) -> Multigraph:
     return Multigraph(m + 1, u, j + (j >= u))
 
 
+_DRAW_BLOCK = 1 << 15  # slot draws tried per block of 32-bit words
+_RESOLVE_BLOCK = 1 << 14  # slots resolved per block, in slot order
+_LOW = np.uint64(0xFFFFFFFF)
+
+
+def _draw_below(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """rng.integers(b) for uint64 bounds 2 <= b <= 2**32, drawn from raw
+    PCG64 words: the same int64 values, and the same bit_generator.state
+    after, buffered half-word included (numpy takes no word for b = 1).
+
+    numpy's 32-bit Lemire step (Lemire, ACM TOMACS 29(1), 2019) takes one
+    32-bit word w per try, the low half of each 64-bit output first, and
+    returns (w*b) >> 32 unless (w*b) mod 2**32 < (2**32 - b) mod b, when it
+    tries again with the next word.  Each block multiplies its draws by as
+    many words at once and keeps those before its first rejection, which
+    shifts every later draw by one word, so the next block starts at the
+    rejected draw.  A block after a rejection spans about twice the draws
+    kept and doubles while none is rejected, which bounds the work where
+    rejections are frequent (b near 2**32).
+    """
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64:
+        raise TypeError(f"slot draws read PCG64 words, got {type(bg).__name__}")
+    state = bg.state
+    # buf[lo:hi] holds the words drawn and not yet read, a buffered high
+    # half first; a pull moves them to the front and appends whole outputs.
+    n = min(len(b), _DRAW_BLOCK)
+    buf = np.empty(n + 1, np.uint64)
+    prod, low, near = np.empty(n, np.uint64), np.empty(n, np.uint64), np.empty(n, bool)
+    high = buf[0] = state["uinteger"]  # the last high half drawn
+    lo, hi = 0, state["has_uint32"]
+    out = np.empty(len(b), np.uint64)
+    done, block = 0, _DRAW_BLOCK
+    while done < len(b):
+        k = min(len(b) - done, block)
+        if hi - lo < k:  # never a whole output more than the draws need
+            hi -= lo
+            buf[:hi] = buf[lo : lo + hi]
+            raw = bg.random_raw((k - hi + 1) // 2)
+            halves = buf[hi : hi + 2 * len(raw)].reshape(-1, 2)
+            np.bitwise_and(raw, _LOW, out=halves[:, 0])
+            np.right_shift(raw, 32, out=halves[:, 1])
+            lo, hi, high = 0, hi + 2 * len(raw), int(raw[-1]) >> 32
+        r = b[done : done + k]
+        np.multiply(buf[lo : lo + k], r, out=prod[:k])
+        np.bitwise_and(prod[:k], _LOW, out=low[:k])
+        # The threshold (2**32 - r) mod r is below r: test low < r first.
+        at = np.flatnonzero(np.less(low[:k], r, out=near[:k]))
+        reject = at[low[at] < (_LOW - r[at] + 1) % r[at]]
+        kept = int(reject[0]) if reject.size else k
+        np.right_shift(prod[:kept], 32, out=out[done : done + kept])
+        done += kept
+        lo += kept + (kept < k)
+        block = min(2 * block if kept == k else 2 * kept + 1, _DRAW_BLOCK)
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = hi - lo, high
+    bg.state = state
+    return out.view(np.int64)
+
+
 def draw_slots(gp: GeneratorParams, t, rng: np.random.Generator) -> np.ndarray:
     """The m slot draws of one growth step per entry of t, each step
     reading a graph of t[i] vertices: shape (len(t), m), holding a vertex
     id where the slot's target is that vertex and ~j (negative) where it
-    is the target of edge slot j < m*t[i]."""
+    is the target of edge slot j < m*t[i].
+
+    Each t[i] is a size (the seed's m+1 vertices at least) and m*t[i] at
+    most 2**32, else ValueError.  The uniform slots j come from
+    _draw_below, equal to rng.integers over the bounds m*t[i], and one
+    rng.random call then decides every slot.  rng must be a PCG64
+    Generator, as np.random.default_rng makes."""
     m, k, beta = gp.m, gp.k, gp.beta
     p_ptr = m / (2 * m + gp.c)
-    out = rng.integers(np.repeat(m * np.asarray(t, dtype=np.int64), m)).reshape(-1, m)
+    t = np.asarray(t, dtype=np.int64)
+    if t.size:
+        size(t.min(), m)
+        slot_count(m * int(t.max()), "m*t")
+    out = _draw_below(np.repeat(t.astype(np.uint64) * np.uint64(m), m), rng).reshape(-1, m)
     x = rng.random(out.shape)
     ptr = x < p_ptr
     if k:
@@ -117,15 +189,19 @@ def resolve_pointers(v: np.ndarray) -> None:
     """Replace, in place, every pointer ~j in v by the vertex its chain of
     pointers ends at (pointers must form a forest).
 
-    Synchronous pointer jumping: each round gathers v at the pointed-to
-    slots into a temporary before writing any of them, so every chain
-    still open halves in length.
+    Synchronous pointer jumping, _RESOLVE_BLOCK slots at a time in slot
+    order: each round gathers v at the pointed-to slots into a temporary
+    before writing any of them, so every chain still open halves in
+    length.  Earlier blocks are resolved already, so a pointer into one
+    ends in one gather; a pointer forward only takes more rounds.
     """
-    idx = np.flatnonzero(v < 0)
-    while idx.size:
-        nxt = v[~v[idx]]
-        v[idx] = nxt
-        idx = idx[nxt < 0]
+    for lo in range(0, len(v), _RESOLVE_BLOCK):
+        idx = np.flatnonzero(v[lo : lo + _RESOLVE_BLOCK] < 0)
+        idx += lo
+        while idx.size:
+            nxt = v[~v[idx]]
+            v[idx] = nxt
+            idx = idx[nxt < 0]
 
 
 def generate(gp: GeneratorParams, n: int, seed) -> Multigraph:
@@ -133,6 +209,7 @@ def generate(gp: GeneratorParams, n: int, seed) -> Multigraph:
     bit-identical edge list.  n is a size, seed an integer >= 0."""
     m = gp.m
     n, seed = size(n, m), integer(seed, "seed", 0)
+    slot_count(m * (n - 1), "m*(n-1)")  # the last step's draw, before any allocation
     rng = np.random.default_rng(seed)
     v = np.concatenate([seed_graph(m).v, draw_slots(gp, np.arange(m + 1, n), rng).ravel()])
     resolve_pointers(v)
@@ -318,10 +395,11 @@ def _scan_lines(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def child_seed(root_seed: int, *key: int) -> int:
-    """Deterministic per-run seed derived from a root seed and an index key.
+    """Deterministic per-run seed derived from a root seed and an index key,
+    each an integer >= 0 (1.5 is rejected, never read as 1).
 
     Uses a seed sequence so independent (n, seed-index) runs get
     statistically independent, platform-stable streams.
     """
-    ss = np.random.SeedSequence([int(root_seed), *[int(x) for x in key]])
+    ss = np.random.SeedSequence([integer(root_seed, "root_seed", 0), *[integer(x, "key", 0) for x in key]])
     return int(ss.generate_state(2, dtype=np.uint64)[0])

@@ -6,7 +6,8 @@ D >= 0 and 0 < A < 1, the open interval on which c(m,d) has its
 d^(-1-1/A) tail and which the generator reaches, so theory and the oracle
 never re-check it.  This module owns m, sizes and seeds as it owns A: m,
 seeds and seed counts pass integer(), graph sizes (the (m+1)-vertex seed
-at least) size() and sizes(), and no other module restates those rules.
+at least) size() and sizes(), the edge slots of one uniform slot draw
+(at most 2**32) slot_count(), and no other module restates those rules.
 The attachment intercept B obeys 2mA + B = m, so it is a property derived
 from (m, A), never stored or accepted as an input.  The generator realizes
 a given (m, A, D) through k = floor(m/2) pair-slots (each an edge-copy
@@ -29,6 +30,7 @@ __all__ = [
     "feasible_attachment_interval",
     "integer",
     "size",
+    "slot_count",
     "sizes",
 ]
 
@@ -49,6 +51,16 @@ def integer(value, name: str, lo: int) -> int:
 def size(n, m: int) -> int:
     """n as a Python int, if it is an integer >= the seed size m+1."""
     return integer(n, "size n", m + 1)
+
+
+def slot_count(count: int, name: str) -> int:
+    """count, if a uniform draw over that many edge slots takes 32-bit
+    words: 1 <= count <= 2**32, as in numpy's integers, which draws 64-bit
+    words above 2**32.  generate's last step draws over m*(n-1) slots, so
+    n stops there (at m = 2, n <= 2**31 + 1: 69 GB of int64 ids)."""
+    if not 1 <= count <= 2**32:
+        raise ValueError(f"{name} must count 1 to 2**32 edge slots, got {count}")
+    return count
 
 
 def sizes(n_list, m: int) -> tuple[int, ...]:

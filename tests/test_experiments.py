@@ -101,17 +101,22 @@ class TestScenario:
             # Once ran as root seed 1: child_seed truncated it.
             ({"root_seed": 1.5}, r"^root_seed must be an integer >= 0, got 1.5$"),
             ({"m": 2.5}, r"^m must be an integer >= 1, got 2.5$"),
+            # Once accepted, then missing from every graph run_scenario made.
+            ({"d0": 3.5}, r"^probe degree d0 must be an integer >= 3, got 3.5$"),
+            ({"d0": 2}, r"^probe degree d0 must be an integer >= 3, got 2$"),
         ],
-        ids=["n_list", "seeds", "seed_list", "root_seed", "m"],
+        ids=["n_list", "seeds", "seed_list", "root_seed", "m", "d0", "d0_m"],
     )
     def test_non_integer_values_rejected(self, kw, message):
         with pytest.raises(ValueError, match=message):
             Scenario(**{"name": "t", "m": 2, "A": 0.3, "D": 0.1, "n_list": (100,), **kw})
 
     def test_fields_hold_python_ints(self):
-        s = Scenario(name="t", m=2.0, A=0.3, D=0.1, n_list=[1000.0, np.int64(200)], seeds=[3.0, 2], root_seed=7.0)
-        assert s == Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(1000, 200), seeds=(3, 2), root_seed=7)
-        assert [type(x) for x in (s.m, s.root_seed, *s.n_list, *s.seeds)] == [int] * 6
+        s = Scenario(
+            name="t", m=2.0, A=0.3, D=0.1, n_list=[1000.0, np.int64(200)], seeds=[3.0, 2], d0=np.int64(4), root_seed=7.0
+        )
+        assert s == Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(1000, 200), seeds=(3, 2), d0=4, root_seed=7)
+        assert [type(x) for x in (s.m, s.root_seed, s.d0, *s.n_list, *s.seeds)] == [int] * 7
         with pytest.raises(ValueError, match="per-size seed list"):
             Scenario(name="t", m=2, A=0.3, D=0.1, n_list=(100, 200), seeds=(3,))
 

@@ -101,6 +101,15 @@ class TestGenerate:
         with pytest.raises(ValueError, match="n must be"):
             generate(GP, 2, seed=0)
 
+    def test_slot_count_checked_before_allocation(self):
+        # At m = 2, n = 2**31 + 2 the last step draws over 2**32 + 2 slots,
+        # past numpy's 32-bit draws; the check comes before the seed graph.
+        with mock.patch.object(graphgen, "seed_graph", side_effect=AssertionError("allocated")):
+            with pytest.raises(ValueError, match=r"^m\*\(n-1\) must count 1 to 2\*\*32 edge slots, got 4294967298$"):
+                generate(GP, 2**31 + 2, seed=0)
+            with pytest.raises(AssertionError, match="allocated"):  # 2**32 slots pass
+                generate(GeneratorParams(1, 0.0, 0.0), 2**32 + 1, seed=0)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             generate(GP, 10, seed=-1)
@@ -167,36 +176,131 @@ class TestDrawSlots:
         want = draw_slots_masked(gp, t, np.random.default_rng(seed))
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "m, t",
+        [
+            (1, [3 * 2**30] * 501),  # rejects (2**32 mod b) / 2**32 = 1/4 of words
+            (1, [3 * 2**30] * 500),
+            (2, [2**30 + 1] * 250),  # b = 2**31 + 2 rejects almost 1/2
+            (2, [2**30 + 1] * 20_001),  # many blocks, each cut by rejections
+            (1, [2**32] * 7),  # b = 2**32 takes each word as it is
+            (2, [2**31] * 4),
+            (3, list(range(4, 40_003, 3))),  # 39999 draws over two blocks, no rejection
+        ],
+        ids=["quarter_odd", "quarter_even", "half", "half_blocks", "2**32_odd", "2**32_even", "odd"],
+    )
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+    def test_equals_integers_values_and_state(self, m, t, buffered):
+        """Against draw_slots_masked, which calls rng.integers: the same
+        slots and the same bit_generator.state after, buffered half-word
+        and all, so every later draw reads the same stream."""
+        got = []
+        for draw in (draw_slots, draw_slots_masked):
+            rng = np.random.default_rng(2024)
+            if buffered:
+                rng.integers(10)  # takes the low half of one output, buffers the high
+                assert rng.bit_generator.state["has_uint32"] == 1
+            got.append((draw(GeneratorParams(m, 0.0, 0.0), t, rng), rng.bit_generator.state, rng.random()))
+        (a, state_a, next_a), (b, state_b, next_b) = got
+        assert np.array_equal(a, b) and state_a == state_b and next_a == next_b
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t=st.lists(st.integers(2, 2**32) | st.integers(2, 50), max_size=60),
+        buffered=st.booleans(),
+        block=st.sampled_from([1, 3, 1 << 15]),
+        seed=st.integers(0, 2**63),
+    )
+    def test_equals_integers_on_any_bounds(self, t, buffered, block, seed):
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        if buffered:
+            for rng in rngs:
+                rng.integers(10)
+        with mock.patch.object(graphgen, "_DRAW_BLOCK", block):
+            got = draw_slots(GeneratorParams(1, 0.0, 0.0), t, rngs[0])
+        want = draw_slots_masked(GeneratorParams(1, 0.0, 0.0), t, rngs[1])
+        assert np.array_equal(got, want)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize(
+        "m, t, message",
+        [
+            (1, [2**32 + 1], r"^m\*t must count 1 to 2\*\*32 edge slots, got 4294967297$"),
+            (2, [5, 2**31 + 1], r"^m\*t must count 1 to 2\*\*32 edge slots, got 4294967298$"),
+            (2, [5, 2], r"^size n must be an integer >= 3, got 2$"),
+            (1, [-1], r"^size n must be an integer >= 2, got -1$"),
+        ],
+    )
+    def test_out_of_range_steps_rejected(self, m, t, message):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            draw_slots(GeneratorParams(m, 0.0, 0.0), t, rng)
+        assert rng.bit_generator.state == state  # nothing drawn
+
+    def test_other_bit_generator_rejected(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            draw_slots(GP, [5], np.random.Generator(np.random.MT19937(0)))
+
+
+def _random_forests(literal_frac, size=2000):
+    """Five forests of `size` slots whose pointers run both ways, each
+    with its slots resolved by following one pointer at a time."""
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        # A forest with every pointer aimed at an earlier slot, then its
+        # slots shuffled so pointers also point forward.
+        v = rng.integers(0, 10**6, size)
+        ptr = rng.random(size) >= literal_frac
+        ptr[0] = False
+        v[ptr] = ~rng.integers(0, np.flatnonzero(ptr))
+        pos = rng.permutation(size)  # slot i moves to pos[i]
+        shuffled = np.empty_like(v)
+        shuffled[pos] = np.where(v >= 0, v, ~pos[~np.minimum(v, -1)])
+        expected = []
+        for x in shuffled.tolist():
+            while x < 0:
+                x = int(shuffled[~x])
+            expected.append(x)
+        yield shuffled, expected
+
 
 class TestResolvePointers:
     @pytest.mark.parametrize("literal_frac", [0.0, 0.1, 0.5, 0.9])
     def test_matches_sequential_on_random_forests(self, literal_frac):
         """Exactly equal to following each slot's chain one pointer at a
         time, on forests whose pointers run both ways."""
-        rng = np.random.default_rng(17)
-        size = 2000
-        for _ in range(5):
-            # A forest with every pointer aimed at an earlier slot, then its
-            # slots shuffled so pointers also point forward.
-            v = rng.integers(0, 10**6, size)
-            ptr = rng.random(size) >= literal_frac
-            ptr[0] = False
-            v[ptr] = ~rng.integers(0, np.flatnonzero(ptr))
-            pos = rng.permutation(size)  # slot i moves to pos[i]
-            shuffled = np.empty_like(v)
-            shuffled[pos] = np.where(v >= 0, v, ~pos[~np.minimum(v, -1)])
-            expected = []
-            for x in shuffled.tolist():
-                while x < 0:
-                    x = int(shuffled[~x])
-                expected.append(x)
-            resolve_pointers(shuffled)
-            assert shuffled.tolist() == expected
+        for v, expected in _random_forests(literal_frac):
+            resolve_pointers(v)
+            assert v.tolist() == expected
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("literal_frac", [0.0, 0.5])
+    def test_blocks_match_sequential(self, literal_frac, block):
+        """Forests of many blocks: chains cross block edges both ways."""
+        with mock.patch.object(graphgen, "_RESOLVE_BLOCK", block):
+            for v, expected in _random_forests(literal_frac):
+                resolve_pointers(v)
+                assert v.tolist() == expected
 
     def test_long_chain(self):
         v = np.array([7] + [~i for i in range(999)])
         resolve_pointers(v)
         assert (v == 7).all()
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    def test_chains_across_blocks(self, block):
+        back = np.array([7] + [~i for i in range(999)])  # slot i points at i-1
+        forward = np.array([~(i + 1) for i in range(299)] + [7])  # slot i at i+1
+        with mock.patch.object(graphgen, "_RESOLVE_BLOCK", block):
+            resolve_pointers(back)
+            resolve_pointers(forward)
+        assert (back == 7).all() and (forward == 7).all()
+
+    def test_generate_same_at_any_block(self):
+        want = generate(GP, 500, seed=3).v
+        with mock.patch.object(graphgen, "_RESOLVE_BLOCK", 5):
+            assert np.array_equal(generate(GP, 500, seed=3).v, want)
 
 
 class TestShiftedPASampling:
@@ -574,3 +678,22 @@ class TestChildSeed:
         assert child_seed(7, 1, 2) == child_seed(7, 1, 2)
         seen = {child_seed(7, n, i) for n in range(5) for i in range(50)}
         assert len(seen) == 250
+
+    def test_integer_seeds_kept(self):
+        assert child_seed(7, 1, 2) == 6837620415509415036
+        assert child_seed(20240901, 100_000, 3) == 13449894854870675013
+        assert child_seed(np.int64(7), 1.0, np.uint8(2)) == child_seed(7, 1, 2)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1.5, 3), r"^root_seed must be an integer >= 0, got 1.5$"),
+            ((1, 2.5), r"^key must be an integer >= 0, got 2.5$"),
+            ((1, -1), r"^key must be an integer >= 0, got -1$"),
+            ((True, 3), r"^root_seed must be an integer >= 0, got True$"),
+        ],
+    )
+    def test_non_integer_rejected(self, args, message):
+        # child_seed(1.5, 3) was once child_seed(1, 3).
+        with pytest.raises(ValueError, match=message):
+            child_seed(*args)

@@ -104,11 +104,12 @@ class TestDegreeProfile:
 
     @pytest.mark.parametrize("A, D", [(0.25, 0.3), (0.6, 0.2)])
     def test_peak_memory_per_edge(self, A, D):
-        # At m = 2 the degree array and the neighbor-degree sums take
-        # 8 B/edge, and one edge chunk's gathered degrees about 2.6 B/edge
-        # more at n = 1e5 (10.65 B/edge measured).  The bound of 12 B/edge
-        # leaves 1.35 B/edge of margin, and no room for an int64 gather
-        # over all edges (8 B/edge; the peak was 16 B/edge with two).
+        # At m = 2 the peak is the degree array's two bincounts, 8 B/edge
+        # (8.0 measured at n = 1e5); after them the degree array takes 4
+        # B/edge and one edge chunk's gathered degrees 1.3 more.  The bound
+        # of 10 B/edge leaves no room for an int64 gather over all edges
+        # (8 B/edge; the peak was 16 B/edge with two), nor for per-vertex
+        # sums beside the degree array (10.65 B/edge with them).
         g = generate(derive_generator_params(2, A, D), 100_000, seed=1)
         tracemalloc.start()
         try:
@@ -116,7 +117,7 @@ class TestDegreeProfile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * g.num_edges
+        assert peak < 10 * g.num_edges
 
 
 class TestBruteForceOracle:

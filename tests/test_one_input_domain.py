@@ -1,5 +1,5 @@
 """One owner of the input domain: in src/panet only params.py raises the
-integer rules' messages (m, sizes, seeds), so a second copy of "n >= m+1"
+integer rules' messages (m, sizes, seeds, slot counts), so a second copy of "n >= m+1"
 or "seed >= 0" with its own wording fails here.  The sources are only
 parsed, never imported."""
 
@@ -13,7 +13,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "panet"
 OTHERS = sorted(p.name for p in SRC.glob("*.py") if p.name != "params.py")
 # Text of the rules' messages, then of the copies they replaced.
-RULES = ("must be an integer >=", "at least one size", "none twice")
+RULES = ("must be an integer >=", "at least one size", "none twice", "edge slots")
 RULE_TEXT = RULES + ("appears twice", "seed size", "must be >= 0", "must be >= 1")
 
 

@@ -1,6 +1,6 @@
 """Parameter mapping: input checks, the derived intercept B, the generator
-inverse map and its feasible region, and the integer rules for m, sizes
-and seeds."""
+inverse map and its feasible region, and the integer rules for m, sizes,
+seeds and slot counts."""
 
 import math
 
@@ -19,6 +19,7 @@ from panet.params import (
     make_model_params,
     size,
     sizes,
+    slot_count,
 )
 
 
@@ -175,6 +176,12 @@ class TestIntegerRules:
         assert size(3, 2) == 3 and type(size(np.int64(3), 2)) is int
         with pytest.raises(ValueError, match=r"^size n must be an integer >= 3, got 2$"):
             size(2, 2)
+
+    def test_slot_count_is_at_most_32_bits(self):
+        assert slot_count(1, "b") == 1 and slot_count(2**32, "b") == 2**32
+        for bad in (0, -3, 2**32 + 1):
+            with pytest.raises(ValueError, match=rf"^b must count 1 to 2\*\*32 edge slots, got {bad}$"):
+                slot_count(bad, "b")
 
     def test_sizes(self):
         assert sizes([1000.0, np.int64(10)], 2) == (1000, 10)
