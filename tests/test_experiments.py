@@ -626,10 +626,13 @@ class TestCLI:
             ["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "-4"],
             ["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "0"],
             ["theory", "--m", "2", "--A", "1", "--D", "0", "--d-max", "6"],
+            ["generate", "--m", "2", "--A", "0.25", "--n", "100"],
+            ["generate", "--m", "2", "--beta", "0.3", "--n", "100"],
         ],
         ids=[
             "generate_c_nan", "generate_c_inf", "generate_A_nan", "theory_D_nan", "theory_D_inf",
             "oracle_D_nan", "oracle_D_inf", "theory_n_negative", "theory_n_zero", "theory_A_one",
+            "generate_A_without_D", "generate_beta_without_c",
         ],
     )
     def test_bad_numbers_exit_2(self, tmp_path, capsys, argv):

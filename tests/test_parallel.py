@@ -1,13 +1,15 @@
 """parallel: the CPU count, the run splitter, and thread_map on more
 threads than CPUs: every item once, results in item order, a worker's
 exception raised in the caller, and no thread left behind.  The process
-pool is tested through run_scenario (test_experiments.TestPool)."""
+pool is tested through run_scenario (test_experiments.TestPool), and here
+for a worker that dies during a call."""
 
 import os
 import platform
 import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -124,3 +126,15 @@ def test_threads_share_one_malloc_arena(monkeypatch):
     monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
     parallel.thread_map(abs, [1, 2])
     assert parallel._one_arena() == 1
+
+
+def test_worker_ending_mid_call_drops_the_pool():
+    # The one task ends its worker after the call has handed it out, so the
+    # pool breaks while its results are read: the call raises and forgets
+    # the pool, and the next call runs on a new one.
+    old = parallel._pool(2)
+    with pytest.raises(BrokenProcessPool):
+        parallel.process_map(os._exit, [3], workers=2)
+    assert parallel._POOL is None
+    assert parallel.process_map(abs, [-1, 2, -3], workers=2) == [1, 2, 3]
+    assert parallel._pool(2) is not old

@@ -64,6 +64,10 @@ class TestGeneratorParams:
         with pytest.raises(ValueError, match="be finite"):
             GeneratorParams(m=2, beta=0.1, c=c)
 
+    def test_beta_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"^beta must lie in \[0, 1\], got 1.5$"):
+            GeneratorParams(m=2, beta=1.5, c=0)
+
     def test_beta_needs_a_pair_slot(self):
         with pytest.raises(ValueError, match="pair-slot"):
             GeneratorParams(m=1, beta=0.5, c=0.0)
@@ -153,6 +157,10 @@ class TestFeasibleInterval:
 
     def test_no_triangles_full_range(self):
         assert feasible_attachment_interval(4, 0.0) == (0.0, 1.0)
+
+    def test_negative_D_rejected(self):
+        with pytest.raises(ValueError, match=r"^D must be >= 0, got -0.1$"):
+            feasible_attachment_interval(2, -0.1)
 
     def test_d_cap(self):
         with pytest.raises(ValueError, match="floor"):

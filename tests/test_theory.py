@@ -123,6 +123,10 @@ class TestNeighborSumCoefficient:
         assert M_exact(P, 2) == pytest.approx(6.08, rel=1e-12)
         assert dnn_theory(P, 2) == pytest.approx(7.6, rel=1e-12)
 
+    def test_Y_term_needs_i_above_m(self):
+        with pytest.raises(ValueError, match=r"^Y\(i\) is defined for i >= m\+1 = 3$"):
+            Y_term(P, P.m)
+
     def test_recurrence_identity(self):
         # inner(d) - inner(d-1) = Y(d) with inner = M/(c*(Ad+B+1)):
         # the closed form must satisfy its own defining recursion.
@@ -340,6 +344,19 @@ class TestHypothesisPredictors:
     def test_constant_must_be_positive(self):
         with pytest.raises(ValueError, match="C2"):
             dnn_hypothesis_critical(make_model_params(2, 0.5, 0.2), 3, 100, -1.0)
+
+    @pytest.mark.parametrize(
+        "A, predict, kw, message",
+        [
+            (0.6, dnn_hypothesis_supercritical, {"C1": 0}, "C1 must be > 0, got 0"),
+            (0.6, dnn_hypothesis_supercritical, {"C1": 1.0, "form": "bogus"}, "unknown form 'bogus'"),
+            (0.5, dnn_hypothesis_critical, {"C2": 1.0, "form": "bogus"}, "unknown form 'bogus'"),
+        ],
+        ids=["supercritical_C1_zero", "supercritical_form", "critical_form"],
+    )
+    def test_bad_constant_or_form_rejected(self, A, predict, kw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            predict(make_model_params(2, A, 0.2), 3, 100, **kw)
 
     @pytest.mark.parametrize("A", [0.5, 0.6])
     @pytest.mark.parametrize("n", [0, 1, 2])
