@@ -1,9 +1,9 @@
 """Scenario runner: multi-seed generation, pooled statistics, theory
-overlays (theory.dnn_overlay, the one theory name used here, with nothing
-fitted to the pooled curves) and power-law fits, reproducing the reference
-figures at desk scale (n = 1e5 by default instead of 1e6; pass full=True
-to presets for the original sizes).  A theory_only scenario is not run
-here: its table is theory.theory_tables.
+overlays (theory.dnn_overlay, the finite-n d_nn; rules on the n -> oo
+closed form read theory.build_theory_curve; nothing is fitted) and
+power-law fits, reproducing the reference figures at desk scale (n = 1e5
+by default instead of 1e6; full=True: the original sizes).  A theory_only
+scenario is not run here: its table is theory.theory_tables.
 
 Determinism: every (n, seed-index) run derives its generator seed from the
 scenario root seed, and aggregation folds results in (n, seed-index) order,
@@ -24,7 +24,7 @@ from . import parallel
 from .graphgen import child_seed, generate
 from .metrics import degree_profile, dnn_empirical
 from .params import ModelParams, derive_generator_params, integer, make_model_params, sizes
-from .theory import dnn_overlay
+from .theory import build_theory_curve, dnn_overlay
 
 __all__ = [
     "Scenario",
@@ -320,25 +320,24 @@ def _invariants(preset: str, results: list[ScenarioResult]):
         ds = res.populated_degrees(n, threshold=500)
         if not ds:
             raise ValueError(f"no degree with pooled N >= 500 at n={n}")
-        for d, t in zip(ds, dnn_overlay(s.model, np.asarray(ds), n)):
+        for d, t in zip(ds, build_theory_curve(s.model, ds).dnn_exact):
             rel = abs(res.dnn_pooled(n, d) / t - 1.0)
             yield rel <= 0.10, f"d={d}: dnn off theory by {rel:.1%} (> 10%)"
     elif preset == "fig1b":
         ds = res.populated_degrees(n)
-        theory = dnn_overlay(s.model, np.asarray(ds), n)
+        theory = build_theory_curve(s.model, ds).dnn_exact
         frac = sum(1 for d, t in zip(ds, theory) if res.dnn_pooled(n, d) <= t) / len(ds)
         yield frac >= 0.90, f"only {frac:.0%} of bins below theory (< 90%)"
     elif preset == "fig2":
         final_errs = {}
         for r in results:
-            s = r.scenario
-            if len(s.n_list) < 2:
-                raise ValueError(f"a decreasing err(m+1) needs at least 2 sizes, got {len(s.n_list)}")
-            t = dnn_overlay(s.model, s.probe_degree, s.n_list[-1])
-            errs = [abs(r.probe_mean(k) - t) for k in s.n_list]
-            decreasing = all(a > b for a, b in zip(errs, errs[1:]))
-            yield decreasing, f"{s.name}: err(m+1) not strictly decreasing: {errs}"
-            final_errs[s.A] = errs[-1]
+            s, d0 = r.scenario, r.scenario.probe_degree
+            for k in s.n_list:
+                if not r.probe_stderr(k) > 0:
+                    raise ValueError(f"{s.name}: a z-score at n={k} needs at least 2 seeds that differ")
+                z = (r.probe_mean(k) - dnn_overlay(s.model, d0, k)) / r.probe_stderr(k)
+                yield abs(z) <= 4.0, f"{s.name}: d_nn({d0}) at n={k} is {z:+.2f} stderr off the finite-n theory (|z| > 4)"
+            final_errs[s.A] = abs(r.probe_mean(s.n_list[-1]) - build_theory_curve(s.model, [d0]).dnn_exact[0])
         if 0.2 in final_errs and 0.4 in final_errs:
             yield final_errs[0.4] > final_errs[0.2], "A=0.4 error not above A=0.2 error at the largest n"
     elif preset == "fig4":

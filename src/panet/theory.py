@@ -5,11 +5,10 @@ the standard library alone.  The degree-distribution coefficient c(m,d) runs
 its defining recursion, and the neighbor-degree-sum coefficient M(d) and the
 triangle profile t(d) are prefix sums from i = m+1; c, M and t share one
 chunked scan (_scan), each caller asking only for what it reads.
-d_nn has three regimes: the closed form below A = 1/2, the critical
-predictor at A = 1/2 and the supercritical one above.  _hypothesis picks
-the predictor at A >= 1/2, with its constant from E W_n (expected_W), for
-both dnn_overlay (the d_nn curve of A's regime) and theory_tables (the
-theory-only CSV rows), so no theory value is fitted to simulation.
+dnn_overlay is the expected d_nn(d) at size n, one expression in E W_n
+(expected_W) for every 0 < A < 1 on the same scan; the paper's n -> oo
+closed form (build_theory_curve) and predictors (theory_tables) stay as
+the paper states them.  No theory value is fitted to simulation.
 
 "log" means the natural logarithm throughout.
 """
@@ -57,18 +56,21 @@ def _check_degree(p: ModelParams, d) -> None:
         raise ValueError(f"degree must be >= m = {p.m}")
 
 
-def _integer_degrees(d) -> np.ndarray:
+def _integer_degrees(d, some: bool = False) -> np.ndarray:
     """d as int64; a non-integer or non-finite degree raises (integral
-    floats pass)."""
+    floats pass), and so does an empty d if some."""
     d = np.asarray(d)
     if not np.all(np.isfinite(d)) or np.any(np.floor(d) != d):
         raise ValueError("degree must be an integer")
+    if some and d.size == 0:
+        raise ValueError("no degrees to tabulate the theory curve at")
     return d.astype(np.int64)
 
 
 def _scan(p: ModelParams, d, *quantities) -> list[np.ndarray]:
     """Per quantity (ufunc, value at m, term), the value at m combined by
-    ufunc with term(m+1), ..., term(d) in order, at integer degrees d >= m
+    ufunc with term(i, *earlier) for i = m+1, ..., d in order, earlier being
+    the values at i of the quantities before it, at integer degrees d >= m
     of any shape.  One pass of _CHUNK-degree chunks up to max(d): O(max d),
     and each value the same whichever degrees are asked for."""
     _check_degree(p, d)
@@ -80,10 +82,11 @@ def _scan(p: ModelParams, d, *quantities) -> list[np.ndarray]:
     for lo in range(p.m + 1, d_end, _CHUNK):
         i = np.arange(lo, min(lo + _CHUNK, d_end), dtype=float)
         here = (d_values >= lo) & (d_values < lo + len(i))
+        accs = []
         for k, (ufunc, _, term) in enumerate(quantities):
-            acc = ufunc(runs[k], ufunc.accumulate(term(i)))
-            outs[k][here] = acc[d_values[here] - lo]
-            runs[k] = acc[-1]
+            accs.append(ufunc(runs[k], ufunc.accumulate(term(i, *accs))))
+            outs[k][here] = accs[k][d_values[here] - lo]
+            runs[k] = accs[k][-1]
     return [out[inv].reshape(d.shape) for out in outs]
 
 
@@ -140,11 +143,7 @@ def X_const(p: ModelParams) -> float:
     """Boundary constant X of the M(d) closed form (pole at A = 1/2)."""
     _check_subcritical(p, "X")
     m, A, B, D = p.m, p.A, p.B, p.D
-    bracket = (
-        B
-        - D / m
-        + (A * (m - 1) + 2.0 * B + 1.0) * (A * m + B + 1.0) / (1.0 - 2.0 * A)
-    )
+    bracket = B - D / m + (A * (m - 1) + 2.0 * B + 1.0) * (A * m + B + 1.0) / (1.0 - 2.0 * A)
     return m / (A * (m - 1) + B + 1.0) * bracket
 
 
@@ -216,13 +215,8 @@ def dnn_hypothesis_supercritical(
         scale = np.exp(-_log_gamma_ratio(p))
         out = C1 * (A * m + B) * scale * d ** (1.0 / A - 2.0) * n ** (2.0 * A - 1.0)
     elif form == "preasymptotic":
-        out = (
-            A
-            * C1
-            * (A * m + B)
-            * n ** (2.0 * A - 1.0)
-            / ((A * d + B) * (A * (d + 1.0) + B) * d * c_exact(p, d))
-        )
+        den = (A * d + B) * (A * (d + 1.0) + B) * d * c_exact(p, d)
+        out = A * C1 * (A * m + B) * n ** (2.0 * A - 1.0) / den
     else:
         raise ValueError(f"unknown form {form!r}")
     return float(out) if out.ndim == 0 else out
@@ -273,27 +267,35 @@ def expected_W(p: ModelParams, n: int) -> float:
 
 
 def dnn_overlay(p: ModelParams, d, n: int):
-    """The d_nn(d) curve of the regime A falls in, at size n.
+    """Expected d_nn(d) at size n, one expression for every 0 < A < 1:
+    (Ad+B+1)/d [M0 + sum_{i=m+1}^d Y(i) + (E W_n/n) k(d) + s delta(d)] with
+    s = m(m+4B+1), r(d) = A(d-1)+B, M0 = [(B-D/m) m/(Am+B+1) + (2B+1) m]
+    /(1+r(m)), k(d) = k(d-1)(1+r(d))/(A(d+1)+B) from k(m) = A/(A(m+1)+B),
+    and delta(d) = delta(d-1) - k(d)/(1+r(d)) from delta(m) = -k(m)/(1+r(m)).
+    It solves the oracle's recurrences to first order in E W_n, with c(m,d)
+    divided out so nothing underflows, and has no pole at A = 1/2; below
+    it, it tends to build_theory_curve's closed form as n^(2A-1).
 
-    A < 1/2: the exact closed form (n unused).  A = 1/2: the critical
-    predictor with its (d+2)/d factor.  A > 1/2: the preasymptotic
-    supercritical predictor.  Both take their constant from E W_n.
-    Accepts a scalar or array of degrees d >= m, integers below A = 1/2.
-    """
-    if p.A < 0.5:
-        curve = build_theory_curve(p, np.atleast_1d(d))
-        out = curve.dnn_exact[np.searchsorted(curve.d_values, d)]
-        return float(out) if out.ndim == 0 else out
-    hyp, C = _hypothesis(p, n)
-    return hyp(p, d, n, C)
-
-
-def _hypothesis(p: ModelParams, n: int):
-    """The hypothesis predictor of A's regime (A >= 1/2) and its constant
-    at size n: C2 = E W_n/(n log n) at A = 1/2, C1 = E W_n/n^(2A) above."""
-    if p.A == 0.5:
-        return dnn_hypothesis_critical, expected_W(p, n) / (n * math.log(n))
-    return dnn_hypothesis_supercritical, expected_W(p, n) / n ** (2.0 * p.A)
+    Being first order in (d/n^A)^((1-2A)/A), below A = 1/2 it turns <= 0
+    past a breakdown degree, above the largest degree of 10 seeds (D =
+    0.2-0.3, default root seed): at A = 0.2, 162 against 59 at n = 2000 and
+    407 against 150 at n = 1e5; at A = 0.4 and n = 2000, ~4070 against 135;
+    at A = 0.1 (D = 0.1) and n = 1e5, 122 against 70.  At A >= 1/2 it stays
+    positive to d = 2e5.  Takes a scalar or array of integer degrees d >= m."""
+    m, A, B, D = p.m, p.A, p.B, p.D
+    d = _integer_degrees(d, some=True)
+    r = lambda i: A * (i - 1.0) + B
+    k_m = A / (A * (m + 1.0) + B)
+    k, delta, y = _scan(
+        p, d,
+        (np.multiply, k_m, lambda i: (1.0 + r(i)) / (A * (i + 1.0) + B)),
+        (np.add, -k_m / (1.0 + r(m)), lambda i, k: -k / (1.0 + r(i))),
+        (np.add, 0.0, lambda i, *_: Y_term(p, i)),
+    )
+    M0 = ((B - D / m) * m / (A * m + B + 1.0) + (2.0 * B + 1.0) * m) / (1.0 + r(m))
+    s = m * (m + 4.0 * B + 1.0)
+    out = (A * d + B + 1.0) / d * (M0 + y + expected_W(p, n) / n * k + s * delta)
+    return float(out) if out.ndim == 0 else out
 
 
 def _rows(**columns) -> list[dict]:
@@ -304,9 +306,9 @@ def _rows(**columns) -> list[dict]:
 
 def theory_tables(p: ModelParams, d_max: int, n_list=()) -> list[dict]:
     """Theory-only rows per degree d in [m, d_max]: subcritical closed
-    forms for A < 1/2; for A >= 1/2 the hypothesis predictor, with its
-    constant from E W_n, and its asymptotic form, one block per size n
-    (10^5 if none)."""
+    forms for A < 1/2; for A >= 1/2 the paper's hypothesis predictor of
+    A's regime, with its constant from E W_n, and its asymptotic form, one
+    block per size n (10^5 if none)."""
     if d_max < p.m:
         raise ValueError(f"d_max must be >= m = {p.m}, got {d_max}")
     n_list = sizes(n_list, p.m) if len(n_list) else (10**5,)
@@ -318,10 +320,11 @@ def theory_tables(p: ModelParams, d_max: int, n_list=()) -> list[dict]:
             M=curve.M_exact, dnn_theory=curve.dnn_exact, dnn_asym=dnn_asymptotic(p, d_f),
         )
     c = c_exact(p, d)
+    hyp = dnn_hypothesis_critical if p.A == 0.5 else dnn_hypothesis_supercritical
     rows = []
     for n in n_list:
         n_col = np.full(d.shape, n, dtype=np.int64)
-        hyp, C = _hypothesis(p, n)
+        C = expected_W(p, n) / (n * math.log(n) if p.A == 0.5 else n ** (2.0 * p.A))
         y, y_asym = hyp(p, d, n, C), hyp(p, d, n, C, form="asymptotic")
         rows += _rows(d=d, n=n_col, c_exact=c, dnn_hyp=y, dnn_hyp_asym=y_asym)
     return rows
@@ -358,11 +361,9 @@ def build_theory_curve(p: ModelParams, d_values) -> TheoryCurve:
     """Tabulate c, M and dnn at the given integer degrees (at least one, all
     >= m), from one _scan pass: O(max d) for any number of degrees."""
     _check_subcritical(p, "TheoryCurve")
-    d_values = np.unique(_integer_degrees(d_values))
-    if d_values.size == 0:
-        raise ValueError("no degrees to tabulate the theory curve at")
+    d_values = np.unique(_integer_degrees(d_values, some=True))
     m, A, B = p.m, p.A, p.B
-    c_ex, y_prefix = _scan(p, d_values, _c_recursion(p), (np.add, 0.0, lambda i: Y_term(p, i)))
+    c_ex, y_prefix = _scan(p, d_values, _c_recursion(p), (np.add, 0.0, lambda i, _: Y_term(p, i)))
     d_f = d_values.astype(float)
     inner = X_const(p) / (A * m + B + 1.0) + y_prefix
     # M = scale*c, so d_nn = M/(d*c) = scale/d: dividing c back out would

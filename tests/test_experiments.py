@@ -734,7 +734,7 @@ class TestCLI:
         "name, why",
         [
             ("fig1a", "no degree with pooled N >= 500"),
-            ("fig2", "needs at least 2 sizes"),
+            ("fig2", "needs at least 2 seeds"),
             ("fig5a", "need at least 3 points"),
             ("fig6a", "needs at least 3 sizes"),
             ("fig6b", "need at least 3 points"),

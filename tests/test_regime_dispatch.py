@@ -1,7 +1,8 @@
-"""One regime dispatch for d_nn: in src/panet only theory.py names the
-hypothesis predictors or defines theory_tables, and inside theory.py only
-_hypothesis picks between the two predictors, for both dnn_overlay and
-theory_tables.  A second dispatch, in theory.py or anywhere else, fails
+"""No regime dispatch for d_nn: theory.dnn_overlay is one expression for
+every 0 < A < 1, with no branch on A and no other d_nn function inside.
+The paper's hypothesis predictors are printed, not overlaid: in src/panet
+only theory.py names them or defines theory_tables, and inside theory.py
+only theory_tables picks between them.  A dispatch anywhere else fails
 here.  The sources are only parsed, never imported."""
 
 from __future__ import annotations
@@ -60,21 +61,32 @@ def test_only_theory_names_the_predictors(name):
 
 def test_theory_picks_the_predictor_in_one_place():
     tree = _tree("theory.py")
-    funcs = _functions(tree)
-    inside = _names(funcs["_hypothesis"])
+    inside = _names(_functions(tree)["theory_tables"])
     assert PREDICTORS <= set(inside)
-    # Outside _hypothesis the predictors are only defined and exported.
+    # Outside theory_tables the predictors are only defined and exported.
     loads = [n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in PREDICTORS]
     assert sorted(loads) == sorted(n for n in inside if n in PREDICTORS)
-    for caller in ("dnn_overlay", "theory_tables"):
-        assert "_hypothesis" in _names(funcs[caller]), f"{caller} does not use _hypothesis"
 
 
-def test_experiments_imports_only_dnn_overlay_from_theory():
+def test_dnn_overlay_has_no_branch_on_A():
+    funcs = _functions(_tree("theory.py"))
+    overlay = funcs["dnn_overlay"]
+    for node in ast.walk(overlay):
+        assert not isinstance(node, ast.If), f"dnn_overlay branches at line {node.lineno}"
+        if isinstance(node, (ast.IfExp, ast.Compare)):
+            assert "A" not in _names(node), f"dnn_overlay tests A at line {node.lineno}"
+    others = PREDICTORS | {"build_theory_curve", "dnn_theory", "_hypothesis"}
+    assert not others & set(_names(overlay)), "dnn_overlay reads another d_nn function"
+    assert "_hypothesis" not in funcs
+
+
+def test_experiments_imports_dnn_overlay_and_build_theory_curve():
+    # The finite-n overlay, and the n -> oo closed form that the fig1a,
+    # fig1b and fig2 A-ordering rules measure distance from.
     imported = [
         alias.name
         for node in ast.walk(_tree("experiments.py"))
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "theory"
         for alias in node.names
     ]
-    assert imported == ["dnn_overlay"]
+    assert imported == ["build_theory_curve", "dnn_overlay"]

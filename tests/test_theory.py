@@ -18,6 +18,8 @@ import pytest
 from scipy.special import digamma
 
 from panet import theory
+from panet.experiments import make_preset
+from panet.oracle import integrate_S
 from panet.params import make_model_params
 from panet.theory import (
     M_exact,
@@ -373,38 +375,92 @@ class TestHypothesisPredictors:
                 f(p, 3, n)
 
 
+# Each (A, m) case of the form against the oracle at D = 0.2 (the
+# recurrences take it at m = 1 too), with the largest relative gap
+# measured over d <= 3m + 15 at n = 1e4: at most 3.4e-3 at m = 1 and
+# 1.4e-3 at m = 3, so the bounds are 3.5e-3 and 1.5e-3.  The n -> oo
+# closed form and the paper's predictors miss by up to 19%.
+FORM_CASES = [(A, m) for m in (1, 3) for A in (0.2, 0.4, 0.5, 0.6, 0.8)]
+FORM_GAP = {1: 3.5e-3, 3: 1.5e-3}
+
+
+@pytest.fixture(scope="module", params=FORM_CASES, ids=[f"A{A}-m{m}" for A, m in FORM_CASES])
+def oracle_case(request):
+    """(params, degrees, oracle d_nn) at n = 1e4 for one (A, m) case; rows
+    d <= d_max of the lower-triangular recurrences are exact at d_max =
+    3m + 15."""
+    A, m = request.param
+    p = make_model_params(m, A, 0.2)
+    d = np.arange(m, 3 * m + 16)
+    tab = integrate_S(p, 10**4, int(d[-1]))
+    return p, d, tab.S[-1][d] / (tab.N[-1][d] * d)
+
+
+class TestFiniteSizeForm:
+    """dnn_overlay, one expression in E W_n for every 0 < A < 1."""
+
+    def test_matches_integrate_S(self, oracle_case):
+        p, d, oracle = oracle_case
+        gap = np.abs(dnn_overlay(p, d, 10**4) / oracle - 1.0)
+        assert gap.max() <= FORM_GAP[p.m], f"largest gap {gap.max():.2e} at d = {d[gap.argmax()]}"
+
+    @pytest.mark.parametrize("A", [np.nextafter(0.5, 0.0), 0.5 - 1e-12, 0.5 + 1e-12, np.nextafter(0.5, 1.0)])
+    def test_continuous_at_one_half(self, A):
+        # The closed form below A = 1/2 has a pole there; this form has none.
+        d = np.arange(2, 200)
+        at_half = dnn_overlay(make_model_params(2, 0.5, 0.2), d, 10**5)
+        np.testing.assert_allclose(dnn_overlay(make_model_params(2, float(A), 0.2), d, 10**5), at_half, rtol=1e-9)
+
+    @pytest.mark.parametrize("A", [0.1, 0.2, 0.25, 0.4])
+    def test_gap_to_closed_form_scales_as_n_to_the_2A_minus_1(self, A):
+        # The gap is (E W_n/n - w) k(d): one ratio over n at every d, which
+        # is 100^(2A-1) up to E W_n's 1/n terms (1.2e-5 here).
+        p = make_model_params(2, A, 0.2)
+        d = np.arange(2, 101)
+        closed = build_theory_curve(p, d).dnn_exact
+        ratio = (dnn_overlay(p, d, 10**6) - closed) / (dnn_overlay(p, d, 10**4) - closed)
+        np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
+        assert ratio[0] == pytest.approx(100.0 ** (2 * A - 1), rel=2e-5)
+
+    @pytest.mark.parametrize(
+        "A, D, n, breakdown",
+        [(0.2, 0.3, 2000, 162), (0.2, 0.3, 10**5, 407), (0.4, 0.3, 2000, 4074), (0.1, 0.1, 10**5, 122)],
+    )
+    def test_breakdown_degree(self, A, D, n, breakdown):
+        # The docstring's table: positive below the breakdown, not at it.
+        y = dnn_overlay(make_model_params(2, A, D), np.arange(2, breakdown + 1), n)
+        assert (y[:-1] > 0).all() and y[-1] <= 0
+
+    @pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig2", "fig4", "fig5a", "fig5b", "fig6a", "fig6b"])
+    def test_positive_over_every_preset_degree(self, name):
+        # d_seed is the expected degree of a seed vertex (the oldest).  At
+        # the breakdown table's points the largest degree over 10 seeds is
+        # at most 2.03 d_seed; the form stays positive past 5 d_seed at
+        # every preset size, desk and full.
+        for s in make_preset(name) + make_preset(name, full=True):
+            p = s.model
+            for n in s.n_list:
+                d_seed = (2 * p.m + p.B / p.A) * (n / (p.m + 1)) ** p.A - p.B / p.A
+                assert (dnn_overlay(p, np.arange(p.m, int(4 * d_seed)), n) > 0).all(), (s.name, n)
+
+    @pytest.mark.parametrize("A", [0.5, 0.6, 0.8])
+    def test_positive_to_large_degrees_from_one_half(self, A):
+        p = make_model_params(2, A, 0.2)
+        for n in (10**3, 10**6):
+            assert (dnn_overlay(p, np.arange(2, 2 * 10**5 + 1), n) > 0).all()
+
+
 class TestOverlay:
     D = np.array([2, 3, 7, 40])
 
-    def test_subcritical_is_the_exact_curve(self):
-        # n plays no part below A = 1/2.
-        expect = build_theory_curve(P, self.D).dnn_exact
-        assert dnn_overlay(P, self.D, 10**4).tolist() == expect.tolist()
-        assert dnn_overlay(P, np.array([7, 3]), 1).tolist() == [expect[2], expect[1]]
-        assert dnn_overlay(P, 7, 10**9) == dnn_theory(P, 7)
-
-    def test_critical_and_supercritical_predictors(self):
-        # The regime's predictor, with its constant from E W_n at each n.
-        crit = make_model_params(2, 0.5, 0.2)
-        sup = make_model_params(2, 0.6, 0.2)
-        for n in (3, 10**4, 10**6):
-            for p, f in ((crit, dnn_hypothesis_critical), (sup, dnn_hypothesis_supercritical)):
-                C = hypothesis_constant(p, n)
-                assert dnn_overlay(p, self.D, n).tolist() == f(p, self.D, n, C).tolist()
-                assert dnn_overlay(p, 7, n) == f(p, 7, n, C)
-
-    def test_predictors_reduce_to_expected_W_over_n(self):
-        # C2 log(n) and C1 n^(2A-1) are both E W_n/n: at A = 1/2 the
-        # overlay is E W_n/(2(m+1)n) * (d+2)/d, and above it the overlay at
-        # one degree scales with n as E W_n/n does.
-        n = 10**4
-        crit = make_model_params(2, 0.5, 0.2)
-        base = expected_W(crit, n) / (6.0 * n)
-        assert dnn_overlay(crit, 4, n) == pytest.approx(base * 1.5, rel=1e-12)
-        sup = make_model_params(2, 0.6, 0.2)
-        assert dnn_overlay(sup, 4, n) / dnn_overlay(sup, 4, 10 * n) == pytest.approx(
-            expected_W(sup, n) / n / (expected_W(sup, 10 * n) / (10 * n)), rel=1e-12
-        )
+    def test_subcritical_is_the_exact_curve(self, monkeypatch):
+        # In the n -> oo limit below A = 1/2, where E W_n/n = w = s/(1 - 2A).
+        d = np.arange(2, 60)
+        for A in (0.1, 0.25, 0.4):
+            p = make_model_params(2, A, 0.2)
+            w = 2 * (2 + 4 * p.B + 1) / (1 - 2 * A)
+            monkeypatch.setattr(theory, "expected_W", lambda p, n: w * n)
+            np.testing.assert_allclose(dnn_overlay(p, d, 10**4), build_theory_curve(p, d).dnn_exact, rtol=1e-12)
 
     def test_scalar_and_array_agree(self):
         for A in (0.25, 0.5, 0.6):
@@ -414,9 +470,11 @@ class TestOverlay:
 
     @pytest.mark.parametrize("d", [3.5, [3, 3.5]])
     def test_subcritical_non_integer_degree_rejected(self, d):
-        # [3, 3.5] once ended in an IndexError from the curve lookup.
-        with pytest.raises(ValueError, match="degree must be an integer"):
-            dnn_overlay(P, d, 100)
+        # [3, 3.5] once ended in an IndexError from the curve lookup, and
+        # at A = 1/2 a non-integer degree once passed.
+        for p in (P, make_model_params(2, 0.5, 0.2)):
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                dnn_overlay(p, d, 100)
 
     def test_degree_below_m_rejected(self):
         for A in (0.25, 0.5, 0.6):
@@ -439,9 +497,9 @@ class TestTheoryTables:
     )
     @pytest.mark.parametrize("n_list", [(), (1000, 10**4)])
     def test_hypothesis_cells_are_the_predictors(self, A, predictor, n_list):
-        # Each cell, bit for bit, is the overlay and the regime's asymptotic
-        # predictor at its own (d, n), with the constant from E W_n; one
-        # block per size, 10^5 if none.
+        # Each cell, bit for bit, is the regime's predictor in its two
+        # forms at its own (d, n), with the constant from E W_n; one block
+        # per size, 10^5 if none.
         p = make_model_params(2, A, 0.2)
         rows = theory_tables(p, 40, n_list)
         assert [(r["n"], r["d"]) for r in rows] == [(n, d) for n in n_list or (10**5,) for d in range(2, 41)]
@@ -449,7 +507,7 @@ class TestTheoryTables:
             d, n = r["d"], r["n"]
             assert type(d) is int and type(n) is int
             assert r["c_exact"] == c_exact(p, d)
-            assert r["dnn_hyp"] == dnn_overlay(p, d, n)
+            assert r["dnn_hyp"] == predictor(p, d, n, hypothesis_constant(p, n))
             assert r["dnn_hyp_asym"] == predictor(p, d, n, hypothesis_constant(p, n), form="asymptotic")
 
     def test_subcritical_cells_are_the_closed_forms(self):
