@@ -91,8 +91,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_metrics(args) -> int:
     g = import_edge_list(getattr(args, "in"))
-    # The profile runs beside clustering's serial prelude (sorts and
-    # orientation), on another CPU where there is one.
+    # The profile runs beside clustering's serial prelude (rank and
+    # sort), on another CPU where there is one.
     cp, prof = thread_map(lambda layer: layer(g), (clustering, degree_profile))
     rows = [
         (d, prof.N[d], prof.S[d], dnn_empirical(prof, d), cp.C_by_degree.get(d, 0.0))
@@ -116,8 +116,8 @@ def _cmd_theory(args) -> int:
 
 def _cmd_oracle(args) -> int:
     p = make_model_params(args.m, args.A, args.D)
-    # The closed form needs A < 1/2: build it first, so such A fails at once.
-    curve = build_theory_curve(p, np.arange(p.m, args.d_max + 1))
+    # First, so A >= 1/2 fails at once; from degree m at least, so integrate_S names the d_max rule.
+    curve = build_theory_curve(p, np.arange(p.m, max(args.d_max, p.m) + 1))
     report = compare_closed_form(integrate_S(p, args.n_end, args.d_max), curve)
     rows = [
         (int(r["n"]), d, r["S_over_n"], r["M_closed"], r["rel_err_S"])

@@ -89,87 +89,87 @@ def clustering(g: Multigraph) -> ClusteringProfile:
     projection.  Vertices with fewer than two distinct neighbors contribute
     local coefficient 0.  C_by_degree is keyed by multigraph degree.
 
-    Triangles are counted forward on a degree-ordered orientation (Latapy,
-    TCS 407, 2008): each simple edge points from the lower to the higher
-    (simple degree, id) rank, which bounds out-degrees by O(sqrt(E)).  A
-    triangle x < y < z in rank is found once, at x: as the pair (y, z) of
-    x's out-neighbors whose edge {y, z} is in the sorted simple-edge keys.
-    It credits x, y and z.  Time is O(E + wedges), the wedges being the
-    out-neighbor pairs.  Memory is a few int32/int64 arrays over the simple
-    edges and vertices plus a fixed buffer per thread: wedges are listed
-    for runs of sources costing at most _WEDGE_CHUNK, out-degree k costing
-    k^2 (or for one costlier source).  parallel.runs cuts the runs first,
-    and thread_map maps them over its threads, one run in hand per thread.  At m = 2 on two
-    threads the tracemalloc peak is 27.5-28.5 B/edge at n = 2e5 (0.05-0.06
-    s; 0.07 s on one thread) and 27 B/edge at n = 1e6 (0.32-0.36 s; 0.44-0.49
-    s on one).
+    Triangles are counted forward on a degree order (Latapy, TCS 407,
+    2008).  Vertices are renamed by rank in an argsort of their degrees
+    (any total order by degree finds each triangle once), so x's k
+    out-neighbors have degree >= deg(x) >= k, and k <= sqrt(2E).  Edge
+    x < y has key x << s | y: one sort, repeats dropped, lists each out-list
+    contiguous and ascending.  Triangle x < y < z is found at x, as the
+    wedge (y, z) of x's out-list whose key y << s | z a branch-free lower
+    bound finds in y's out-list, in bit_length(k_max - 1) halvings.  Runs
+    of sources costing at most _WEDGE_CHUNK (k^2 for out-degree k, or one
+    costlier source) list their wedges, and thread_map maps the runs that
+    hold a wedge over its threads.  At m = 2 on two threads: 0.025-0.037 s
+    and 25-27 B/edge (tracemalloc peak) at n = 2e5, 0.21-0.23 s and 24 B/edge
+    at n = 1e6, 2.6-3.4 s at n = 1e7.
     """
     n = g.n
-    ids = np.int32 if n < 2**31 else np.int64
-    key = np.sort(np.minimum(g.u, g.v) * n + np.maximum(g.u, g.v))
-    key = np.delete(key, np.flatnonzero(key[1:] == key[:-1]) + 1)  # simple edges a*n + b, a < b
-    a, b = np.empty((2, len(key)), dtype=ids)
-    np.divmod(key, n, out=(a, b), casting="unsafe")
-    # add.at counts in place, where bincount first copies int32 ids to int64.
-    sdeg = np.zeros(n, dtype=ids)
-    np.add.at(sdeg, a, ids(1))
-    np.add.at(sdeg, b, ids(1))
-    # a < b, so (sdeg[a], a) > (sdeg[b], b) exactly when sdeg[a] > sdeg[b].
-    flip = sdeg[a] > sdeg[b]
-    src, dst = np.where(flip, b, a), np.where(flip, a, b)
-    del a, b, flip
-    okey = src.astype(np.int64) * n + dst
-    # Sorted, each source's out-list is contiguous and ascending.
-    okey.sort()
-    np.divmod(okey, n, out=(src, dst), casting="unsafe")
-    del okey
-    # Source s holds positions ends[s] .. ends[s+1]-1, and sources lo .. hi-1
-    # cost work[hi] - work[lo]: out-degree k costs k^2, its k positions plus
-    # its k(k-1)/2 wedges twice over.
+    ids = np.int32 if max(n, 2 * g.num_edges) < 2**31 else np.int64  # rank ids and degrees
+    s = (n - 1).bit_length()  # simple edge {x, y}, x < y in rank, has key x << s | y
+    low = (1 << s) - 1
+    deg = g.degree_array().astype(ids)
+    rank = np.empty(n, dtype=ids)
+    rank[np.argsort(deg)] = np.arange(n, dtype=ids)
+    a, b = rank[g.u], rank[g.v]
+    key = np.minimum(a, b, dtype=np.int64)
+    key <<= s
+    key |= np.maximum(a, b, out=a)
+    del a, b
+    key.sort()
+    key = np.delete(key, np.flatnonzero(key[1:] == key[:-1]) + 1)
+    # Source x's out-list is key[ends[x] : ends[x+1]].
     work = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(work[1:], src, 1)  # out-degrees
+    np.add.at(work[1:], key >> s, 1)  # out-degrees
+    halvings = int(work.max(initial=1) - 1).bit_length()
     ends = np.cumsum(work)
+    # Sources lo .. hi-1 cost work[hi] - work[lo]: out-degree k costs k^2, k
+    # positions and k(k-1)/2 wedges twice over; runs of positions alone are dropped.
     np.cumsum(np.square(work, out=work), out=work)
-    wedge_runs = runs(work, _WEDGE_CHUNK)  # (lo, hi): sources lo .. hi-1
+    wedge_runs = [(lo, hi) for lo, hi in runs(work, _WEDGE_CHUNK) if work[hi] - work[lo] > ends[hi] - ends[lo]]
     del work
 
     def triangles(run):
-        """The vertices of the triangles found at sources lo .. hi-1."""
+        """The keys of the edges xy, then xz, then yz of the triangles
+        x < y < z found at sources x in lo .. hi-1."""
         lo, hi = run
-        # Wedge w pairs out-list positions first[w] < second[w] of one
-        # source and is closed by the key dst[first[w]] * n + dst[second[w]].
-        pos = np.arange(ends[lo], ends[hi])
-        nxt = ends[src[ends[lo] : ends[hi]] + 1]  # one past pos's out-list
-        later = nxt - pos
-        later -= 1
-        first = np.repeat(pos, later)
-        del pos
-        nxt -= np.cumsum(later)  # second[w] - w on pos's wedges
-        second = np.repeat(nxt, later)
-        del nxt, later
-        second += np.arange(len(second))
-        closing = dst[first].astype(np.int64)
-        closing *= n
-        closing += dst[second]
-        del second
-        # searchsorted runs several times faster on sorted queries.
-        order = np.argsort(closing)
-        closing = closing[order]
-        hit = key.take(np.searchsorted(key, closing), mode="clip") == closing
-        return np.concatenate((src[first[order[hit]]], *np.divmod(closing[hit], n)))
+        p0, p1 = int(ends[lo]), int(ends[hi])
+        # Position p of x's out-list pairs with each later position q of it:
+        # the wedge (y, z) = (key[p] & low, key[q] & low), closed by the key
+        # y << s | z.
+        nxt = ends[lo + 1 : hi + 1]  # one past p's out-list
+        nxt = nxt.repeat(nxt - ends[lo:hi])
+        later = nxt - np.arange(p0 + 1, p1 + 1)
+        nxt -= later.cumsum()  # q - w on p's wedges w
+        xy = key[p0:p1].repeat(later)  # key[p] of wedge w
+        xz = key[nxt.repeat(later) + np.arange(len(xy))]
+        y = xy & low
+        closing = xz & low | y << s
+        # Lower bound in y's out-list: base ends at the last key <= closing
+        # among key[ends[y] : ends[y] + 2**halvings], which spans the list.
+        # Past the list the keys only grow, and take's clip repeats the last.
+        base = ends[y]
+        for b in reversed(range(halvings)):
+            mid = base + (1 << b)
+            np.copyto(base, mid, where=key.take(mid, mode="clip") <= closing)
+        hit = key.take(base, mode="clip") == closing
+        return np.concatenate((xy[hit], xz[hit], closing[hit]))
 
-    hits = [np.empty(0, dtype=ids)] + thread_map(triangles, wedge_runs)
-    del ends, key, src, dst
-    tri = np.bincount(np.concatenate(hits), minlength=n)
-    p2 = sdeg.astype(np.int64) * (sdeg - 1) // 2
-    local = np.divide(tri, p2, out=np.zeros(n), where=p2 > 0)
+    hits = np.concatenate([np.empty(0, dtype=np.int64), *thread_map(triangles, wedge_runs)])
+    sdeg = np.diff(ends)  # simple degrees: out-degrees, plus in-degrees
+    key &= low
+    np.add.at(sdeg, key, 1)
+    del key, ends
+    # Each of a triangle's three edges credits both its ends: each corner twice.
+    tri = (np.bincount(hits >> s, minlength=n) + np.bincount(hits & low, minlength=n)) // 2
+    del hits
+    p2 = sdeg * (sdeg - 1) // 2
+    local = np.divide(tri, p2, out=np.zeros(n), where=p2 > 0)[rank]  # in vertex order
     p2_total = int(p2.sum())
     C1 = int(tri.sum()) / p2_total if p2_total > 0 else 0.0
     # Left-to-right sum in vertex order, as the CSV digests expect: an
     # accumulate adds in order, where sum() of floats compensates from
     # Python 3.12 on and np.sum adds pairwise.
     C2 = float(np.cumsum(local)[-1]) / n if n > 0 else 0.0
-    deg = g.degree_array()
     count = np.bincount(deg)
     mean = np.bincount(deg, weights=local) / np.maximum(count, 1)
     C_by_degree = {d: float(mean[d]) for d in np.flatnonzero(count).tolist()}

@@ -614,28 +614,31 @@ class TestCLI:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["generate", "--m", "2", "--beta", "0.1", "--c", "nan", "--n", "100"],
-            ["generate", "--m", "2", "--beta", "0.1", "--c", "inf", "--n", "100"],
-            ["generate", "--m", "2", "--A", "nan", "--D", "0.2", "--n", "100"],
-            ["theory", "--m", "2", "--A", "0.2", "--D", "nan", "--d-max", "5"],
-            ["theory", "--m", "2", "--A", "0.2", "--D", "inf", "--d-max", "5"],
-            ["oracle", "--m", "2", "--A", "0.2", "--D", "nan", "--n-end", "100", "--d-max", "10"],
-            ["oracle", "--m", "2", "--A", "0.2", "--D", "inf", "--n-end", "100", "--d-max", "10"],
-            ["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "-4"],
-            ["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "0"],
-            ["theory", "--m", "2", "--A", "1", "--D", "0", "--d-max", "6"],
-            ["generate", "--m", "2", "--A", "0.25", "--n", "100"],
-            ["generate", "--m", "2", "--beta", "0.3", "--n", "100"],
+            (["generate", "--m", "2", "--beta", "0.1", "--c", "nan", "--n", "100"], "c must exceed -m = -2 and be finite, got nan"),
+            (["generate", "--m", "2", "--beta", "0.1", "--c", "inf", "--n", "100"], "c must exceed -m = -2 and be finite, got inf"),
+            (["generate", "--m", "2", "--A", "nan", "--D", "0.2", "--n", "100"], "(m=2, A=nan, D=0.2) is outside the reachable region A in (0.1, 0.9)"),
+            (["theory", "--m", "2", "--A", "0.2", "--D", "nan", "--d-max", "5"], "D must be a finite number >= 0, got nan"),
+            (["theory", "--m", "2", "--A", "0.2", "--D", "inf", "--d-max", "5"], "D must be a finite number >= 0, got inf"),
+            (["oracle", "--m", "2", "--A", "0.2", "--D", "nan", "--n-end", "100", "--d-max", "10"], "D must be a finite number >= 0, got nan"),
+            (["oracle", "--m", "2", "--A", "0.2", "--D", "inf", "--n-end", "100", "--d-max", "10"], "D must be a finite number >= 0, got inf"),
+            (["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "-4"], "size n must be an integer >= 3, got -4"),
+            (["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "0"], "size n must be an integer >= 3, got 0"),
+            (["theory", "--m", "2", "--A", "1", "--D", "0", "--d-max", "6"], "A must satisfy 0 < A < 1, got 1.0"),
+            (["generate", "--m", "2", "--A", "0.25", "--n", "100"], "--A and --D must be given together"),
+            (["generate", "--m", "2", "--beta", "0.3", "--n", "100"], "--beta and --c must be given together"),
+            # Below m the theory curve once had no degree and said only that.
+            (["oracle", "--m", "2", "--A", "0.25", "--D", "0.3", "--n-end", "100", "--d-max", "1"], "d_max must be >= 2m = 4 to hold the seed"),
+            (["oracle", "--m", "2", "--A", "0.25", "--D", "0.3", "--n-end", "100", "--d-max", "3"], "d_max must be >= 2m = 4 to hold the seed"),
         ],
         ids=[
             "generate_c_nan", "generate_c_inf", "generate_A_nan", "theory_D_nan", "theory_D_inf",
             "oracle_D_nan", "oracle_D_inf", "theory_n_negative", "theory_n_zero", "theory_A_one",
-            "generate_A_without_D", "generate_beta_without_c",
+            "generate_A_without_D", "generate_beta_without_c", "oracle_d_max_below_m", "oracle_d_max_below_2m",
         ],
     )
-    def test_bad_numbers_exit_2(self, tmp_path, capsys, argv):
+    def test_bad_numbers_exit_2(self, tmp_path, capsys, argv, message):
         # Each once wrote its file: an edge list before a late check, or
         # NaN, complex-cast or -inf columns with exit 0.
         out = tmp_path / "out.txt"
@@ -643,7 +646,7 @@ class TestCLI:
             warnings.simplefilter("error")
             code, err = self._run_captured(capsys, *argv, "--out", str(out))
         assert code == 2
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
     def test_missing_probe_degree_exit_2(self, tmp_path, capsys):

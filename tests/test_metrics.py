@@ -39,6 +39,23 @@ def _graph(n, edges):
     return Multigraph(n, u, v)
 
 
+def _doubled_clique(k):
+    """Every pair of k vertices joined twice.  The degrees tie, and in rank
+    order the out-degrees run from k-1 down to 0."""
+    return _graph(k, [(i, j) for i in range(k) for j in range(i)] * 2)
+
+
+# Out-degrees 4, 8 and 16 fill the searched span 2**halvings exactly.
+_SPAN_FILLED = [_doubled_clique(5), _doubled_clique(9), _doubled_clique(17)]
+# A triangle plus a pendant at 0, ranked 3 < 1, 2 < 0: the closing edge,
+# from the later of 1 and 2 to 0, is the last simple edge, so the search
+# steps past the end of the keys.
+_LAST_EDGE_CLOSES = _graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+# Degrees 2, 3, 4, 5 for 0, 1, 2, 3 (the rest are leaves): 0 pairs 1 with 3,
+# 1's out-list is empty, and the next out-list, 2's, is the edge to 3.
+_EMPTY_FIRST = _graph(12, [(0, 1), (0, 3), (1, 4), (1, 5), (2, 3), (2, 6), (2, 7), (2, 8), (3, 9), (3, 10), (3, 11)])
+
+
 @pytest.fixture
 def path3():
     return _graph(3, [(0, 1), (1, 2)])
@@ -214,6 +231,11 @@ class TestClusteringAgainstLoop:
 class TestClusteringKernel:
     @settings(max_examples=150, deadline=None)
     @given(g=_multigraphs())
+    @example(g=_SPAN_FILLED[0])
+    @example(g=_SPAN_FILLED[1])
+    @example(g=_SPAN_FILLED[2])
+    @example(g=_LAST_EDGE_CLOSES)
+    @example(g=_EMPTY_FIRST)
     def test_equals_loop(self, g):
         fast, slow = clustering(g), clustering_loop(g)
         assert (fast.C1, fast.C2) == (slow.C1, slow.C2)
@@ -242,6 +264,14 @@ class TestClusteringKernel:
     @settings(max_examples=150, deadline=None)
     @given(g=_multigraphs(), chunk=st.sampled_from([1, 7]), threads=st.sampled_from([1, 2, 3]))
     @example(g=_graph(7, [(i, j) for i in range(6) for j in range(i)] + [(0, 6)]), chunk=7, threads=2)
+    @example(g=_SPAN_FILLED[0], chunk=1, threads=3)
+    @example(g=_SPAN_FILLED[1], chunk=7, threads=2)
+    @example(g=_SPAN_FILLED[2], chunk=1, threads=2)
+    @example(g=_SPAN_FILLED[2], chunk=7, threads=3)
+    @example(g=_LAST_EDGE_CLOSES, chunk=1, threads=2)
+    @example(g=_LAST_EDGE_CLOSES, chunk=7, threads=1)
+    @example(g=_EMPTY_FIRST, chunk=1, threads=3)
+    @example(g=_EMPTY_FIRST, chunk=7, threads=2)
     def test_small_wedge_chunks(self, g, chunk, threads):
         with mock.patch.object(metrics, "_WEDGE_CHUNK", chunk), mock.patch.object(
             parallel, "cpu_count", lambda: threads
@@ -264,22 +294,23 @@ class TestClusteringKernel:
             assert list(fast.C_by_degree.items()) == list(slow.C_by_degree.items()), (chunk, threads)
 
     def test_worker_exception_propagates(self):
-        # The caller's first run waits until a worker has raised in its own
-        # run, so the error is a worker's, and clustering raises it.
+        # Only the wedge runs' search calls np.copyto.  The caller's first
+        # run waits there until a worker has raised in its own run, so the
+        # error is a worker's, and clustering raises it.
         raised = threading.Event()
-        argsort = np.argsort
+        copyto = np.copyto
 
-        def failing_in_workers(a, *args, **kwargs):
+        def failing_in_workers(*args, **kwargs):
             if threading.current_thread() is threading.main_thread():
                 raised.wait(10)
-                return argsort(a, *args, **kwargs)
+                return copyto(*args, **kwargs)
             raised.set()
             raise RuntimeError("wedge run failed")
 
         g = _with_isolated_vertex(0.25, 0.3, 2000, 5)
         with mock.patch.object(parallel, "cpu_count", lambda: 2), mock.patch.object(
             metrics, "_WEDGE_CHUNK", 7
-        ), mock.patch.object(np, "argsort", failing_in_workers):
+        ), mock.patch.object(np, "copyto", failing_in_workers):
             with pytest.raises(RuntimeError, match="wedge run failed"):
                 clustering(g)
         assert raised.is_set()
