@@ -26,6 +26,11 @@ computed in bulk from raw PCG64 words.  All draws of one step read the
 graph before that step.  Multi-edges are kept
 (degrees count multiplicity) and self-loops cannot occur, since a new
 vertex only connects to older vertices.
+
+A generated graph is its target array: generate fills one array of m*n
+targets in place, the seed clique's first, and Multigraph keeps the
+sources implicit.  Only this module reads the edge format; other readers
+take sources through Multigraph.sources.
 """
 
 from __future__ import annotations
@@ -53,20 +58,57 @@ __all__ = [
 
 
 class Multigraph:
-    """n vertices and an edge multiset: edge e joins u[e] and v[e]."""
+    """n vertices and an edge multiset: edge e joins u[e] and v[e].
+
+    u is the array of sources, or the int m when vertex x owns the m edge
+    slots x*m ... x*m+m-1, as a generated graph's vertices do: then edge e
+    has source e // m, E = m*n, and the graph holds its targets v alone
+    (8 B/edge).  Readers take the sources through sources(), which never
+    builds the m*n of them, or through u, built on each read and never
+    kept.  A bad shape raises ValueError."""
 
     def __init__(self, n: int, u, v):
         self.n = n
-        self.u = np.asarray(u, dtype=np.int64)
         self.v = np.asarray(v, dtype=np.int64)
+        if isinstance(u, (int, np.integer)):
+            self.m, self._u = integer(u, "m", 1), None
+            if n < 1:
+                raise ValueError(f"a graph with implicit sources needs n >= 1 vertices, got {n}")
+            if len(self.v) != self.m * n:
+                raise ValueError(f"implicit sources need m*n = {self.m * n} targets, got {len(self.v)}")
+        else:
+            self.m, self._u = None, np.asarray(u, dtype=np.int64)
+            if len(self._u) != len(self.v):
+                raise ValueError(f"u and v must have one length, got {len(self._u)} and {len(self.v)}")
 
     @property
     def num_edges(self) -> int:
-        return len(self.u)
+        return len(self.v)
+
+    @property
+    def u(self) -> np.ndarray:
+        """The sources; implicit ones are built anew on each read."""
+        return self.sources(0, self.num_edges)
+
+    def sources(self, lo: int, hi: int, x=None) -> np.ndarray:
+        """u[lo:hi], or x[u[lo:hi]] for an array x over the vertices.
+        With implicit sources that is a range of ids, or a slice of x, each
+        repeated m times and trimmed to the edges lo .. hi-1: no gather."""
+        if self.m is None:
+            u = self._u[lo:hi]
+            return u if x is None else x[u]
+        m = self.m
+        first = lo // m
+        last = min(-(-hi // m), self.n)  # one past the source of edge hi - 1
+        ids = np.arange(first, last) if x is None else x[first:last]
+        return ids.repeat(m)[lo - first * m : hi - first * m]
 
     def degree_array(self) -> np.ndarray:
-        deg = np.bincount(self.u, minlength=self.n)
-        deg += np.bincount(self.v, minlength=self.n)  # in place: two n-sized arrays at the peak, not three
+        deg = np.bincount(self.v, minlength=self.n)
+        if self.m is None:
+            deg += np.bincount(self._u, minlength=self.n)  # in place: two n-sized arrays at the peak, not three
+        else:
+            deg += self.m  # every vertex owns m slots
         return deg
 
 
@@ -76,9 +118,9 @@ def seed_graph(m: int) -> Multigraph:
     Vertex u's slots u*m ... u*m+m-1 point at the other m vertices in
     order, so each pair's two edges have opposite owners."""
     m = integer(m, "m", 1)
-    u = np.repeat(np.arange(m + 1), m)
-    j = np.tile(np.arange(m), m + 1)
-    return Multigraph(m + 1, u, j + (j >= u))
+    j = np.arange(m)
+    u = np.arange(m + 1)[:, None]  # one row of m slots per vertex
+    return Multigraph(m + 1, m, (j + (j >= u)).ravel())
 
 
 _DRAW_BLOCK = 1 << 15  # slot draws tried per block of 32-bit words
@@ -86,10 +128,11 @@ _RESOLVE_BLOCK = 1 << 14  # slots resolved per block, in slot order
 _LOW = np.uint64(0xFFFFFFFF)
 
 
-def _draw_below(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _draw_below(b: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> None:
     """rng.integers(b) for uint64 bounds 2 <= b <= 2**32, drawn from raw
     PCG64 words: the same int64 values, and the same bit_generator.state
     after, buffered half-word included (numpy takes no word for b = 1).
+    The values go to out, a contiguous int64 array of len(b).
 
     numpy's 32-bit Lemire step (Lemire, ACM TOMACS 29(1), 2019) takes one
     32-bit word w per try, the low half of each 64-bit output first, and
@@ -112,7 +155,7 @@ def _draw_below(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     prod, low, near = np.empty(n, np.uint64), np.empty(n, np.uint64), np.empty(n, bool)
     high = buf[0] = state["uinteger"]  # the last high half drawn
     lo, hi = 0, state["has_uint32"]
-    out = np.empty(len(b), np.uint64)
+    words = out.view(np.uint64)
     done, block = 0, _DRAW_BLOCK
     while done < len(b):
         k = min(len(b) - done, block)
@@ -131,21 +174,21 @@ def _draw_below(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         at = np.flatnonzero(np.less(low[:k], r, out=near[:k]))
         reject = at[low[at] < (_LOW - r[at] + 1) % r[at]]
         kept = int(reject[0]) if reject.size else k
-        np.right_shift(prod[:kept], 32, out=out[done : done + kept])
+        np.right_shift(prod[:kept], 32, out=words[done : done + kept])
         done += kept
         lo += kept + (kept < k)
         block = min(2 * block if kept == k else 2 * kept + 1, _DRAW_BLOCK)
     state = bg.state
     state["has_uint32"], state["uinteger"] = hi - lo, high
     bg.state = state
-    return out.view(np.int64)
 
 
-def draw_slots(gp: GeneratorParams, t, rng: np.random.Generator) -> np.ndarray:
+def draw_slots(gp: GeneratorParams, t, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """The m slot draws of one growth step per entry of t, each step
     reading a graph of t[i] vertices: shape (len(t), m), holding a vertex
     id where the slot's target is that vertex and ~j (negative) where it
-    is the target of edge slot j < m*t[i].
+    is the target of edge slot j < m*t[i].  They are written to out (a
+    C-contiguous int64 array of that shape) when given.
 
     Each t[i] is a size (the seed's m+1 vertices at least) and m*t[i] at
     most 2**32, else ValueError.  The uniform slots j come from
@@ -158,7 +201,9 @@ def draw_slots(gp: GeneratorParams, t, rng: np.random.Generator) -> np.ndarray:
     if t.size:
         size(t.min(), m)
         slot_count(m * int(t.max()), "m*t")
-    out = _draw_below(np.repeat(t.astype(np.uint64) * np.uint64(m), m), rng).reshape(-1, m)
+    if out is None:
+        out = np.empty((len(t), m), np.int64)
+    _draw_below(np.repeat(t.astype(np.uint64) * np.uint64(m), m), rng, out.reshape(-1))
     x = rng.random(out.shape)
     ptr = x < p_ptr
     if k:
@@ -206,14 +251,20 @@ def resolve_pointers(v: np.ndarray) -> None:
 
 def generate(gp: GeneratorParams, n: int, seed) -> Multigraph:
     """Grow a graph to n vertices; a fixed (gp, n, seed) gives a
-    bit-identical edge list.  n is a size, seed an integer >= 0."""
+    bit-identical edge list.  n is a size, seed an integer >= 0.  The
+    graph holds its m*n targets alone (8 B/edge), its sources implicit.
+    At m = 2 and n = 1e6 the tracemalloc peak is 25.9 B/edge, set inside
+    draw_slots."""
     m = gp.m
     n, seed = size(n, m), integer(seed, "seed", 0)
     slot_count(m * (n - 1), "m*(n-1)")  # the last step's draw, before any allocation
+    clique = seed_graph(m).v
     rng = np.random.default_rng(seed)
-    v = np.concatenate([seed_graph(m).v, draw_slots(gp, np.arange(m + 1, n), rng).ravel()])
+    v = np.empty(m * n, dtype=np.int64)
+    v[: len(clique)] = clique
+    draw_slots(gp, np.arange(m + 1, n), rng, v[len(clique) :].reshape(-1, m))
     resolve_pointers(v)
-    return Multigraph(n, np.repeat(np.arange(n), m), v)
+    return Multigraph(n, m, v)
 
 
 _EXPORT_CHUNK = 1 << 16  # edges formatted by one pass of numpy calls
@@ -225,17 +276,19 @@ def export_edge_list(g: Multigraph, path) -> None:
     ValueError before the file is opened.
 
     Each chunk of edges is formatted in a fixed set of buffers: its ids
-    in a (k, 2) block, their L digits (L from the largest id) peeled by
-    floor division into a (k, 2, L+1) byte block whose last column holds
-    the separator, and one boolean compress that drops the leading zeros.
-    At m = 2 the tracemalloc peak is 2.2 B/edge at n = 1e6 (0.11-0.15 s),
-    a buffer of 4.3 MB that does not grow with E; n = 2e5 takes 0.035 s
-    and n = 1e7 2.0 s.
+    in a (k, 2) block (implicit sources made for the chunk alone), their
+    L digits (L from the largest id) peeled by floor division into a
+    (k, 2, L+1) byte block whose last column holds the separator, and one
+    boolean compress that drops the leading zeros.  At m = 2 the
+    tracemalloc peak is 2.2 B/edge at n = 1e6 (0.11-0.15 s), a buffer of
+    4.3 MB that does not grow with E; n = 2e5 takes 0.035 s and n = 1e7
+    2.0 s.
     """
     E = g.num_edges
-    if min(g.u.min(initial=0), g.v.min(initial=0)) < 0:
+    u = g._u if g.m is None else np.array([0, g.n - 1])  # implicit sources span 0 .. n-1
+    if min(u.min(initial=0), g.v.min(initial=0)) < 0:
         raise ValueError("negative vertex id")
-    top = int(max(g.u.max(initial=0), g.v.max(initial=0)))
+    top = int(max(u.max(initial=0), g.v.max(initial=0)))
     L = len(str(top))
     k = min(E, _EXPORT_CHUNK)
     ids = np.empty((k, 2), np.uint32 if top < 2**32 else np.uint64)
@@ -247,7 +300,7 @@ def export_edge_list(g: Multigraph, path) -> None:
         for start in range(0, E, _EXPORT_CHUNK):
             j = min(E - start, k)
             x, q, r = ids[:j], quot[:j], rem[:j]
-            x[:, 0] = g.u[start : start + j]
+            x[:, 0] = g.sources(start, start + j)
             x[:, 1] = g.v[start : start + j]
             for i in range(L - 1, -1, -1):  # column i holds digit L-1-i
                 if i < L - 1:

@@ -121,13 +121,15 @@ class TestDegreeProfile:
 
     @pytest.mark.parametrize("A, D", [(0.25, 0.3), (0.6, 0.2)])
     def test_peak_memory_per_edge(self, A, D):
-        # At m = 2 the peak is the degree array's two bincounts, 8 B/edge
-        # (8.0 measured at n = 1e5); after them the degree array takes 4
-        # B/edge and one edge chunk's gathered degrees 1.3 more.  The bound
-        # of 10 B/edge leaves no room for an int64 gather over all edges
-        # (8 B/edge; the peak was 16 B/edge with two), nor for per-vertex
-        # sums beside the degree array (10.65 B/edge with them).
+        # With sources held as an array, at m = 2 the peak is the degree
+        # array's two bincounts, 8 B/edge (8.0 measured at n = 1e5); after
+        # them the degree array takes 4 B/edge and one edge chunk's gathered
+        # degrees 1.3 more.  The bound of 10 B/edge leaves no room for an
+        # int64 gather over all edges (8 B/edge; the peak was 16 B/edge with
+        # two), nor for per-vertex sums beside the degree array (10.65 B/edge
+        # with them).
         g = generate(derive_generator_params(2, A, D), 100_000, seed=1)
+        g = Multigraph(g.n, g.u, g.v)
         tracemalloc.start()
         try:
             degree_profile(g)
@@ -135,6 +137,22 @@ class TestDegreeProfile:
         finally:
             tracemalloc.stop()
         assert peak < 10 * g.num_edges
+
+    def test_peak_memory_per_edge_generated(self):
+        # A generated graph's degree array is one bincount plus m, 4 B/edge
+        # at m = 2, and each chunk's source degrees are a slice of it
+        # repeated m times.  Measured at n = 1e6: 4.26 B/edge, the degree
+        # array and one edge chunk's fixed buffer (0.53 MB).  The bound of
+        # 4.5 B/edge leaves no room for a second bincount (8 B/edge at the
+        # peak) nor for sources built over all edges (12 B/edge).
+        g = generate(derive_generator_params(2, 0.25, 0.3), 1_000_000, seed=1)
+        tracemalloc.start()
+        try:
+            degree_profile(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * g.num_edges, f"degree_profile peaked at {peak / g.num_edges:.2f} B/edge"
 
 
 class TestBruteForceOracle:
