@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams, size, sizes
+from .params import ModelParams, integer, size, sizes
 from .theory import build_theory_curve
 
 __all__ = [
@@ -50,8 +50,6 @@ class RecurrenceTable:
 def _seed_state(p: ModelParams, d_max: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Exact N, S vectors of the doubled-clique seed on m+1 vertices."""
     m = p.m
-    if d_max < 2 * m:
-        raise ValueError(f"d_max must be >= 2m = {2 * m} to hold the seed")
     n0 = m + 1
     N = np.zeros(d_max + 1)
     S = np.zeros(d_max + 1)
@@ -73,6 +71,9 @@ def integrate_S(
     the four-term recurrence driven by N and S at d-1.
     """
     m, A, B, D = p.m, p.A, p.B, p.D
+    if d_max < 2 * m:
+        raise ValueError(f"d_max must be >= 2m = {2 * m} to hold the seed")
+    d_max = integer(d_max, "d_max", 2 * m)
     n0, N, S = _seed_state(p, d_max)
     n_end = size(n_end, m)
     pts = np.array(sorted(sizes([n_end] if record_at is None else record_at, m)), dtype=np.int64)

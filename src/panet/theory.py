@@ -5,10 +5,14 @@ the standard library alone.  The degree-distribution coefficient c(m,d) runs
 its defining recursion, and the neighbor-degree-sum coefficient M(d) and the
 triangle profile t(d) are prefix sums from i = m+1; c, M and t share one
 chunked scan (_scan), each caller asking only for what it reads.
-dnn_overlay is the expected d_nn(d) at size n, one expression in E W_n
-(expected_W) for every 0 < A < 1 on the same scan; the paper's n -> oo
-closed form (build_theory_curve) and predictors (theory_tables) stay as
-the paper states them.  No theory value is fitted to simulation.
+d_nn's boundary at d = m and its k(d) recursion are written once
+(_boundary), and every d_nn curve reads them: dnn_overlay, the expected
+d_nn(d) at size n for every 0 < A < 1, linear in E W_n (expected_W); the
+n -> oo closed form below A = 1/2 (build_theory_curve), whose constant is
+the overlay's at E W_n/n = s/(1-2A); and the A >= 1/2 predictor
+(dnn_hypothesis), the overlay's E W_n term, which is the paper's
+supercritical hypothesis above A = 1/2 and its critical one at 1/2.  No
+theory value is fitted to simulation.
 
 "log" means the natural logarithm throughout.
 """
@@ -20,35 +24,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams, size, sizes
+from .params import ModelParams, integer, size, sizes
 
 __all__ = [
     "TheoryCurve",
     "c_exact",
     "c_asymptotic",
     "Y_term",
-    "X_const",
     "M_exact",
     "dnn_theory",
     "dnn_asymptotic",
     "expected_triangles",
     "expected_W",
-    "dnn_hypothesis_supercritical",
-    "dnn_hypothesis_critical",
+    "dnn_hypothesis",
     "dnn_overlay",
     "theory_tables",
     "build_theory_curve",
 ]
 
 _CHUNK = 1 << 20
-
-
-def _check_subcritical(p: ModelParams, what: str) -> None:
-    if p.A >= 0.5:
-        raise ValueError(
-            f"{what} requires A < 1/2 (got A={p.A}); in the supercritical "
-            "regime use the hypothesis predictors instead"
-        )
 
 
 def _check_degree(p: ModelParams, d) -> None:
@@ -105,6 +99,23 @@ def _log_gamma_ratio(p: ModelParams) -> float:
     return math.lgamma(m + (B + 1.0) / A) - math.lgamma(m + B / A)
 
 
+def _boundary(p: ModelParams):
+    """d_nn's first-order solution from d = m, for every 0 < A < 1: (M0, s,
+    k, delta), with r(d) = A(d-1)+B, M0 = [(B-D/m) m/(Am+B+1) + (2B+1) m]
+    /(1+r(m)), s = m(m+4B+1), and the _scan quantities k(d) =
+    k(d-1)(1+r(d))/(A(d+1)+B) from k(m) = A/(A(m+1)+B) and delta(d) =
+    delta(d-1) - k(d)/(1+r(d)) from delta(m) = -k(m)/(1+r(m)), each
+    holding its value at m as its start, delta reading k just before it.
+    c(m,d) is divided out of all of them, so nothing underflows."""
+    m, A, B, D = p.m, p.A, p.B, p.D
+    one_r = lambda i: A * (i - 1.0) + B + 1.0
+    k_m = A / (A * (m + 1.0) + B)
+    M0 = ((B - D / m) * m / (A * m + B + 1.0) + (2.0 * B + 1.0) * m) / one_r(m)
+    k = (np.multiply, k_m, lambda i, *_: one_r(i) / (A * (i + 1.0) + B))
+    delta = (np.add, -k_m / one_r(m), lambda i, k: -k / one_r(i))
+    return M0, m * (m + 4.0 * B + 1.0), k, delta
+
+
 def c_exact(p: ModelParams, d):
     """Limiting degree-distribution coefficient c(m,d), for every 0 < A < 1
     ModelParams admits: build_theory_curve's values, bit for bit.  Accepts a
@@ -137,14 +148,6 @@ def Y_term(p: ModelParams, i):
     )
     out = num / (A * (i - 1.0) + B + 1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def X_const(p: ModelParams) -> float:
-    """Boundary constant X of the M(d) closed form (pole at A = 1/2)."""
-    _check_subcritical(p, "X")
-    m, A, B, D = p.m, p.A, p.B, p.D
-    bracket = B - D / m + (A * (m - 1) + 2.0 * B + 1.0) * (A * m + B + 1.0) / (1.0 - 2.0 * A)
-    return m / (A * (m - 1) + B + 1.0) * bracket
 
 
 def M_exact(p: ModelParams, d: int) -> float:
@@ -193,55 +196,29 @@ def expected_triangles(p: ModelParams, d):
     return float(out) if out.ndim == 0 else out
 
 
-def dnn_hypothesis_supercritical(
-    p: ModelParams, d, n: int, C1: float, form: str = "preasymptotic"
-):
-    """Supercritical (A > 1/2) average-neighbor-degree predictor.
+def dnn_hypothesis(p: ModelParams, d, n: int, C: float, form: str = "preasymptotic"):
+    """The paper's A >= 1/2 average-neighbor-degree predictor, E W_n ~ C n^(2A).
 
+    form="preasymptotic" is C n^(2A-1) (Ad+B+1)/d k(d), with _boundary's
+    k(d): dnn_overlay's E W_n term.  It equals the paper's supercritical
+    A C (Am+B) n^(2A-1)/((Ad+B)(A(d+1)+B) d c(m,d)) with c(m,d) divided out,
+    and at A = 1/2 its critical C2/(2(m+1)) log(n) (d+2)/d, C = C2 log(n);
     form="asymptotic" is the pure power law
-    C1*(Am+B)*Gamma(m+B/A)/Gamma(m+(B+1)/A) * d^(1/A-2) * n^(2A-1);
-    form="preasymptotic" keeps the finite-d factors
-    A*C1*(Am+B) * n^(2A-1) / ((Ad+B)(A(d+1)+B) * d * c(m,d)).
+    C (Am+B) Gamma(m+B/A)/Gamma(m+(B+1)/A) d^(1/A-2) n^(2A-1), at A = 1/2
+    the flat C2/(2(m+1)) log(n).  Takes integer degrees d >= m.
     """
-    if p.A <= 0.5:
-        raise ValueError(f"supercritical predictor needs A > 1/2, got A={p.A}")
-    if C1 <= 0:
-        raise ValueError(f"C1 must be > 0, got {C1}")
+    if p.A < 0.5:
+        raise ValueError(f"hypothesis predictor needs A >= 1/2, got A={p.A}")
+    if C <= 0:
+        raise ValueError(f"C must be > 0, got {C}")
     n = size(n, p.m)
-    _check_degree(p, d)
     m, A, B = p.m, p.A, p.B
+    (k,) = _scan(p, d, _boundary(p)[2])
     d = np.asarray(d, dtype=float)
     if form == "asymptotic":
-        scale = np.exp(-_log_gamma_ratio(p))
-        out = C1 * (A * m + B) * scale * d ** (1.0 / A - 2.0) * n ** (2.0 * A - 1.0)
+        out = C * (A * m + B) * np.exp(-_log_gamma_ratio(p)) * d ** (1.0 / A - 2.0) * n ** (2.0 * A - 1.0)
     elif form == "preasymptotic":
-        den = (A * d + B) * (A * (d + 1.0) + B) * d * c_exact(p, d)
-        out = A * C1 * (A * m + B) * n ** (2.0 * A - 1.0) / den
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return float(out) if out.ndim == 0 else out
-
-
-def dnn_hypothesis_critical(
-    p: ModelParams, d, n: int, C2: float, form: str = "preasymptotic"
-):
-    """Critical (A = 1/2) average-neighbor-degree predictor.
-
-    form="asymptotic" is the degree-independent C2/(2(m+1)) * log(n);
-    form="preasymptotic" applies the finite-d factor (d+2)/d to it.
-    """
-    if p.A != 0.5:
-        raise ValueError(f"critical predictor needs A = 1/2, got A={p.A}")
-    if C2 <= 0:
-        raise ValueError(f"C2 must be > 0, got {C2}")
-    n = size(n, p.m)
-    _check_degree(p, d)
-    d = np.asarray(d, dtype=float)
-    base = C2 / (2.0 * (p.m + 1.0)) * np.log(n)
-    if form == "asymptotic":
-        out = np.full_like(d, base)
-    elif form == "preasymptotic":
-        out = base * (d + 2.0) / d
+        out = C * n ** (2.0 * A - 1.0) * (A * d + B + 1.0) / d * k
     else:
         raise ValueError(f"unknown form {form!r}")
     return float(out) if out.ndim == 0 else out
@@ -268,13 +245,11 @@ def expected_W(p: ModelParams, n: int) -> float:
 
 def dnn_overlay(p: ModelParams, d, n: int):
     """Expected d_nn(d) at size n, one expression for every 0 < A < 1:
-    (Ad+B+1)/d [M0 + sum_{i=m+1}^d Y(i) + (E W_n/n) k(d) + s delta(d)] with
-    s = m(m+4B+1), r(d) = A(d-1)+B, M0 = [(B-D/m) m/(Am+B+1) + (2B+1) m]
-    /(1+r(m)), k(d) = k(d-1)(1+r(d))/(A(d+1)+B) from k(m) = A/(A(m+1)+B),
-    and delta(d) = delta(d-1) - k(d)/(1+r(d)) from delta(m) = -k(m)/(1+r(m)).
-    It solves the oracle's recurrences to first order in E W_n, with c(m,d)
-    divided out so nothing underflows, and has no pole at A = 1/2; below
-    it, it tends to build_theory_curve's closed form as n^(2A-1).
+    (Ad+B+1)/d [M0 + sum_{i=m+1}^d Y(i) + (E W_n/n) k(d) + s delta(d)], with
+    _boundary's M0, s, k and delta.
+    It solves the oracle's recurrences to first order in E W_n and has no
+    pole at A = 1/2; below it, it tends to build_theory_curve's closed form
+    as n^(2A-1).
 
     Being first order in (d/n^A)^((1-2A)/A), below A = 1/2 it turns <= 0
     past a breakdown degree, above the largest degree of 10 seeds (D =
@@ -282,18 +257,10 @@ def dnn_overlay(p: ModelParams, d, n: int):
     407 against 150 at n = 1e5; at A = 0.4 and n = 2000, ~4070 against 135;
     at A = 0.1 (D = 0.1) and n = 1e5, 122 against 70.  At A >= 1/2 it stays
     positive to d = 2e5.  Takes a scalar or array of integer degrees d >= m."""
-    m, A, B, D = p.m, p.A, p.B, p.D
+    A, B = p.A, p.B
     d = _integer_degrees(d, some=True)
-    r = lambda i: A * (i - 1.0) + B
-    k_m = A / (A * (m + 1.0) + B)
-    k, delta, y = _scan(
-        p, d,
-        (np.multiply, k_m, lambda i: (1.0 + r(i)) / (A * (i + 1.0) + B)),
-        (np.add, -k_m / (1.0 + r(m)), lambda i, k: -k / (1.0 + r(i))),
-        (np.add, 0.0, lambda i, *_: Y_term(p, i)),
-    )
-    M0 = ((B - D / m) * m / (A * m + B + 1.0) + (2.0 * B + 1.0) * m) / (1.0 + r(m))
-    s = m * (m + 4.0 * B + 1.0)
+    M0, s, *k_delta = _boundary(p)
+    k, delta, y = _scan(p, d, *k_delta, (np.add, 0.0, lambda i, *_: Y_term(p, i)))
     out = (A * d + B + 1.0) / d * (M0 + y + expected_W(p, n) / n * k + s * delta)
     return float(out) if out.ndim == 0 else out
 
@@ -306,13 +273,12 @@ def _rows(**columns) -> list[dict]:
 
 def theory_tables(p: ModelParams, d_max: int, n_list=()) -> list[dict]:
     """Theory-only rows per degree d in [m, d_max]: subcritical closed
-    forms for A < 1/2; for A >= 1/2 the paper's hypothesis predictor of
-    A's regime, with its constant from E W_n, and its asymptotic form, one
-    block per size n (10^5 if none)."""
+    forms for A < 1/2; for A >= 1/2 dnn_hypothesis in its two forms, with
+    C = E W_n/n^(2A), one block per size n (10^5 if none)."""
     if d_max < p.m:
         raise ValueError(f"d_max must be >= m = {p.m}, got {d_max}")
+    d = np.arange(p.m, integer(d_max, "d_max", p.m) + 1)
     n_list = sizes(n_list, p.m) if len(n_list) else (10**5,)
-    d = np.arange(p.m, d_max + 1)
     if p.A < 0.5:
         curve, d_f = build_theory_curve(p, d), d.astype(float)
         return _rows(
@@ -320,12 +286,11 @@ def theory_tables(p: ModelParams, d_max: int, n_list=()) -> list[dict]:
             M=curve.M_exact, dnn_theory=curve.dnn_exact, dnn_asym=dnn_asymptotic(p, d_f),
         )
     c = c_exact(p, d)
-    hyp = dnn_hypothesis_critical if p.A == 0.5 else dnn_hypothesis_supercritical
     rows = []
     for n in n_list:
         n_col = np.full(d.shape, n, dtype=np.int64)
-        C = expected_W(p, n) / (n * math.log(n) if p.A == 0.5 else n ** (2.0 * p.A))
-        y, y_asym = hyp(p, d, n, C), hyp(p, d, n, C, form="asymptotic")
+        C = expected_W(p, n) / n ** (2.0 * p.A)
+        y, y_asym = dnn_hypothesis(p, d, n, C), dnn_hypothesis(p, d, n, C, form="asymptotic")
         rows += _rows(d=d, n=n_col, c_exact=c, dnn_hyp=y, dnn_hyp_asym=y_asym)
     return rows
 
@@ -360,12 +325,17 @@ class TheoryCurve:
 def build_theory_curve(p: ModelParams, d_values) -> TheoryCurve:
     """Tabulate c, M and dnn at the given integer degrees (at least one, all
     >= m), from one _scan pass: O(max d) for any number of degrees."""
-    _check_subcritical(p, "TheoryCurve")
+    if p.A >= 0.5:
+        raise ValueError(f"the n -> oo closed form needs A < 1/2, got A={p.A}")
     d_values = np.unique(_integer_degrees(d_values, some=True))
-    m, A, B = p.m, p.A, p.B
+    A, B = p.A, p.B
     c_ex, y_prefix = _scan(p, d_values, _c_recursion(p), (np.add, 0.0, lambda i, _: Y_term(p, i)))
     d_f = d_values.astype(float)
-    inner = X_const(p) / (A * m + B + 1.0) + y_prefix
+    # dnn_overlay's bracket at E W_n/n = w = s/(1-2A), the n -> oo limit:
+    # w k(d) + s delta(d) steps by (w(1-2A) - s) k(d)/(1+r(d)) = 0, so it
+    # is its value at d = m (the paper's X/(Am+B+1) to rounding).
+    M0, s, (_, k_m, _), (_, delta_m, _) = _boundary(p)
+    inner = M0 + s / (1.0 - 2.0 * A) * k_m + s * delta_m + y_prefix
     # M = scale*c, so d_nn = M/(d*c) = scale/d: dividing c back out would
     # give 0/0 once c underflows (small A, large d).
     scale = (A * d_f + B + 1.0) * inner

@@ -3,9 +3,11 @@ the masked slot decode for draw_slots, per-vertex adjacency traversal for
 degree_profile, the set-based triangle loop for clustering, the
 edge-endpoint sums for pearson_assortativity, the line
 scanner that defines the edge-list format for import_edge_list and the
-per-edge writer for export_edge_list.  Also the helpers only tests use:
-the scenario file writer, the pooled degree CCDF and its tail slope, and
-log-binning."""
+per-edge writer for export_edge_list.  The paper's d_nn formulas as it
+states them, for build_theory_curve and dnn_hypothesis: the boundary
+constant X, the critical predictor and the c(m,d) form of the supercritical
+one.  Also the helpers only tests use: the scenario file writer, the pooled
+degree CCDF and its tail slope, and log-binning."""
 
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ import numpy as np
 from panet.experiments import Scenario, ScenarioResult, fit_power_exponent
 from panet.graphgen import Multigraph
 from panet.metrics import ClusteringProfile, DegreeProfile
-from panet.params import GeneratorParams
+from panet.params import GeneratorParams, ModelParams
+from panet.theory import Y_term, c_exact
 
 BRUTE_FORCE_CAP = 10_000
 
@@ -168,6 +171,38 @@ def write_edge_list(g: Multigraph, sink) -> None:
     """One f-string per edge: the bytes export_edge_list must write."""
     for a, b in zip(g.u.tolist(), g.v.tolist()):
         sink.write(f"{a} {b}\n")
+
+
+def X_const(p: ModelParams) -> float:
+    """The paper's boundary constant X of the M(d) closed form, A < 1/2
+    (pole at A = 1/2)."""
+    m, A, B, D = p.m, p.A, p.B, p.D
+    bracket = B - D / m + (A * (m - 1) + 2.0 * B + 1.0) * (A * m + B + 1.0) / (1.0 - 2.0 * A)
+    return m / (A * (m - 1) + B + 1.0) * bracket
+
+
+def dnn_closed_form(p: ModelParams, d: np.ndarray) -> np.ndarray:
+    """The paper's n -> oo d_nn(d) = (Ad+B+1)/d (X/(Am+B+1) + sum_{i=m+1}^d
+    Y(i)) at the integer degrees d >= m, summed in order from m+1."""
+    y = np.cumsum(Y_term(p, np.arange(p.m + 1, d.max() + 1)))
+    prefix = np.r_[0.0, y][d - p.m]
+    return (p.A * d + p.B + 1.0) / d * (X_const(p) / (p.A * p.m + p.B + 1.0) + prefix)
+
+
+def dnn_hypothesis_critical(p: ModelParams, d, n: int, C2: float, form: str = "preasymptotic"):
+    """The paper's A = 1/2 predictor: C2/(2(m+1)) log(n), times the finite-d
+    factor (d+2)/d in its preasymptotic form."""
+    base = C2 / (2.0 * (p.m + 1.0)) * np.log(n)
+    d = np.asarray(d, dtype=float)
+    return np.full_like(d, base) if form == "asymptotic" else base * (d + 2.0) / d
+
+
+def dnn_hypothesis_supercritical(p: ModelParams, d, n: int, C1: float) -> np.ndarray:
+    """The paper's preasymptotic A > 1/2 predictor, with c(m,d) as it states
+    it: A C1 (Am+B) n^(2A-1) / ((Ad+B)(A(d+1)+B) d c(m,d))."""
+    m, A, B = p.m, p.A, p.B
+    d = np.asarray(d, dtype=float)
+    return A * C1 * (A * m + B) * n ** (2.0 * A - 1.0) / ((A * d + B) * (A * (d + 1.0) + B) * d * c_exact(p, d))
 
 
 def scenario_json(s: Scenario) -> str:

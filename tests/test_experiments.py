@@ -631,11 +631,14 @@ class TestCLI:
             # Below m the theory curve once had no degree and said only that.
             (["oracle", "--m", "2", "--A", "0.25", "--D", "0.3", "--n-end", "100", "--d-max", "1"], "d_max must be >= 2m = 4 to hold the seed"),
             (["oracle", "--m", "2", "--A", "0.25", "--D", "0.3", "--n-end", "100", "--d-max", "3"], "d_max must be >= 2m = 4 to hold the seed"),
+            # Once named an internal class and pointed to predictors the oracle cannot use.
+            (["oracle", "--m", "2", "--A", "0.6", "--D", "0.2", "--n-end", "100", "--d-max", "10"], "the n -> oo closed form needs A < 1/2, got A=0.6"),
         ],
         ids=[
             "generate_c_nan", "generate_c_inf", "generate_A_nan", "theory_D_nan", "theory_D_inf",
             "oracle_D_nan", "oracle_D_inf", "theory_n_negative", "theory_n_zero", "theory_A_one",
             "generate_A_without_D", "generate_beta_without_c", "oracle_d_max_below_m", "oracle_d_max_below_2m",
+            "oracle_A_supercritical",
         ],
     )
     def test_bad_numbers_exit_2(self, tmp_path, capsys, argv, message):

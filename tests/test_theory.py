@@ -1,5 +1,6 @@
 """Closed-form curves: frozen reference values, internal identities,
-asymptotics and regime gates.
+asymptotics, regime gates, and the paper's own formulas (reference.py)
+as references.
 
 Reference values below are hand-derived from the defining formulas at
 (m=2, A=0.25, D=0.3), where B = 1:
@@ -11,6 +12,7 @@ Reference values below are hand-derived from the defining formulas at
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -23,14 +25,12 @@ from panet.oracle import integrate_S
 from panet.params import make_model_params
 from panet.theory import (
     M_exact,
-    X_const,
     Y_term,
     build_theory_curve,
     c_asymptotic,
     c_exact,
     dnn_asymptotic,
-    dnn_hypothesis_critical,
-    dnn_hypothesis_supercritical,
+    dnn_hypothesis,
     dnn_overlay,
     dnn_theory,
     expected_triangles,
@@ -38,12 +38,14 @@ from panet.theory import (
     theory_tables,
 )
 
+import reference
+
 P = make_model_params(2, 0.25, 0.3)
 
 
 def hypothesis_constant(p, n):
-    """C2 = E W_n/(n log n) at A = 1/2, C1 = E W_n/n^(2A) above."""
-    return expected_W(p, n) / (n * math.log(n) if p.A == 0.5 else n ** (2.0 * p.A))
+    """C = E W_n/n^(2A), the constant theory_tables gives dnn_hypothesis."""
+    return expected_W(p, n) / n ** (2.0 * p.A)
 
 
 class TestDegreeCoefficient:
@@ -120,10 +122,20 @@ class TestDegreeCoefficient:
 
 class TestNeighborSumCoefficient:
     def test_frozen_reference_values(self):
-        assert X_const(P) == pytest.approx(15.2, rel=1e-12)
+        assert reference.X_const(P) == pytest.approx(15.2, rel=1e-12)
         assert Y_term(P, 3) == pytest.approx(1.2509090909, rel=1e-9)
         assert M_exact(P, 2) == pytest.approx(6.08, rel=1e-12)
         assert dnn_theory(P, 2) == pytest.approx(7.6, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("A", [0.1, 0.2, 0.3, 1 / 3, 0.4, 0.45])
+    def test_curve_is_the_papers_closed_form(self, A, m):
+        # build_theory_curve's constant is dnn_overlay's boundary at
+        # E W_n/n = s/(1-2A), not the paper's X: the two agree to 6e-16.
+        p = make_model_params(m, A, 0.2)
+        d = np.arange(m, 501)
+        curve = build_theory_curve(p, d)
+        np.testing.assert_allclose(curve.dnn_exact, reference.dnn_closed_form(p, d), rtol=1e-14, atol=0)
 
     def test_Y_term_needs_i_above_m(self):
         with pytest.raises(ValueError, match=r"^Y\(i\) is defined for i >= m\+1 = 3$"):
@@ -306,59 +318,68 @@ class TestScalars:
 
 
 class TestHypothesisPredictors:
+    """dnn_hypothesis, the one A >= 1/2 predictor."""
+
     def test_supercritical_forms_agree_at_large_d(self):
         p = make_model_params(2, 0.6, 0.2)
-        pre = dnn_hypothesis_supercritical(p, 10**5, 10**6, 2.0)
-        asym = dnn_hypothesis_supercritical(p, 10**5, 10**6, 2.0, form="asymptotic")
+        pre = dnn_hypothesis(p, 10**5, 10**6, 2.0)
+        asym = dnn_hypothesis(p, 10**5, 10**6, 2.0, form="asymptotic")
         assert pre / asym == pytest.approx(1.0, rel=0.01)
 
     def test_supercritical_scalings(self):
         p = make_model_params(2, 0.6, 0.2)
-        f = lambda d, n: dnn_hypothesis_supercritical(p, d, n, 1.0, form="asymptotic")
+        f = lambda d, n: dnn_hypothesis(p, d, n, 1.0, form="asymptotic")
         assert f(4, 10**5 * 10) / f(4, 10**5) == pytest.approx(10 ** (2 * 0.6 - 1))
         assert f(40, 10**5) / f(4, 10**5) == pytest.approx(10 ** (1 / 0.6 - 2))
 
     def test_supercritical_gate(self):
-        with pytest.raises(ValueError, match="A > 1/2"):
-            dnn_hypothesis_supercritical(P, 3, 1000, 1.0)
+        with pytest.raises(ValueError, match=r"^hypothesis predictor needs A >= 1/2, got A=0.4$"):
+            dnn_hypothesis(make_model_params(2, 0.4, 0.2), 3, 1000, 1.0)
+        assert dnn_hypothesis(make_model_params(2, 0.5, 0.2), 3, 1000, 1.0) > 0
+
+    def test_critical_gate(self):
+        # The gate sits at 1/2 itself: the float just below is rejected.
+        with pytest.raises(ValueError, match="A >= 1/2"):
+            dnn_hypothesis(make_model_params(2, float(np.nextafter(0.5, 0.0)), 0.2), 3, 1000, 1.0)
 
     @pytest.mark.parametrize("form", ["preasymptotic", "asymptotic"])
     def test_supercritical_rejects_A_one(self, form):
         # c(m,d) = 0 for d > m at A = 1: the preasymptotic form once
         # divided by it and returned inf with RuntimeWarnings.
         with pytest.raises(ValueError, match="A < 1"):
-            dnn_hypothesis_supercritical(make_model_params(2, 1.0, 0.0), 3, 1000, 1.0, form=form)
+            dnn_hypothesis(make_model_params(2, 1.0, 0.0), 3, 1000, 1.0, form=form)
+
+    @pytest.mark.parametrize("form", ["preasymptotic", "asymptotic"])
+    def test_non_integer_degree_rejected(self, form):
+        # The asymptotic form once read d = 2.5 as a degree.
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            dnn_hypothesis(make_model_params(2, 0.6, 0.2), [3, 2.5], 1000, 1.0, form=form)
 
     def test_critical_value_and_finite_d_factor(self):
+        # At A = 1/2, n^(2A-1) = 1: the flat C/(2(m+1)) and its (d+2)/d.
         p = make_model_params(2, 0.5, 0.2)
-        base = dnn_hypothesis_critical(p, 4, 10**4, 3.0, form="asymptotic")
-        assert base == pytest.approx(3.0 / 6.0 * np.log(10**4), rel=1e-12)
-        assert dnn_hypothesis_critical(p, 4, 10**4, 3.0) == pytest.approx(
-            base * 1.5, rel=1e-12
-        )
-        flat = dnn_hypothesis_critical(p, np.array([2, 9]), 10**4, 3.0, form="asymptotic")
+        base = dnn_hypothesis(p, 4, 10**4, 3.0, form="asymptotic")
+        assert base == pytest.approx(3.0 / 6.0, rel=1e-12)
+        assert dnn_hypothesis(p, 4, 10**4, 3.0) == pytest.approx(base * 1.5, rel=1e-12)
+        flat = dnn_hypothesis(p, np.array([2, 9]), 10**4, 3.0, form="asymptotic")
         assert flat.tolist() == [base, base]
 
-    def test_critical_gate(self):
-        with pytest.raises(ValueError, match="A = 1/2"):
-            dnn_hypothesis_critical(P, 3, 1000, 1.0)
-
     def test_constant_must_be_positive(self):
-        with pytest.raises(ValueError, match="C2"):
-            dnn_hypothesis_critical(make_model_params(2, 0.5, 0.2), 3, 100, -1.0)
+        with pytest.raises(ValueError, match=r"^C must be > 0, got -1.0$"):
+            dnn_hypothesis(make_model_params(2, 0.5, 0.2), 3, 100, -1.0)
 
     @pytest.mark.parametrize(
-        "A, predict, kw, message",
+        "A, kw, message",
         [
-            (0.6, dnn_hypothesis_supercritical, {"C1": 0}, "C1 must be > 0, got 0"),
-            (0.6, dnn_hypothesis_supercritical, {"C1": 1.0, "form": "bogus"}, "unknown form 'bogus'"),
-            (0.5, dnn_hypothesis_critical, {"C2": 1.0, "form": "bogus"}, "unknown form 'bogus'"),
+            (0.6, {"C": 0}, "C must be > 0, got 0"),
+            (0.6, {"C": 1.0, "form": "bogus"}, "unknown form 'bogus'"),
+            (0.5, {"C": 1.0, "form": "bogus"}, "unknown form 'bogus'"),
         ],
         ids=["supercritical_C1_zero", "supercritical_form", "critical_form"],
     )
-    def test_bad_constant_or_form_rejected(self, A, predict, kw, message):
+    def test_bad_constant_or_form_rejected(self, A, kw, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            predict(make_model_params(2, A, 0.2), 3, 100, **kw)
+            dnn_hypothesis(make_model_params(2, A, 0.2), 3, 100, **kw)
 
     @pytest.mark.parametrize("A", [0.5, 0.6])
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -366,13 +387,27 @@ class TestHypothesisPredictors:
         # n = 0 once gave 0.0 (supercritical) or a warning and -inf
         # (critical), and n = 2 passed, below the seed of m+1 = 3 vertices.
         p = make_model_params(2, A, 0.2)
-        predict = dnn_hypothesis_critical if A == 0.5 else dnn_hypothesis_supercritical
         message = rf"size n must be an integer >= 3, got {n}"
-        with pytest.raises(ValueError, match=message):
-            predict(p, 3, n, 1.0)
-        for f in (dnn_overlay, lambda p, d, n: expected_W(p, n)):
+        for f in (lambda p, d, n: dnn_hypothesis(p, d, n, 1.0), dnn_overlay, lambda p, d, n: expected_W(p, n)):
             with pytest.raises(ValueError, match=message):
                 f(p, 3, n)
+
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+    @pytest.mark.parametrize("A", [0.5, float(np.nextafter(0.5, 1.0)), 0.6, 0.8])
+    def test_is_the_papers_predictor(self, A, n):
+        # Above 1/2 the paper's c(m,d) form with C1 = C; at 1/2 its critical
+        # predictor in both forms with C2 = C/log(n).  Measured: 2.9e-15.
+        for m in (1, 2, 3):
+            p = make_model_params(m, A, 0.2)
+            d, C = np.arange(m, 301), hypothesis_constant(p, n)
+            got = dnn_hypothesis(p, d, n, C)
+            if A > 0.5:
+                np.testing.assert_allclose(got, reference.dnn_hypothesis_supercritical(p, d, n, C), rtol=1e-14, atol=0)
+                continue
+            C2 = C / math.log(n)
+            np.testing.assert_allclose(got, reference.dnn_hypothesis_critical(p, d, n, C2), rtol=1e-14, atol=0)
+            flat = reference.dnn_hypothesis_critical(p, d, n, C2, form="asymptotic")
+            np.testing.assert_allclose(dnn_hypothesis(p, d, n, C, form="asymptotic"), flat, rtol=1e-14, atol=0)
 
 
 # Each (A, m) case of the form against the oracle at D = 0.2 (the
@@ -492,14 +527,12 @@ class TestOverlay:
 
 
 class TestTheoryTables:
-    @pytest.mark.parametrize(
-        "A, predictor", [(0.5, dnn_hypothesis_critical), (0.6, dnn_hypothesis_supercritical)]
-    )
+    @pytest.mark.parametrize("A, predictor", [(0.5, dnn_hypothesis), (0.6, dnn_hypothesis)])
     @pytest.mark.parametrize("n_list", [(), (1000, 10**4)])
     def test_hypothesis_cells_are_the_predictors(self, A, predictor, n_list):
-        # Each cell, bit for bit, is the regime's predictor in its two
-        # forms at its own (d, n), with the constant from E W_n; one block
-        # per size, 10^5 if none.
+        # Each cell, bit for bit, is the predictor in its two forms at its
+        # own (d, n), with the constant from E W_n, at A = 1/2 as above it;
+        # one block per size, 10^5 if none.
         p = make_model_params(2, A, 0.2)
         rows = theory_tables(p, 40, n_list)
         assert [(r["n"], r["d"]) for r in rows] == [(n, d) for n in n_list or (10**5,) for d in range(2, 41)]
@@ -530,10 +563,12 @@ class TestTheoryTables:
 class TestSizeRule:
     """A float size once raised a TypeError in theory_tables, dnn_overlay
     and expected_W; every theory entry point now reads sizes by the params
-    rule: an integral float is that size, any other float is rejected."""
+    rule: an integral float is that size, any other float is rejected.
+    The d_max of theory_tables and integrate_S follows the same rule."""
 
     P = make_model_params(2, 0.6, 0.2)
     PC = make_model_params(2, 0.5, 0.2)
+    FRACTIONAL = "size n must be an integer >= 3, got 1000.5"
 
     def test_integral_float_is_the_int(self):
         p, d = self.P, np.array([2, 3, 7])
@@ -541,19 +576,35 @@ class TestSizeRule:
         assert (dnn_overlay(p, d, 1000.0) == dnn_overlay(p, d, 1000)).all()
         assert (dnn_overlay(self.PC, d, 1000.0) == dnn_overlay(self.PC, d, 1000)).all()
         assert expected_W(p, 1000.0) == expected_W(p, 1000)
+        # d_max = 6.0 once gave float d cells, and integrate_S a TypeError.
+        rows = theory_tables(p, 6.0)
+        assert rows == theory_tables(p, 6) and type(rows[-1]["d"]) is int
+        assert integrate_S(p, 100, 10.0).d_max == 10 and type(integrate_S(p, 100, 10.0).d_max) is int
 
     @pytest.mark.parametrize(
-        "call",
+        "call, message",
         [
-            lambda p, pc: theory_tables(p, 7, [1000, 1000.5]),
-            lambda p, pc: dnn_overlay(p, 3, 1000.5),
-            lambda p, pc: dnn_overlay(pc, 3, 1000.5),
-            lambda p, pc: expected_W(p, 1000.5),
-            lambda p, pc: dnn_hypothesis_supercritical(p, 3, 1000.5, 1.0),
-            lambda p, pc: dnn_hypothesis_critical(pc, 3, 1000.5, 1.0),
+            (lambda p, pc: theory_tables(p, 7, [1000, 1000.5]), FRACTIONAL),
+            (lambda p, pc: dnn_overlay(p, 3, 1000.5), FRACTIONAL),
+            (lambda p, pc: dnn_overlay(pc, 3, 1000.5), FRACTIONAL),
+            (lambda p, pc: expected_W(p, 1000.5), FRACTIONAL),
+            (lambda p, pc: dnn_hypothesis(p, 3, 1000.5, 1.0), FRACTIONAL),
+            (lambda p, pc: dnn_hypothesis(pc, 3, 1000.5, 1.0), FRACTIONAL),
+            # Once float d cells up to 6.0, past d_max.
+            (lambda p, pc: theory_tables(p, 5.5), "d_max must be an integer >= 2, got 5.5"),
+            # Once read as d_max = 1.
+            (lambda p, pc: theory_tables(make_model_params(1, 0.6, 0.0), True), "d_max must be an integer >= 1, got True"),
+            (lambda p, pc: theory_tables(p, 1.5), "d_max must be >= m = 2, got 1.5"),
+            # Once numpy's TypeError.
+            (lambda p, pc: integrate_S(p, 100, 10.5), "d_max must be an integer >= 4, got 10.5"),
+            (lambda p, pc: integrate_S(p, 100, True), "d_max must be >= 2m = 4 to hold the seed"),
         ],
-        ids=["theory_tables", "overlay_super", "overlay_critical", "expected_W", "supercritical", "critical"],
+        ids=[
+            "theory_tables", "overlay_super", "overlay_critical", "expected_W", "supercritical", "critical",
+            "theory_tables_d_max", "theory_tables_d_max_bool", "theory_tables_d_max_below_m",
+            "integrate_S_d_max", "integrate_S_d_max_bool",
+        ],
     )
-    def test_fractional_size_rejected(self, call):
-        with pytest.raises(ValueError, match=r"^size n must be an integer >= 3, got 1000.5$"):
+    def test_fractional_size_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(self.P, self.PC)
