@@ -108,6 +108,8 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_theory(args) -> int:
     p = make_model_params(args.m, args.A, args.D)
+    if args.n is not None and p.A < 0.5:  # theory_tables would drop the sizes without a word
+        raise ValueError(f"--n sizes the hypothesis columns, which need A >= 1/2, got A={p.A}")
     rows = theory_tables(p, args.d_max, n_list=args.n or ())
     _write_csv(Path(args.out), list(rows[0]), [r.values() for r in rows])
     print(f"wrote {len(rows)} theory rows to {args.out}")

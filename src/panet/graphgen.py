@@ -28,9 +28,11 @@ graph before that step.  Multi-edges are kept
 vertex only connects to older vertices.
 
 A generated graph is its target array: generate fills one array of m*n
-targets in place, the seed clique's first, and Multigraph keeps the
-sources implicit.  Only this module reads the edge format; other readers
-take sources through Multigraph.sources.
+int64 targets in place, the seed clique's first, and Multigraph keeps the
+sources implicit.  An imported graph holds its sources and targets as
+int32 while 2E < 2**31 (8 B/edge), int64 above.  Only this module reads
+the edge format or picks the id type; other readers take sources and
+targets through Multigraph.sources and Multigraph.targets.
 """
 
 from __future__ import annotations
@@ -56,6 +58,33 @@ __all__ = [
     "child_seed",
 ]
 
+_GATHER_CHUNK = 1 << 14  # ids per take of _gather
+
+
+def _id_type(num_edges: int) -> type:
+    """The dtype of an imported graph's ids: int32 while every id fits,
+    which 2E < 2**31 ensures (ids are below 2E), else int64."""
+    return np.int32 if 2 * num_edges < 2**31 else np.int64
+
+
+def _gather(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """x[ids] by take, _GATHER_CHUNK ids at a time.  take copies its ids to
+    intp first, so whole it would hold 8 B per int32 id; on a chunk it
+    reads them faster than [] does, which widens them in a slower loop."""
+    if len(ids) <= _GATHER_CHUNK:
+        return x.take(ids)
+    out = np.empty(len(ids), x.dtype)
+    for lo in range(0, len(ids), _GATHER_CHUNK):
+        out[lo : lo + _GATHER_CHUNK] = x.take(ids[lo : lo + _GATHER_CHUNK])  # faster than take's out=
+    return out
+
+
+def _ids(x) -> np.ndarray:
+    """x as an id array: an int32 or int64 array as given, anything else
+    converted to int64."""
+    x = np.asarray(x)
+    return x if x.dtype in (np.int32, np.int64) else x.astype(np.int64)
+
 
 class Multigraph:
     """n vertices and an edge multiset: edge e joins u[e] and v[e].
@@ -65,11 +94,13 @@ class Multigraph:
     has source e // m, E = m*n, and the graph holds its targets v alone
     (8 B/edge).  Readers take the sources through sources(), which never
     builds the m*n of them, or through u, built on each read and never
-    kept.  A bad shape raises ValueError."""
+    kept.  An int32 or int64 id array is kept as given, so an imported
+    graph's int32 u and v hold 8 B/edge; any other is converted to int64.
+    A bad shape raises ValueError."""
 
     def __init__(self, n: int, u, v):
         self.n = n
-        self.v = np.asarray(v, dtype=np.int64)
+        self.v = _ids(v)
         if isinstance(u, (int, np.integer)):
             self.m, self._u = integer(u, "m", 1), None
             if n < 1:
@@ -77,7 +108,7 @@ class Multigraph:
             if len(self.v) != self.m * n:
                 raise ValueError(f"implicit sources need m*n = {self.m * n} targets, got {len(self.v)}")
         else:
-            self.m, self._u = None, np.asarray(u, dtype=np.int64)
+            self.m, self._u = None, _ids(u)
             if len(self._u) != len(self.v):
                 raise ValueError(f"u and v must have one length, got {len(self._u)} and {len(self.v)}")
 
@@ -96,18 +127,35 @@ class Multigraph:
         repeated m times and trimmed to the edges lo .. hi-1: no gather."""
         if self.m is None:
             u = self._u[lo:hi]
-            return u if x is None else x[u]
+            return u if x is None else _gather(x, u)
         m = self.m
         first = lo // m
         last = min(-(-hi // m), self.n)  # one past the source of edge hi - 1
         ids = np.arange(first, last) if x is None else x[first:last]
         return ids.repeat(m)[lo - first * m : hi - first * m]
 
+    def targets(self, lo: int, hi: int, x=None) -> np.ndarray:
+        """v[lo:hi], or x[v[lo:hi]] for an array x over the vertices."""
+        v = self.v[lo:hi]
+        return v if x is None else _gather(x, v)
+
     def degree_array(self) -> np.ndarray:
-        deg = np.bincount(self.v, minlength=self.n)
-        if self.m is None:
-            deg += np.bincount(self._u, minlength=self.n)  # in place: two n-sized arrays at the peak, not three
-        else:
+        """Each vertex's degree, int64.  np.bincount reads int64 ids as they
+        are, but would copy int32 ones to intp first (8 B/edge), so those
+        are counted in place by np.add.at, through a fixed 70 KB buffer,
+        once none is negative: np.add.at would count one from the end, where
+        np.bincount raises ValueError."""
+        deg = None
+        for ids in (self.v,) if self.m else (self.v, self._u):
+            if ids.dtype == np.int64:
+                counts = np.bincount(ids, minlength=self.n)
+                deg = counts if deg is None else np.add(deg, counts, out=deg)  # two n-sized arrays at the peak
+            elif ids.min(initial=0) < 0:
+                raise ValueError("negative vertex id")
+            else:
+                deg = np.zeros(self.n, np.int64) if deg is None else deg
+                np.add.at(deg, ids, 1)
+        if self.m:
             deg += self.m  # every vertex owns m slots
         return deg
 
@@ -324,13 +372,18 @@ def import_edge_list(path) -> Multigraph:
     scanner, which defines the format and names the offending line.  The
     file is read as text mode reads it, where a lone CR also ends a line.
 
+    Either parser returns u and v as int32 while 2E < 2**31 (the ids are
+    below 2E), else int64, so the graph's ids do not depend on which one
+    read the text.
+
     The numpy path cuts the file at line ends (CR or LF) into blocks of
     about _READ_BLOCK bytes and maps two passes over them on thread_map's
     threads: one counts each block's edges, the other parses the block
     again into its slice of u and v.  So no copy of the whole file is
     held: at m = 2 on two threads the tracemalloc peak is u and v
-    (16 B/edge) plus 0.6-0.7 MiB, and n = 2e5 takes 0.03 s (0.05 s on one
-    thread), n = 1e6 0.15-0.17 s (0.26-0.30 s on one).
+    (8 B/edge as int32) plus 0.7 MiB, 9.8 B/edge at n = 2e5 and 8.4 at
+    n = 1e6 (17.8 and 16.4 with int64 ids).  n = 2e5 takes 0.03 s (0.05 s
+    on one thread), n = 1e6 0.13-0.17 s (0.26-0.30 s on one).
     """
     with open(path, "rb") as fh:
         uv = _parse_digits(fh.fileno())
@@ -383,7 +436,8 @@ def _parse_digits(fd: int) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     offsets = [0, *itertools.accumulate(counts)]  # block i fills offsets[i] .. offsets[i+1]-1
     E = offsets[-1]
-    u, v = np.empty(E, dtype=np.int64), np.empty(E, dtype=np.int64)
+    u = np.empty(E, dtype=_id_type(E))
+    v = np.empty_like(u)
 
     def parse(i):
         (start, end), lo, hi = blocks[i], offsets[i], offsets[i + 1]
@@ -444,7 +498,8 @@ def _scan_lines(text: str) -> tuple[np.ndarray, np.ndarray]:
     top = max(max(us), max(vs))
     if top >= 2 * len(us):
         raise ValueError(f"vertex id {top} is not below 2E = {2 * len(us)} (twice the edge count)")
-    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    ids = _id_type(len(us))
+    return np.array(us, dtype=ids), np.array(vs, dtype=ids)
 
 
 def child_seed(root_seed: int, *key: int) -> int:

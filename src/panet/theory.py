@@ -274,7 +274,10 @@ def _rows(**columns) -> list[dict]:
 def theory_tables(p: ModelParams, d_max: int, n_list=()) -> list[dict]:
     """Theory-only rows per degree d in [m, d_max]: subcritical closed
     forms for A < 1/2; for A >= 1/2 dnn_hypothesis in its two forms, with
-    C = E W_n/n^(2A), one block per size n (10^5 if none)."""
+    C = E W_n/n^(2A), one block per size n (10^5 if none).  Below A = 1/2
+    n_list is checked but ignored, since the closed forms have no size; a
+    theory-only preset passes its sizes there (at A = 0.2), while `panet
+    theory` rejects --n there."""
     if d_max < p.m:
         raise ValueError(f"d_max must be >= m = {p.m}, got {d_max}")
     d = np.arange(p.m, integer(d_max, "d_max", p.m) + 1)

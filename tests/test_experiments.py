@@ -14,6 +14,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -415,6 +416,29 @@ class TestCLI:
         assert rows[0]["d"] == "2"
         assert sum(int(r["N"]) for r in rows) == 500
 
+    @pytest.mark.parametrize("A, D", [(0.25, 0.3), (0.6, 0.2)])
+    def test_metrics_peak_memory_per_edge(self, A, D, monkeypatch, tmp_path):
+        # One whole `panet metrics` call at n = 2e5: the int32 ids of the
+        # import (8 B/edge, held throughout), then clustering and the
+        # profile.  On one CPU they run in turn: measured 32.3 B/edge on
+        # both inputs, and 40.3 with int64 ids.  On two threads the peak
+        # moves with how far the profile overlaps clustering's wedge pass:
+        # 33.4-35.0 in 30 calls on each input, and about 40 should the two
+        # peaks meet.  So the bound is taken on one CPU.
+        path = tmp_path / "g.txt"
+        graphgen.export_edge_list(generate(derive_generator_params(2, A, D), 200_000, seed=1), path)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+        argv = ["metrics", "--in", str(path), "--out", str(tmp_path / "m.csv")]
+        assert self._run(*argv) == 0  # first-call allocations outside the trace
+        tracemalloc.start()
+        try:
+            assert self._run(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        E = 2 * 200_000
+        assert peak < 34 * E, f"panet metrics peaked at {peak / E:.1f} B/edge"
+
     def test_generate_by_knobs(self, tmp_path):
         out = tmp_path / "g.txt"
         assert self._run(
@@ -633,12 +657,14 @@ class TestCLI:
             (["oracle", "--m", "2", "--A", "0.25", "--D", "0.3", "--n-end", "100", "--d-max", "3"], "d_max must be >= 2m = 4 to hold the seed"),
             # Once named an internal class and pointed to predictors the oracle cannot use.
             (["oracle", "--m", "2", "--A", "0.6", "--D", "0.2", "--n-end", "100", "--d-max", "10"], "the n -> oo closed form needs A < 1/2, got A=0.6"),
+            # Once exited 0 with the closed-form table and no size column.
+            (["theory", "--m", "2", "--A", "0.2", "--D", "0.3", "--d-max", "5", "--n", "1000"], "--n sizes the hypothesis columns, which need A >= 1/2, got A=0.2"),
         ],
         ids=[
             "generate_c_nan", "generate_c_inf", "generate_A_nan", "theory_D_nan", "theory_D_inf",
             "oracle_D_nan", "oracle_D_inf", "theory_n_negative", "theory_n_zero", "theory_A_one",
             "generate_A_without_D", "generate_beta_without_c", "oracle_d_max_below_m", "oracle_d_max_below_2m",
-            "oracle_A_supercritical",
+            "oracle_A_supercritical", "theory_n_subcritical",
         ],
     )
     def test_bad_numbers_exit_2(self, tmp_path, capsys, argv, message):

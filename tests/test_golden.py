@@ -33,9 +33,10 @@ from panet.experiments import PRESETS
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
+# Sizes only where the table has a size column: below A = 1/2, --n exits 2.
 THEORY_ARGS = {
     "A0.2": ["--m", "2", "--A", "0.2", "--D", "0.3"],
-    "A0.6": ["--m", "2", "--A", "0.6", "--D", "0.2"],
+    "A0.6": ["--m", "2", "--A", "0.6", "--D", "0.2", "--n", "1000", "10000"],
 }
 
 METRICS_ARGS = {
@@ -71,7 +72,7 @@ def preset_digest(name: str, out_dir: Path) -> dict:
 def theory_digest(key: str, out_dir: Path) -> str:
     out = out_dir / f"theory_{key}.csv"
     code, _, _ = _run(
-        ["theory", *THEORY_ARGS[key], "--n", "1000", "10000", "--d-max", "200", "--out", str(out)]
+        ["theory", *THEORY_ARGS[key], "--d-max", "200", "--out", str(out)]
     )
     assert code == 0
     return _sha(out.read_bytes())

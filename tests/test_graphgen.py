@@ -179,6 +179,18 @@ class TestMultigraph:
         with pytest.raises(ValueError, match=message):
             Multigraph(n, u, v)
 
+    @pytest.mark.parametrize("ids", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "n, u, v", [(3, [0, -1], [1, 2]), (3, [0, 1], [2, -3]), (2, 1, [-1, 0])], ids=["source", "target", "implicit"]
+    )
+    def test_negative_id_rejected(self, n, u, v, ids):
+        # np.add.at, which counts int32 ids, would count a negative one
+        # from the end of the degrees; np.bincount, for int64 ids, raises.
+        g = Multigraph(n, u if u == 1 else np.array(u, ids), np.array(v, ids))
+        for read in (Multigraph.degree_array, degree_profile, clustering):
+            with pytest.raises(ValueError, match="negative"):
+                read(g)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_sources_equal_explicit(self, m):
         g = generate(derive_generator_params(m, 0.3, 0.2 if m > 1 else 0.0), 9, seed=m)
@@ -198,13 +210,17 @@ class TestMultigraph:
     def test_readers_equal_on_explicit_copy(self, m, chunk, monkeypatch, tmp_path):
         monkeypatch.setattr(metrics, "_EDGE_CHUNK", chunk)
         monkeypatch.setattr(graphgen, "_EXPORT_CHUNK", chunk)
+        monkeypatch.setattr(graphgen, "_GATHER_CHUNK", chunk)
         g = generate(derive_generator_params(m, 0.3, 0.2 if m > 1 else 0.0), 60, seed=10 + m)
-        h = _explicit(g)
-        assert degree_profile(g) == degree_profile(h)
-        assert clustering(g) == clustering(h)
-        export_edge_list(h, tmp_path / "h.txt")
         _assert_exports_like_writer(g, tmp_path / "g.txt")
-        assert (tmp_path / "g.txt").read_bytes() == (tmp_path / "h.txt").read_bytes()
+        # The int64 copy, and the int32 one an import makes, are kept as given.
+        for ids in (np.int64, np.int32):
+            h = Multigraph(g.n, g.u.astype(ids), g.v.astype(ids))
+            assert h._u.dtype == h.v.dtype == ids
+            assert degree_profile(g) == degree_profile(h)
+            assert clustering(g) == clustering(h)
+            export_edge_list(h, tmp_path / "h.txt")
+            assert (tmp_path / "g.txt").read_bytes() == (tmp_path / "h.txt").read_bytes()
 
     def test_generated_graph_is_its_targets(self):
         # v alone is 8 B/edge; the sources are never built into the graph,
@@ -551,6 +567,21 @@ class TestEdgeListIO:
         h = import_edge_list(str(path))
         assert h.u.tolist() == g.u.tolist() and h.v.tolist() == g.v.tolist()
 
+    def test_id_type_rule(self):
+        # Ids are below 2E, so 2E < 2**31 fits every one in int32.
+        assert graphgen._id_type(2**30 - 1) is np.int32
+        assert graphgen._id_type(2**30) is np.int64
+
+    @pytest.mark.parametrize("text", ["0 1\n2 3\n", "+0 1\n2 3\n"], ids=["numpy_path", "line_scanner"])
+    def test_both_parsers_follow_the_rule(self, text, monkeypatch, tmp_path):
+        # No test file reaches 2E = 2**31, so the rule is patched to int64.
+        monkeypatch.setattr(graphgen, "_id_type", lambda num_edges: np.int64)
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        g = import_edge_list(path)
+        assert g.u.dtype == g.v.dtype == np.int64
+        assert (g.u.tolist(), g.v.tolist()) == ([0, 2], [1, 3])
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -558,8 +589,9 @@ class TestEdgeListIO:
             "0 1 2\n3\n",  # an even id count on ragged lines
             "0 1\r2 3\n",  # a CR inside a line, which ends it in a file
             " \n\t\n0 1\n1 2\n \t \n\n",  # whitespace-only lines around the edges
+            "+0 1\n2 3\n",  # valid, read by the line scanner alone
         ],
-        ids=["twenty_digits", "ragged", "inner_cr", "whitespace_lines"],
+        ids=["twenty_digits", "ragged", "inner_cr", "whitespace_lines", "plus_sign"],
     )
     def test_pinned_texts_match_line_scanner(self, text, tmp_path):
         _assert_matches_line_scanner(text, tmp_path / "g.txt")
@@ -600,14 +632,15 @@ def _assert_exports_like_writer(g, path) -> None:
 
 def _assert_matches_line_scanner(text: str, path) -> None:
     """import_edge_list on a file holding text gives the ids the line
-    scanner reads from it in text mode, or raises the scanner's message."""
+    scanner reads from it in text mode, as int32 (2E < 2**31 here) from
+    either parser, or raises the scanner's message."""
     path.write_bytes(text.encode())
     with open(path) as fh:
-        want = _outcome(lambda: scan_edge_list(fh))
+        want = _outcome(lambda: (*scan_edge_list(fh), np.int32, np.int32))
 
     def read():
         g = import_edge_list(path)
-        return g.u.tolist(), g.v.tolist()
+        return g.u.tolist(), g.v.tolist(), g.u.dtype, g.v.dtype
 
     assert _outcome(read) == want
 
@@ -658,6 +691,7 @@ class TestThreadedImport:
         h = import_edge_list(path)
         assert h.n == g.n
         assert h.u.tolist() == g.u.tolist() and h.v.tolist() == g.v.tolist()
+        assert h.u.dtype == h.v.dtype == np.int32
 
     @pytest.mark.parametrize("block", [1, 2, 7, 1 << 20])
     @pytest.mark.parametrize("text", _MALFORMED)
@@ -720,8 +754,9 @@ class TestThreadedImport:
     @pytest.mark.parametrize("n", [200_000, 1_000_000])
     def test_peak_is_the_ids_plus_a_buffer_per_thread(self, n, monkeypatch, tmp_path):
         # Two threads, each with one block and its parse in hand: u and v
-        # (16 B/edge) and under 1 MiB.  A reader that held the whole file
-        # (12-14 B/edge here), let alone a copy of its blocks, is over.
+        # as int32 (8 B/edge) and under 1 MiB; measured 9.8 B/edge at
+        # n = 2e5 and 8.4 at n = 1e6.  int64 ids (16 B/edge), or a reader
+        # that held the whole file (12-14 B/edge here), are over.
         path = tmp_path / "g.txt"
         export_edge_list(generate(GP, n, seed=3), path)
         E = 2 * n
@@ -733,7 +768,7 @@ class TestThreadedImport:
         finally:
             tracemalloc.stop()
         assert os.path.getsize(path) > 2 * 2**20
-        assert peak < 16 * E + 2 * 2**20, f"import peaked at {peak / E:.1f} B/edge"
+        assert peak < 8 * E + 2 * 2**20, f"import peaked at {peak / E:.1f} B/edge"
 
     @staticmethod
     def _assert_reads(path, u, v):

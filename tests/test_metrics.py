@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from panet import metrics, parallel
-from panet.graphgen import Multigraph, generate, seed_graph
+from panet.graphgen import Multigraph, export_edge_list, generate, import_edge_list, seed_graph
 from panet.metrics import (
     ClusteringProfile,
     clustering,
@@ -54,6 +54,24 @@ _LAST_EDGE_CLOSES = _graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
 # Degrees 2, 3, 4, 5 for 0, 1, 2, 3 (the rest are leaves): 0 pairs 1 with 3,
 # 1's out-list is empty, and the next out-list, 2's, is the edge to 3.
 _EMPTY_FIRST = _graph(12, [(0, 1), (0, 3), (1, 4), (1, 5), (2, 3), (2, 6), (2, 7), (2, 8), (3, 9), (3, 10), (3, 11)])
+
+
+def _imported(g, tmp_path):
+    """g written out and read back: int32 ids, its sources explicit."""
+    export_edge_list(g, tmp_path / "g.txt")
+    h = import_edge_list(tmp_path / "g.txt")
+    assert h._u.dtype == h.v.dtype == np.int32
+    return h
+
+
+def _traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture
@@ -130,13 +148,19 @@ class TestDegreeProfile:
         # with them).
         g = generate(derive_generator_params(2, A, D), 100_000, seed=1)
         g = Multigraph(g.n, g.u, g.v)
-        tracemalloc.start()
-        try:
-            degree_profile(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * g.num_edges
+        peak = _traced_peak(lambda: degree_profile(g))
+        assert peak < 10 * g.num_edges, f"degree_profile peaked at {peak / g.num_edges:.2f} B/edge"
+
+    @pytest.mark.parametrize("A, D", [(0.25, 0.3), (0.6, 0.2)])
+    def test_peak_memory_per_edge_imported(self, A, D, tmp_path):
+        # The same bound on an import's int32 ids, counted in place into
+        # the degree array (4 B/edge) with no copy: measured 7.3-7.6 B/edge
+        # at n = 1e5, a chunk's take copying its ids to intp.  It leaves no
+        # room for np.bincount over all of them (their intp copy alone is
+        # 8 B/edge).
+        g = _imported(generate(derive_generator_params(2, A, D), 100_000, seed=1), tmp_path)
+        peak = _traced_peak(lambda: degree_profile(g))
+        assert peak < 10 * g.num_edges, f"degree_profile peaked at {peak / g.num_edges:.2f} B/edge"
 
     def test_peak_memory_per_edge_generated(self):
         # A generated graph's degree array is one bincount plus m, 4 B/edge
@@ -340,13 +364,17 @@ class TestClusteringKernel:
         # buffer, so the bound holds for two threads, not for every CPU.
         g = generate(derive_generator_params(2, A, D), 100_000, seed=1)
         monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
-        tracemalloc.start()
-        try:
-            clustering(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 60 * g.num_edges
+        peak = _traced_peak(lambda: clustering(g))
+        assert peak < 60 * g.num_edges, f"clustering peaked at {peak / g.num_edges:.2f} B/edge"
+
+    @pytest.mark.parametrize("A, D", [(0.25, 0.3), (0.6, 0.2)])
+    def test_peak_memory_per_edge_imported(self, A, D, monkeypatch, tmp_path):
+        # The same bound on an import's int32 ids, gathered a chunk at a
+        # time and never widened whole.
+        g = _imported(generate(derive_generator_params(2, A, D), 100_000, seed=1), tmp_path)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        peak = _traced_peak(lambda: clustering(g))
+        assert peak < 60 * g.num_edges, f"clustering peaked at {peak / g.num_edges:.2f} B/edge"
 
     def test_hub_makes_no_wedges(self):
         # Leaves point at the hub, so the hub has no out-neighbors and the
