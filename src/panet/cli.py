@@ -91,9 +91,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_metrics(args) -> int:
     g = import_edge_list(getattr(args, "in"))
-    # The profile runs beside clustering's serial prelude (rank and
-    # sort), on another CPU where there is one.
-    cp, prof = thread_map(lambda layer: layer(g), (clustering, degree_profile))
+    # One degree array for both.  The profile runs beside clustering's
+    # serial prelude (rank and sort), on another CPU where there is one.
+    with g.held_degrees():
+        cp, prof = thread_map(lambda layer: layer(g), (clustering, degree_profile))
     rows = [
         (d, prof.N[d], prof.S[d], dnn_empirical(prof, d), cp.C_by_degree.get(d, 0.0))
         for d in sorted(prof.N)

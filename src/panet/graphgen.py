@@ -37,6 +37,7 @@ targets through Multigraph.sources and Multigraph.targets.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import os
@@ -101,6 +102,7 @@ class Multigraph:
     def __init__(self, n: int, u, v):
         self.n = n
         self.v = _ids(v)
+        self._deg = None  # set inside held_degrees() only
         if isinstance(u, (int, np.integer)):
             self.m, self._u = integer(u, "m", 1), None
             if n < 1:
@@ -140,18 +142,38 @@ class Multigraph:
         return v if x is None else _gather(x, v)
 
     def degree_array(self) -> np.ndarray:
-        """Each vertex's degree, int64.  np.bincount reads int64 ids as they
-        are, but would copy int32 ones to intp first (8 B/edge), so those
-        are counted in place by np.add.at, through a fixed 70 KB buffer,
-        once none is negative: np.add.at would count one from the end, where
-        np.bincount raises ValueError."""
+        """Each vertex's degree, int64; inside held_degrees() the held array."""
+        return self._count_degrees() if self._deg is None else self._deg
+
+    @contextlib.contextmanager
+    def held_degrees(self):
+        """Readers inside the block share one read-only degree array."""
+        self._deg = self._count_degrees()
+        self._deg.flags.writeable = False
+        try:
+            yield
+        finally:
+            self._deg = None
+
+    def _count_degrees(self) -> np.ndarray:
+        """np.bincount reads int64 ids as they are, but would copy int32
+        ones to intp first (8 B/edge), so those are counted in place by
+        np.add.at, through a fixed 70 KB buffer, once none is negative (it
+        would count one from the end; np.bincount raises) or >= n, which
+        raises ValueError, seen in bincount's length or a max of int32 ids."""
         deg = None
         for ids in (self.v,) if self.m else (self.v, self._u):
             if ids.dtype == np.int64:
                 counts = np.bincount(ids, minlength=self.n)
-                deg = counts if deg is None else np.add(deg, counts, out=deg)  # two n-sized arrays at the peak
+                top = len(counts) - 1
             elif ids.min(initial=0) < 0:
                 raise ValueError("negative vertex id")
+            else:
+                counts, top = None, int(ids.max(initial=0))
+            if top >= self.n:
+                raise ValueError(f"vertex id {top} is not below n = {self.n}")
+            if counts is not None:
+                deg = counts if deg is None else np.add(deg, counts, out=deg)  # two n-sized arrays at the peak
             else:
                 deg = np.zeros(self.n, np.int64) if deg is None else deg
                 np.add.at(deg, ids, 1)

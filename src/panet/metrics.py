@@ -61,7 +61,8 @@ def degree_profile(g: Multigraph) -> DegreeProfile:
     B/edge on a generated graph, its degree array of one bincount plus the
     chunk buffer, 4.33-4.42 on an import's int32 ids, counted in place, and
     8.0 B/edge at n = 1e5 and 1e6 with int64 sources, the two bincounts of
-    degree_array (16 B/edge with two gathers over all edges)."""
+    degree_array (16 B/edge with two gathers over all edges); inside
+    g.held_degrees() only the sums and the buffer."""
     deg = g.degree_array()
     counts = np.bincount(deg)
     sums = np.zeros(len(counts), dtype=np.int64)
@@ -103,80 +104,95 @@ def clustering(g: Multigraph) -> ClusteringProfile:
     bound finds in y's out-list, in bit_length(k_max - 1) halvings.  Runs
     of sources costing at most _WEDGE_CHUNK (k^2 for out-degree k, or one
     costlier source) list their wedges, and thread_map maps the runs that
-    hold a wedge over its threads.  At m = 2 on two threads: 0.025-0.037 s
-    and 25-27 B/edge (tracemalloc peak) at n = 2e5, 0.21-0.23 s and 24 B/edge
-    at n = 1e6, 2.6-3.4 s at n = 1e7.
+    hold a wedge over its threads.  Keys are built, compacted and counted
+    _EDGE_CHUNK at a time in one array, the only one as long as the edges:
+    at m = 2 the tracemalloc peak is 20.0 B/edge at n = 1e6 (degrees 4,
+    int32 ranks 2, keys 8, out-degrees 4, int32 ends 2), 20.4 at n = 2e5
+    (22.0-22.6 on two threads).  Two threads take 0.025-0.037 s at n = 2e5,
+    0.21-0.23 s at n = 1e6, 2.6-3.4 s at n = 1e7.
     """
-    n = g.n
-    ids = np.int32 if max(n, 2 * g.num_edges) < 2**31 else np.int64  # rank ids and degrees
+    n, E = g.n, g.num_edges
+    ids = np.int32 if max(n, 2 * E) < 2**31 else np.int64  # rank ids, list ends and triangle corners
     s = (n - 1).bit_length()  # simple edge {x, y}, x < y in rank, has key x << s | y
     low = (1 << s) - 1
-    deg = g.degree_array().astype(ids)
+    deg = g.degree_array()
     rank = np.empty(n, dtype=ids)
     rank[np.argsort(deg)] = np.arange(n, dtype=ids)
-    a, b = g.sources(0, g.num_edges, rank), g.targets(0, g.num_edges, rank)
-    key = np.minimum(a, b, dtype=np.int64)
-    key <<= s
-    key |= np.maximum(a, b, out=a)
-    del a, b
+    key = np.empty(E, dtype=np.int64)
+    for lo in range(0, E, _EDGE_CHUNK):
+        a, b = g.sources(lo, lo + _EDGE_CHUNK, rank), g.targets(lo, lo + _EDGE_CHUNK, rank)
+        key[lo : lo + len(a)] = np.minimum(a, b, dtype=np.int64) << s | np.maximum(a, b)
     key.sort()
-    key = np.delete(key, np.flatnonzero(key[1:] == key[:-1]) + 1)
+    # Drop repeats in place, a chunk of keys at a time (the key before a
+    # chunk is not yet overwritten), and count out-degrees: work[x + 1].
+    work, k = np.zeros(n + 1, dtype=np.int64), 0
+    for lo in range(0, E, _EDGE_CHUNK):
+        new = key[lo : lo + _EDGE_CHUNK]
+        new = new[new != (key[lo - 1 : lo - 1 + len(new)] if lo else np.r_[-1, new[:-1]])]
+        key[k : k + len(new)] = new
+        k += len(new)
+        np.add.at(work[1:], new >> s, 1)  # an int64 target takes add.at's fast path
+    key = key[:k]
     # Source x's out-list is key[ends[x] : ends[x+1]].
-    work = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(work[1:], key >> s, 1)  # out-degrees
     halvings = int(work.max(initial=1) - 1).bit_length()
-    ends = np.cumsum(work)
+    ends = np.cumsum(work, out=work).astype(ids)  # a cast cumsum would copy work first
     # Sources lo .. hi-1 cost work[hi] - work[lo]: out-degree k costs k^2, k
     # positions and k(k-1)/2 wedges twice over; runs of positions alone are dropped.
+    np.subtract(ends[1:], ends[:-1], out=work[1:])
     np.cumsum(np.square(work, out=work), out=work)
     wedge_runs = [(lo, hi) for lo, hi in runs(work, _WEDGE_CHUNK) if work[hi] - work[lo] > ends[hi] - ends[lo]]
     del work
 
     def triangles(run):
-        """The keys of the edges xy, then xz, then yz of the triangles
-        x < y < z found at sources x in lo .. hi-1."""
+        """The corners x, then y, then z of the triangles x < y < z found
+        at sources x in lo .. hi-1."""
         lo, hi = run
         p0, p1 = int(ends[lo]), int(ends[hi])
         # Position p of x's out-list pairs with each later position q of it:
         # the wedge (y, z) = (key[p] & low, key[q] & low), closed by the key
         # y << s | z.
-        nxt = ends[lo + 1 : hi + 1]  # one past p's out-list
+        nxt = ends[lo + 1 : hi + 1].astype(np.int64)  # one past p's out-list
         nxt = nxt.repeat(nxt - ends[lo:hi])
         later = nxt - np.arange(p0 + 1, p1 + 1)
         nxt -= later.cumsum()  # q - w on p's wedges w
-        xy = key[p0:p1].repeat(later)  # key[p] of wedge w
-        xz = key[nxt.repeat(later) + np.arange(len(xy))]
-        y = xy & low
-        closing = xz & low | y << s
+        closing = ((key[p0:p1] & low) << s).repeat(later)  # y << s of wedge w
+        closing |= key[nxt.repeat(later) + np.arange(len(closing))] & low  # | z
         # Lower bound in y's out-list: base ends at the last key <= closing
         # among key[ends[y] : ends[y] + 2**halvings], which spans the list.
         # Past the list the keys only grow, and take's clip repeats the last.
-        base = ends[y]
+        # Only closing and base are held over the wedges, each 8 B a wedge.
+        base = ends.take(closing >> s).astype(np.int64)  # take reads int64 ids as they are
         for b in reversed(range(halvings)):
             mid = base + (1 << b)
             np.copyto(base, mid, where=key.take(mid, mode="clip") <= closing)
         hit = key.take(base, mode="clip") == closing
-        return np.concatenate((xy[hit], xz[hit], closing[hit]))
+        closing = closing[hit]
+        return np.concatenate(((key[p0:p1] >> s).repeat(later)[hit], closing >> s, closing & low), dtype=ids)
 
-    hits = np.concatenate([np.empty(0, dtype=np.int64), *thread_map(triangles, wedge_runs)])
-    sdeg = np.diff(ends)  # simple degrees: out-degrees, plus in-degrees
-    key &= low
-    np.add.at(sdeg, key, 1)
-    del key, ends
-    # Each of a triangle's three edges credits both its ends: each corner twice.
-    tri = (np.bincount(hits >> s, minlength=n) + np.bincount(hits & low, minlength=n)) // 2
-    del hits
-    p2 = sdeg * (sdeg - 1) // 2
-    local = np.divide(tri, p2, out=np.zeros(n), where=p2 > 0)[rank]  # in vertex order
-    p2_total = int(p2.sum())
+    hits = thread_map(triangles, wedge_runs)
+    del ends  # before sdeg is made: key is the one edge-sized array left
+    sdeg = np.zeros(n, dtype=np.int64)  # simple degrees
+    for lo in range(0, k, _EDGE_CHUNK):
+        np.add.at(sdeg, key[lo : lo + _EDGE_CHUNK] >> s, 1)
+        np.add.at(sdeg, key[lo : lo + _EDGE_CHUNK] & low, 1)
+    del key
+    tri = np.zeros(n, dtype=np.int64)
+    while hits:
+        np.add.at(tri, hits.pop(), 1)
+    sdeg *= sdeg - 1
+    sdeg //= 2  # the pairs of distinct neighbors
+    p2_total = int(sdeg.sum())
     C1 = int(tri.sum()) / p2_total if p2_total > 0 else 0.0
-    # Left-to-right sum in vertex order, as the CSV digests expect: an
-    # accumulate adds in order, where sum() of floats compensates from
-    # Python 3.12 on and np.sum adds pairwise.
-    C2 = float(np.cumsum(local)[-1]) / n if n > 0 else 0.0
+    local = np.divide(tri, sdeg, out=np.zeros(n), where=sdeg > 0)
+    del tri, sdeg
+    local = local[rank]  # in vertex order
     count = np.bincount(deg)
     mean = np.bincount(deg, weights=local) / np.maximum(count, 1)
     C_by_degree = {d: float(mean[d]) for d in np.flatnonzero(count).tolist()}
+    # Left-to-right sum in vertex order, as the CSV digests expect: an
+    # accumulate adds in order, where sum() of floats compensates from
+    # Python 3.12 on and np.sum adds pairwise.  local is spent: it takes it.
+    C2 = float(np.cumsum(local, out=local)[-1]) / n if n > 0 else 0.0
     return ClusteringProfile(C1=C1, C2=C2, C_by_degree=C_by_degree)
 
 

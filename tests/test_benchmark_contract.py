@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import panet.cli
+from panet import derive_generator_params, export_edge_list, generate
+from panet.metrics import ClusteringProfile
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,3 +64,25 @@ def test_imported_name_exists(fname, module, name):
 @pytest.mark.parametrize("name", sorted({*_cli_layers(), "main"}))
 def test_cli_layer_exists(name):
     assert callable(getattr(panet.cli, name, None)), f"panet.cli.{name} is gone"
+
+
+def test_metrics_calls_each_cli_layer_once(monkeypatch, tmp_path):
+    # traced.py wraps each CLI_LAYERS name of panet.cli for the analyze
+    # pass and keeps each wrapper's last return value; a missing clustering
+    # capture counts as a failed operation.
+    path = tmp_path / "g.txt"
+    export_edge_list(generate(derive_generator_params(2, 0.25, 0.3), 500, seed=3), path)
+    returned = {name: [] for name in _cli_layers()}
+
+    def wrapped(fn, out):
+        def call(*args, **kwargs):
+            out.append(fn(*args, **kwargs))
+            return out[-1]
+
+        return call
+
+    for name, out in returned.items():
+        monkeypatch.setattr(panet.cli, name, wrapped(getattr(panet.cli, name), out))
+    assert panet.cli.main(["metrics", "--in", str(path), "--out", str(tmp_path / "m.csv")]) == 0
+    assert {name: len(out) for name, out in returned.items()} == dict.fromkeys(returned, 1)
+    assert isinstance(returned["clustering"][0], ClusteringProfile)

@@ -419,25 +419,43 @@ class TestCLI:
     @pytest.mark.parametrize("A, D", [(0.25, 0.3), (0.6, 0.2)])
     def test_metrics_peak_memory_per_edge(self, A, D, monkeypatch, tmp_path):
         # One whole `panet metrics` call at n = 2e5: the int32 ids of the
-        # import (8 B/edge, held throughout), then clustering and the
-        # profile.  On one CPU they run in turn: measured 32.3 B/edge on
-        # both inputs, and 40.3 with int64 ids.  On two threads the peak
-        # moves with how far the profile overlaps clustering's wedge pass:
-        # 33.4-35.0 in 30 calls on each input, and about 40 should the two
-        # peaks meet.  So the bound is taken on one CPU.
+        # import (8 B/edge, held throughout) and the one degree array (4),
+        # held while clustering and the profile run.  Clustering's keys,
+        # ranks and list ends add 12 more, and the wedge pass its triangles
+        # and one wedge buffer per thread: measured 28.7-29.3 B/edge on one
+        # CPU and 31.1-32.0 on two, in 20 calls on each input.  The profile
+        # no longer holds a degree array of its own, so its overlap with the
+        # wedge pass moves the peak no more (33.4-35.0 and about 40 at worst
+        # before), and one bound serves both.
         path = tmp_path / "g.txt"
         graphgen.export_edge_list(generate(derive_generator_params(2, A, D), 200_000, seed=1), path)
-        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
         argv = ["metrics", "--in", str(path), "--out", str(tmp_path / "m.csv")]
         assert self._run(*argv) == 0  # first-call allocations outside the trace
-        tracemalloc.start()
-        try:
-            assert self._run(*argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         E = 2 * 200_000
-        assert peak < 34 * E, f"panet metrics peaked at {peak / E:.1f} B/edge"
+        for threads in (1, 2):
+            monkeypatch.setattr(parallel, "cpu_count", lambda: threads)
+            tracemalloc.start()
+            try:
+                assert self._run(*argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 33 * E, f"panet metrics peaked at {peak / E:.1f} B/edge on {threads} thread(s)"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_metrics_counts_degrees_once(self, threads, monkeypatch, tmp_path):
+        # Clustering and the profile read one array, counted once, and the
+        # graph holds none after the call.
+        path = tmp_path / "g.txt"
+        graphgen.export_edge_list(generate(derive_generator_params(2, 0.25, 0.3), 500, seed=3), path)
+        counted, graphs = [], []
+        count, read = graphgen.Multigraph._count_degrees, cli.import_edge_list
+        monkeypatch.setattr(graphgen.Multigraph, "_count_degrees", lambda g: counted.append(g) or count(g))
+        monkeypatch.setattr(cli, "import_edge_list", lambda p: graphs.append(read(p)) or graphs[-1])
+        monkeypatch.setattr(parallel, "cpu_count", lambda: threads)
+        assert self._run("metrics", "--in", str(path), "--out", str(tmp_path / "m.csv")) == 0
+        assert len(graphs) == 1 and counted == graphs
+        assert graphs[0]._deg is None
 
     def test_generate_by_knobs(self, tmp_path):
         out = tmp_path / "g.txt"

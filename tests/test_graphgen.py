@@ -191,6 +191,37 @@ class TestMultigraph:
             with pytest.raises(ValueError, match="negative"):
                 read(g)
 
+    @pytest.mark.parametrize("ids", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "n, u, v, top", [(3, [0, 5], [1, 2], 5), (3, [0, 1], [3, 2], 3), (2, 1, [1, 2], 2)], ids=["source", "target", "implicit"]
+    )
+    def test_id_beyond_n_rejected(self, n, u, v, top, ids):
+        # np.bincount, for int64 ids, once returned a count longer than n,
+        # and numpy's broadcast ValueError followed; np.add.at, for int32
+        # ids, raised IndexError.
+        g = Multigraph(n, u if u == 1 else np.array(u, ids), np.array(v, ids))
+        for read in (Multigraph.degree_array, degree_profile, clustering):
+            with pytest.raises(ValueError, match=f"^vertex id {top} is not below n = {n}$"):
+                read(g)
+
+    @pytest.mark.parametrize("ids", [np.int32, np.int64])
+    def test_held_degrees(self, ids):
+        g = Multigraph(4, np.array([0, 1, 1], ids), np.array([1, 2, 3], ids))
+        with g.held_degrees():
+            deg = g.degree_array()
+            assert g.degree_array() is deg and deg.tolist() == [1, 3, 1, 1]
+            with pytest.raises(ValueError, match="read-only"):
+                deg[0] = 5
+        assert g._deg is None
+        fresh = g.degree_array()
+        assert fresh is not deg and fresh.flags.writeable and fresh.tolist() == [1, 3, 1, 1]
+
+    def test_held_degrees_dropped_on_error(self):
+        g = generate(GP, 50, seed=0)
+        with pytest.raises(RuntimeError), g.held_degrees():
+            raise RuntimeError
+        assert g._deg is None
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_sources_equal_explicit(self, m):
         g = generate(derive_generator_params(m, 0.3, 0.2 if m > 1 else 0.0), 9, seed=m)

@@ -362,19 +362,35 @@ class TestClusteringKernel:
         # The wedge pass holds a fixed buffer, not arrays over all wedges;
         # with them the peak was about 97 B/edge.  Each thread holds its own
         # buffer, so the bound holds for two threads, not for every CPU.
+        # Measured 29.0-29.6 B/edge at n = 1e5: the 20 B/edge of the n = 1e6
+        # bound below, the triangles found, and two wedge buffers of about
+        # 1 MB, which weigh more on the fewer edges.
         g = generate(derive_generator_params(2, A, D), 100_000, seed=1)
         monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
         peak = _traced_peak(lambda: clustering(g))
-        assert peak < 60 * g.num_edges, f"clustering peaked at {peak / g.num_edges:.2f} B/edge"
+        assert peak < 33 * g.num_edges, f"clustering peaked at {peak / g.num_edges:.2f} B/edge"
 
     @pytest.mark.parametrize("A, D", [(0.25, 0.3), (0.6, 0.2)])
     def test_peak_memory_per_edge_imported(self, A, D, monkeypatch, tmp_path):
         # The same bound on an import's int32 ids, gathered a chunk at a
-        # time and never widened whole.
+        # time and never widened whole: measured 28.8-29.6 B/edge.
         g = _imported(generate(derive_generator_params(2, A, D), 100_000, seed=1), tmp_path)
         monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
         peak = _traced_peak(lambda: clustering(g))
-        assert peak < 60 * g.num_edges, f"clustering peaked at {peak / g.num_edges:.2f} B/edge"
+        assert peak < 33 * g.num_edges, f"clustering peaked at {peak / g.num_edges:.2f} B/edge"
+
+    def test_peak_memory_per_edge_one_thread(self, monkeypatch):
+        # At m = 2 the peak is 20.0 B/edge, held while the list ends are
+        # made: the degree array (4 B/edge), the int32 ranks (2), the keys
+        # (8), the out-degrees (4) and the int32 ends (2).  It was 24.0 with
+        # keys built from whole rank gathers, an out-degree count over all
+        # keys at once and int64 ends.  The wedge pass and the tail stay
+        # below it; 21 leaves room for neither an edge-sized int32 array nor
+        # a second n-sized int64 one.
+        g = generate(derive_generator_params(2, 0.25, 0.3), 1_000_000, seed=1)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+        peak = _traced_peak(lambda: clustering(g))
+        assert peak < 21 * g.num_edges, f"clustering peaked at {peak / g.num_edges:.2f} B/edge"
 
     def test_hub_makes_no_wedges(self):
         # Leaves point at the hub, so the hub has no out-neighbors and the
@@ -389,6 +405,31 @@ class TestClusteringKernel:
             tracemalloc.stop()
         assert cp.C1 == 0.0
         assert peak < 2 * 2**20
+
+
+class TestHeldDegrees:
+    # Chunks of 1, 2 and 7 edges put repeated keys (the seed clique's
+    # doubled edges at least), out-lists and a source's m slots across
+    # chunk edges: in the key build, the in-place compaction, both degree
+    # counts and the profile's sums.  Generated graphs hold implicit
+    # sources, imported ones int32 ids, and the copy with an isolated
+    # vertex int64 ones.
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    @pytest.mark.parametrize("A, D, n, seed", GRAPHS[:2])
+    def test_equals_standalone_at_chunk_edges(self, A, D, n, seed, chunk, threads, tmp_path):
+        g = generate(derive_generator_params(2, A, D), n, seed=seed)
+        for h in (g, _imported(g, tmp_path), _with_isolated_vertex(A, D, n, seed)):
+            cp, prof = clustering(h), degree_profile(h)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metrics, "_EDGE_CHUNK", chunk)
+                mp.setattr(parallel, "cpu_count", lambda: threads)
+                with h.held_degrees():
+                    held_cp, held_prof = parallel.thread_map(lambda layer: layer(h), (clustering, degree_profile))
+            assert held_prof == prof
+            assert (held_cp.C1, held_cp.C2) == (cp.C1, cp.C2)
+            assert list(held_cp.C_by_degree.items()) == list(cp.C_by_degree.items())
+            assert h._deg is None
 
 
 @pytest.mark.parametrize("A, D, n, seed", GRAPHS)
