@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # numpy's MemoryError names the size it could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
 

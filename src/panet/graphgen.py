@@ -31,8 +31,8 @@ A generated graph is its target array: generate fills one array of m*n
 int64 targets in place, the seed clique's first, and Multigraph keeps the
 sources implicit.  An imported graph holds its sources and targets as
 int32 while 2E < 2**31 (8 B/edge), int64 above.  Only this module reads
-the edge format or picks the id type; other readers take sources and
-targets through Multigraph.sources and Multigraph.targets.
+the edge format or picks the id type; other readers take the edges
+through Multigraph.chunks, one run of sources and targets at a time.
 """
 
 from __future__ import annotations
@@ -59,25 +59,13 @@ __all__ = [
     "child_seed",
 ]
 
-_GATHER_CHUNK = 1 << 14  # ids per take of _gather
+_EDGE_CHUNK = 1 << 14  # edges per run of Multigraph.chunks
 
 
 def _id_type(num_edges: int) -> type:
     """The dtype of an imported graph's ids: int32 while every id fits,
     which 2E < 2**31 ensures (ids are below 2E), else int64."""
     return np.int32 if 2 * num_edges < 2**31 else np.int64
-
-
-def _gather(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """x[ids] by take, _GATHER_CHUNK ids at a time.  take copies its ids to
-    intp first, so whole it would hold 8 B per int32 id; on a chunk it
-    reads them faster than [] does, which widens them in a slower loop."""
-    if len(ids) <= _GATHER_CHUNK:
-        return x.take(ids)
-    out = np.empty(len(ids), x.dtype)
-    for lo in range(0, len(ids), _GATHER_CHUNK):
-        out[lo : lo + _GATHER_CHUNK] = x.take(ids[lo : lo + _GATHER_CHUNK])  # faster than take's out=
-    return out
 
 
 def _ids(x) -> np.ndarray:
@@ -93,11 +81,11 @@ class Multigraph:
     u is the array of sources, or the int m when vertex x owns the m edge
     slots x*m ... x*m+m-1, as a generated graph's vertices do: then edge e
     has source e // m, E = m*n, and the graph holds its targets v alone
-    (8 B/edge).  Readers take the sources through sources(), which never
-    builds the m*n of them, or through u, built on each read and never
-    kept.  An int32 or int64 id array is kept as given, so an imported
-    graph's int32 u and v hold 8 B/edge; any other is converted to int64.
-    A bad shape raises ValueError."""
+    (8 B/edge).  Readers take the edges through chunks(), which never
+    builds the m*n sources, or the sources through u, built on each read
+    and never kept.  An int32 or int64 id array is kept as given, so an
+    imported graph's int32 u and v hold 8 B/edge; any other is converted
+    to int64.  A bad shape raises ValueError."""
 
     def __init__(self, n: int, u, v):
         self.n = n
@@ -121,25 +109,26 @@ class Multigraph:
     @property
     def u(self) -> np.ndarray:
         """The sources; implicit ones are built anew on each read."""
-        return self.sources(0, self.num_edges)
+        return self._u if self.m is None else np.arange(self.n).repeat(self.m)
 
-    def sources(self, lo: int, hi: int, x=None) -> np.ndarray:
-        """u[lo:hi], or x[u[lo:hi]] for an array x over the vertices.
-        With implicit sources that is a range of ids, or a slice of x, each
-        repeated m times and trimmed to the edges lo .. hi-1: no gather."""
-        if self.m is None:
-            u = self._u[lo:hi]
-            return u if x is None else _gather(x, u)
-        m = self.m
-        first = lo // m
-        last = min(-(-hi // m), self.n)  # one past the source of edge hi - 1
-        ids = np.arange(first, last) if x is None else x[first:last]
-        return ids.repeat(m)[lo - first * m : hi - first * m]
-
-    def targets(self, lo: int, hi: int, x=None) -> np.ndarray:
-        """v[lo:hi], or x[v[lo:hi]] for an array x over the vertices."""
-        v = self.v[lo:hi]
-        return v if x is None else _gather(x, v)
+    def chunks(self, x=None):
+        """Yield (lo, u[lo:hi], v[lo:hi]), or x taken at those ids for an
+        array x over the vertices, over runs of about _EDGE_CHUNK edges.
+        An implicit run holds whole vertices a .. b-1, so its sources are
+        arange(a, b) or x[a:b], repeated m times: no gather.  take copies
+        its ids to intp, a fixed buffer on a run, and reads them faster
+        than [] does."""
+        m = self.m or 1
+        step = max(_EDGE_CHUNK // m, 1) * m
+        for lo in range(0, self.num_edges, step):
+            v = self.v[lo : lo + step]
+            if self.m is None:
+                u = self._u[lo : lo + step]
+                u = u if x is None else x.take(u)
+            else:
+                a, b = lo // m, (lo + len(v)) // m
+                u = (np.arange(a, b) if x is None else x[a:b]).repeat(m)
+            yield lo, u, v if x is None else x.take(v)
 
     def degree_array(self) -> np.ndarray:
         """Each vertex's degree, int64; inside held_degrees() the held array."""
@@ -337,22 +326,19 @@ def generate(gp: GeneratorParams, n: int, seed) -> Multigraph:
     return Multigraph(n, m, v)
 
 
-_EXPORT_CHUNK = 1 << 16  # edges formatted by one pass of numpy calls
-
-
 def export_edge_list(g: Multigraph, path) -> None:
     """Write one "u v" line per edge (0-based ids, repeats = multiplicity)
     to the file at path (a str or os.PathLike).  A negative id raises
     ValueError before the file is opened.
 
-    Each chunk of edges is formatted in a fixed set of buffers: its ids
-    in a (k, 2) block (implicit sources made for the chunk alone), their
+    Each run of g.chunks() is formatted in a fixed set of buffers: its ids
+    in a (k, 2) block (implicit sources made for the run alone), their
     L digits (L from the largest id) peeled by floor division into a
     (k, 2, L+1) byte block whose last column holds the separator, and one
     boolean compress that drops the leading zeros.  At m = 2 the
-    tracemalloc peak is 2.2 B/edge at n = 1e6 (0.11-0.15 s), a buffer of
-    4.3 MB that does not grow with E; n = 2e5 takes 0.035 s and n = 1e7
-    2.0 s.
+    tracemalloc peak is 1.2 MB, 0.61 B/edge at n = 1e6, a buffer that
+    does not grow with E.  n = 2e5 takes 0.024-0.04 s, n = 1e6 0.10-0.20 s
+    and n = 1e7 1.2-2.3 s, as the host drifts.
     """
     E = g.num_edges
     u = g._u if g.m is None else np.array([0, g.n - 1])  # implicit sources span 0 .. n-1
@@ -360,18 +346,17 @@ def export_edge_list(g: Multigraph, path) -> None:
         raise ValueError("negative vertex id")
     top = int(max(u.max(initial=0), g.v.max(initial=0)))
     L = len(str(top))
-    k = min(E, _EXPORT_CHUNK)
+    k = min(E, max(_EDGE_CHUNK, g.m or 1))  # the longest run of g.chunks()
     ids = np.empty((k, 2), np.uint32 if top < 2**32 else np.uint64)
     quot, rem = np.empty_like(ids), np.empty_like(ids)
     text = np.empty((k, 2, L + 1), np.uint8)
     text[:, :, L] = [ord(" "), ord("\n")]
     keep = np.ones((k, 2, L + 1), bool)
     with open(path, "wb") as sink:
-        for start in range(0, E, _EXPORT_CHUNK):
-            j = min(E - start, k)
+        for _, a, b in g.chunks():
+            j = len(b)
             x, q, r = ids[:j], quot[:j], rem[:j]
-            x[:, 0] = g.sources(start, start + j)
-            x[:, 1] = g.v[start : start + j]
+            x[:, 0], x[:, 1] = a, b
             for i in range(L - 1, -1, -1):  # column i holds digit L-1-i
                 if i < L - 1:
                     np.not_equal(x, 0, out=keep[:j, :, i])  # id >= 10**(L-1-i)

@@ -53,21 +53,15 @@ class ClusteringProfile:
 def degree_profile(g: Multigraph) -> DegreeProfile:
     """N, S and W from the degree array.  Each edge (u,v) adds deg(v) to
     S(deg(u)) and deg(u) to S(deg(v)), once per parallel edge, in exact
-    int64; the sums are added _EDGE_CHUNK edges at a time, so memory is
-    the degree array plus a fixed buffer, never an array over the edges.
-    A chunk's degrees come from g.sources and g.targets: on a generated
-    graph the sources' are a slice of the degree array repeated m times,
-    with no gather.  At m = 2 and n = 1e6 the tracemalloc peak is 4.26-4.36
-    B/edge on a generated graph, its degree array of one bincount plus the
-    chunk buffer, 4.33-4.42 on an import's int32 ids, counted in place, and
-    8.0 B/edge at n = 1e5 and 1e6 with int64 sources, the two bincounts of
-    degree_array (16 B/edge with two gathers over all edges); inside
+    int64, one run of g.chunks(deg) at a time, so memory is the degree
+    array plus a fixed buffer, never an array over the edges.  At m = 2
+    and n = 1e6 the tracemalloc peak is 4.26 B/edge on a generated graph,
+    4.33 on an import's int32 ids and 8.0 on int64 ones; inside
     g.held_degrees() only the sums and the buffer."""
     deg = g.degree_array()
     counts = np.bincount(deg)
     sums = np.zeros(len(counts), dtype=np.int64)
-    for lo in range(0, g.num_edges, _EDGE_CHUNK):
-        du, dv = g.sources(lo, lo + _EDGE_CHUNK, deg), g.targets(lo, lo + _EDGE_CHUNK, deg)
+    for _, du, dv in g.chunks(deg):
         np.add.at(sums, du, dv)  # exact integers, where bincount's weights add float64
         np.add.at(sums, dv, du)
     ds = np.flatnonzero(counts)
@@ -104,11 +98,11 @@ def clustering(g: Multigraph) -> ClusteringProfile:
     bound finds in y's out-list, in bit_length(k_max - 1) halvings.  Runs
     of sources costing at most _WEDGE_CHUNK (k^2 for out-degree k, or one
     costlier source) list their wedges, and thread_map maps the runs that
-    hold a wedge over its threads.  Keys are built, compacted and counted
-    _EDGE_CHUNK at a time in one array, the only one as long as the edges:
-    at m = 2 the tracemalloc peak is 20.0 B/edge at n = 1e6 (degrees 4,
-    int32 ranks 2, keys 8, out-degrees 4, int32 ends 2), 20.4 at n = 2e5
-    (22.0-22.6 on two threads).  Two threads take 0.025-0.037 s at n = 2e5,
+    hold a wedge over its threads.  Keys are built from g.chunks(rank),
+    then compacted and counted _EDGE_CHUNK at a time, in one array, the
+    only one as long as the edges: at m = 2 the tracemalloc peak is 20.0
+    B/edge at n = 1e6 (degrees 4, int32 ranks 2, keys 8, out-degrees 4,
+    int32 ends 2), 20.4-20.9 at n = 2e5 (22.6-23.4 on two threads).  Two threads take 0.025-0.037 s at n = 2e5,
     0.21-0.23 s at n = 1e6, 2.6-3.4 s at n = 1e7.
     """
     n, E = g.n, g.num_edges
@@ -119,8 +113,7 @@ def clustering(g: Multigraph) -> ClusteringProfile:
     rank = np.empty(n, dtype=ids)
     rank[np.argsort(deg)] = np.arange(n, dtype=ids)
     key = np.empty(E, dtype=np.int64)
-    for lo in range(0, E, _EDGE_CHUNK):
-        a, b = g.sources(lo, lo + _EDGE_CHUNK, rank), g.targets(lo, lo + _EDGE_CHUNK, rank)
+    for lo, a, b in g.chunks(rank):
         key[lo : lo + len(a)] = np.minimum(a, b, dtype=np.int64) << s | np.maximum(a, b)
     key.sort()
     # Drop repeats in place, a chunk of keys at a time (the key before a

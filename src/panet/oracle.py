@@ -3,11 +3,13 @@ and W_n, used to cross-check the closed forms without simulation noise.
 
 One loop iterates the leading-order master equations (all O-terms
 dropped) from the exact seed-graph values.  The sum of squared degrees
-W_n = sum_d S_n(d) is iterated as state too, by its exact expectation
-recurrence E W_{n+1} = (1 + 2A/n) E W_n + m(m+4B+1), and drives the
-d = m row.  That recurrence has no pole at A = 1/2, so the integrator
-holds for every 0 < A < 1, and its only discrepancy against the closed
-forms is the genuine finite-n error, the n^{2A} term of E W_n included.
+W_n = sum_d S_n(d) is iterated as state too, by the recurrence
+W_{n+1} = (1 + 2A/n) W_n + m(m+4B+1), and drives the d = m row.  It is
+not E W_n exactly: it leaves out the double-hit term (two PA draws of one
+step landing on one vertex), and simulated means exceed it by about 2.5%
+at A = 0.6, n = 30.  It has no pole at A = 1/2, so the integrator holds
+for every 0 < A < 1; against the closed forms its only discrepancy is
+the finite-n error, the n^{2A} term of W_n included.
 
 Degree rows move mass with factors (Ad+B)/n clamped into [0, 1]: for
 degrees d with (Ad+B) > n the factor would exceed 1, but those rows carry

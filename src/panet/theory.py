@@ -225,9 +225,11 @@ def dnn_hypothesis(p: ModelParams, d, n: int, C: float, form: str = "preasymptot
 
 
 def expected_W(p: ModelParams, n: int) -> float:
-    """E W_n, the expected sum of squared degrees at size n >= n0 = m+1.
+    """W_n, the sum of squared degrees at size n >= n0 = m+1, by the
+    recurrence below; not E W_n exactly, as it leaves out the double-hit
+    term (two PA draws of one step landing on one vertex).
 
-    E W_{k+1} = (1 + 2A/k) E W_k + s, s = m(m+4B+1), from the seed's
+    W_{k+1} = (1 + 2A/k) W_k + s, s = m(m+4B+1), from the seed's
     W_{n0} = (m+1)(2m)^2, solves to (W_{n0} + s sum_{k=n0+1}^{n} q_k)/q_n
     with q_k = prod_{j=n0}^{k-1} j/(j+2A), run in _CHUNK-size chunks.  In
     closed form that is w n + (W_{n0} - w n0) Gamma(n+2A)Gamma(n0) /

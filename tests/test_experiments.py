@@ -510,6 +510,23 @@ class TestCLI:
         assert err.count("\n") == 1 and err.startswith("error: ") and "A < 1/2" in err
         assert not out.exists()
 
+    def test_generate_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # --n 1e9 at m = 2 passes the slot rule (m*(n-1) <= 2**32) and then
+        # asks np.empty for 16 GB; its MemoryError was a traceback.  The
+        # error is raised here in place of that allocation.
+        message = "Unable to allocate 14.9 GiB for an array with shape (2000000000,) and data type int64"
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        out = tmp_path / "g.txt"
+        code, err = self._run_captured(
+            capsys, "generate", "--m", "2", "--A", "0.3", "--D", "0.1", "--n", "1000000000", "--out", str(out)
+        )
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
     def test_preset_outputs_and_gnuplot(self, tmp_path):
         out = tmp_path / "out"
         assert self._run(

@@ -155,11 +155,6 @@ class TestGenerate:
         assert c1[0] < c1[1] < c1[2]
 
 
-def _explicit(g):
-    """g with its sources held as an array."""
-    return Multigraph(g.n, g.u, g.v)
-
-
 class TestMultigraph:
     @pytest.mark.parametrize(
         "n, u, v, message",
@@ -222,26 +217,36 @@ class TestMultigraph:
             raise RuntimeError
         assert g._deg is None
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_sources_equal_explicit(self, m):
+    # Runs of 1, 3 and 7 edges end inside a vertex's m slots at every m
+    # here but 1, so an implicit run is rounded to whole vertices.
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_chunks_equal_explicit_copy(self, m, chunk, monkeypatch):
+        monkeypatch.setattr(graphgen, "_EDGE_CHUNK", chunk)
         g = generate(derive_generator_params(m, 0.3, 0.2 if m > 1 else 0.0), 9, seed=m)
-        h, x = _explicit(g), np.arange(100, 100 + g.n) ** 2
-        assert g.m == m and h.m is None
-        assert g.u.tolist() == [e // m for e in range(g.num_edges)]
-        for lo in range(g.num_edges + 1):
-            for hi in range(lo, g.num_edges + 3):  # past the last edge too
-                assert np.array_equal(g.sources(lo, hi), h.sources(lo, hi)), (lo, hi)
-                assert np.array_equal(g.sources(lo, hi, x), x[h.u[lo:hi]]), (lo, hi)
-        assert np.array_equal(g.degree_array(), h.degree_array())
+        x = np.arange(100, 100 + g.n) ** 2
+        assert g.m == m and g.u.tolist() == [e // m for e in range(g.num_edges)]
+        for lo, u, v in g.chunks():
+            assert lo % m == 0 and len(u) == len(v) > 0 and len(v) % m == 0, (lo, len(v))
+        for ids in (np.int32, np.int64):
+            h = Multigraph(g.n, g.u.astype(ids), g.v.astype(ids))
+            assert h.m is None and h._u.dtype == ids
+            for y, want_u, want_v in ((None, h.u, h.v), (x, x[h.u], x[h.v])):
+                for graph in (g, h):
+                    los, us, vs = zip(*graph.chunks(y))
+                    assert list(los) == np.cumsum([0, *map(len, vs[:-1])]).tolist()
+                    assert np.array_equal(np.concatenate(us), want_u)
+                    assert np.array_equal(np.concatenate(vs), want_v)
+            assert np.array_equal(g.degree_array(), h.degree_array())
 
-    # Chunks of 1, 3 and 7 edges end inside a vertex's m slots at every m
-    # here but 1.
+    # Chunks of 1, 3 and 7 edges end the key loops' chunks inside a
+    # vertex's m slots at every m here but 1, and give chunks() runs of one
+    # vertex or a few.
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_readers_equal_on_explicit_copy(self, m, chunk, monkeypatch, tmp_path):
         monkeypatch.setattr(metrics, "_EDGE_CHUNK", chunk)
-        monkeypatch.setattr(graphgen, "_EXPORT_CHUNK", chunk)
-        monkeypatch.setattr(graphgen, "_GATHER_CHUNK", chunk)
+        monkeypatch.setattr(graphgen, "_EDGE_CHUNK", chunk)
         g = generate(derive_generator_params(m, 0.3, 0.2 if m > 1 else 0.0), 60, seed=10 + m)
         _assert_exports_like_writer(g, tmp_path / "g.txt")
         # The int64 copy, and the int32 one an import makes, are kept as given.
@@ -511,7 +516,7 @@ class TestEdgeListIO:
     @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("E", [0, 1, 6, 7, 8, 13, 14, 15])
     def test_bytes_across_chunk_ends(self, chunk, E, monkeypatch, tmp_path):
-        monkeypatch.setattr(graphgen, "_EXPORT_CHUNK", chunk)
+        monkeypatch.setattr(graphgen, "_EDGE_CHUNK", chunk)
         u = np.arange(E) * 37
         _assert_exports_like_writer(Multigraph(37 * E + 1, u, u + 1 + E % 3), tmp_path / "g.txt")
 
@@ -521,12 +526,12 @@ class TestEdgeListIO:
             st.tuples(*[st.one_of(st.integers(0, 120), st.integers(0, 2**33), st.integers(0, 2**63 - 1))] * 2),
             max_size=30,
         ),
-        chunk=st.sampled_from([1, 3, 7, 2**16]),
+        chunk=st.sampled_from([1, 3, 7, 2**14]),
     )
     def test_bytes_match_writer_property(self, uv, chunk, tmp_path_factory):
         u, v = np.array(uv, dtype=np.int64).reshape(-1, 2).T
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphgen, "_EXPORT_CHUNK", chunk)
+            mp.setattr(graphgen, "_EDGE_CHUNK", chunk)
             _assert_exports_like_writer(Multigraph(0, u, v), tmp_path_factory.getbasetemp() / "w.txt")
 
     def test_negative_id_writes_nothing(self, tmp_path):

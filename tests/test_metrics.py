@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panet import metrics, parallel
+from panet import graphgen, metrics, parallel
 from panet.graphgen import Multigraph, export_edge_list, generate, import_edge_list, seed_graph
 from panet.metrics import (
     ClusteringProfile,
@@ -195,7 +195,7 @@ class TestBruteForceOracle:
     @settings(max_examples=150, deadline=None)
     @given(g=_multigraphs(), chunk=st.sampled_from([1, 7]))
     def test_equals_brute_force_across_edge_chunks(self, g, chunk):
-        with mock.patch.object(metrics, "_EDGE_CHUNK", chunk):
+        with mock.patch.object(graphgen, "_EDGE_CHUNK", chunk):
             fast = degree_profile(g)
         assert fast == brute_force_profile(g)
         assert list(fast.N) == sorted(fast.N) and list(fast.S) == list(fast.N)
@@ -423,6 +423,7 @@ class TestHeldDegrees:
             cp, prof = clustering(h), degree_profile(h)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(metrics, "_EDGE_CHUNK", chunk)
+                mp.setattr(graphgen, "_EDGE_CHUNK", chunk)
                 mp.setattr(parallel, "cpu_count", lambda: threads)
                 with h.held_degrees():
                     held_cp, held_prof = parallel.thread_map(lambda layer: layer(h), (clustering, degree_profile))

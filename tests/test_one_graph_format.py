@@ -1,9 +1,9 @@
 """One owner of the edge format: only graphgen, where Multigraph lives,
 reads a graph's source storage (the attribute _u) or builds sources from
 the slot layout, as e // m or np.repeat(np.arange(...), m).  Every other
-module takes sources through Multigraph.sources or u, so a generated
-graph, which holds its targets alone, reads like an imported one.  The
-sources are only parsed, never imported."""
+module takes the edges through Multigraph.chunks or the sources through
+u, so a generated graph, which holds its targets alone, reads like an
+imported one.  The sources are only parsed, never imported."""
 
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ def test_scan_finds_reads():
     assert _format_reads((SRC / OWNER).read_text())
     text = "a = g._u[lo:hi]\nb = e // m\nc = e // g.m\nd = np.repeat(np.arange(n), m)\ne = np.arange(n).repeat(2)"
     assert _format_reads(text) == [1, 2, 3, 4, 5]
-    assert _format_reads("x = g.u\ny = g.sources(0, 4, deg)\nz = a // k\nw = np.repeat(ids, m)") == []
+    assert _format_reads("x = g.u\ny = g.chunks(deg)\nz = a // k\nw = np.repeat(ids, m)") == []
 
 
 @pytest.mark.parametrize("name", [f for f in FILES if f != OWNER])

@@ -1,12 +1,16 @@
-"""Recurrence integrator: conservation laws, the exact W recurrence,
-convergence to the closed forms, and argument gates."""
+"""Recurrence integrator: conservation laws, the W recurrence against
+its closed form and against simulation, convergence to the closed forms,
+and argument gates."""
+
+import math
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from panet.graphgen import child_seed, generate
 from panet.oracle import compare_closed_form, integrate_S
-from panet.params import make_model_params
+from panet.params import derive_generator_params, make_model_params
 from panet.theory import c_exact, dnn_theory, expected_W
 
 P = make_model_params(2, 0.25, 0.3)
@@ -74,7 +78,11 @@ class TestIntegrateN:
 
 
 class TestExactW:
-    """W_n is iterated by its exact recurrence, with no pole at A = 1/2."""
+    """W_n is iterated by the recurrence expected_W solves, with no pole at
+    A = 1/2.  That recurrence leaves out the double-hit term, two PA draws
+    of one step landing on one vertex (its degree rises by 2), so it is
+    not E W_n exactly: the closed-form tests pin the recurrence, and the
+    simulated mean shows the gap."""
 
     @pytest.mark.parametrize("A", [0.25, 0.5, 0.6, 0.8])
     def test_mass_and_sum_squares_conserved(self, A):
@@ -103,6 +111,20 @@ class TestExactW:
             closed = w * n + ((m + 1) * (2 * m) ** 2 - w * n0) * growth
             assert t.W[:3] == pytest.approx(closed[:3], rel=1e-10)
             assert t.W[3] == pytest.approx(closed[3], rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason="the W recurrence leaves out the double-hit term")
+    def test_simulated_mean_is_expected_W(self):
+        # |z| <= 4 was fixed before the run; z read +8.1 at root seeds
+        # 20240901 and 7.  At n = 30 and A = 0.6 the left-out term is
+        # about 2.5% of W, and 2000 seeds resolve it in well under a second.
+        # Strict: once expected_W carries the term this passes, and the
+        # marker goes.
+        n, seeds = 30, 2000
+        gp = derive_generator_params(2, 0.6, 0.2)
+        deg = [generate(gp, n, child_seed(20240901, n, i)).degree_array() for i in range(seeds)]
+        W = np.array([float(d @ d) for d in deg])
+        z = (W.mean() - expected_W(make_model_params(2, 0.6, 0.2), n)) / (W.std(ddof=1) / math.sqrt(seeds))
+        assert abs(z) <= 4.0, f"z = {z:.2f}"
 
     def test_closed_form_comparison_needs_subcritical(self):
         t = integrate_S(make_model_params(2, 0.6, 0.2), 100, d_max=10)
