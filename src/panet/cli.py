@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -34,12 +33,7 @@ from .graphgen import export_edge_list, generate, import_edge_list
 from .metrics import clustering, degree_profile, dnn_empirical, pearson_assortativity
 from .oracle import compare_closed_form, integrate_S
 from .parallel import thread_map
-from .params import (
-    GeneratorParams,
-    derive_generator_params,
-    derive_model_params,
-    make_model_params,
-)
+from .params import derive_generator_params, derive_model_params, make_model_params
 from .theory import build_theory_curve, dnn_overlay, theory_tables
 
 _EXIT_OK = 0
@@ -48,11 +42,7 @@ _EXIT_CHECK_FAILED = 3
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return format(x, ".10g")
-    return str(x)
+    return format(x, ".10g") if isinstance(x, float) else str(x)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -63,22 +53,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             w.writerow([_fmt(x) for x in row])
 
 
-def _resolve_generator(args) -> GeneratorParams:
-    by_model = args.A is not None or args.D is not None
-    by_knobs = args.beta is not None or args.c is not None
-    if by_model == by_knobs:
-        raise ValueError("give either --A and --D, or --beta and --c")
-    if by_model:
-        if args.A is None or args.D is None:
-            raise ValueError("--A and --D must be given together")
-        return derive_generator_params(args.m, args.A, args.D)
-    if args.beta is None or args.c is None:
-        raise ValueError("--beta and --c must be given together")
-    return GeneratorParams(m=args.m, beta=args.beta, c=args.c)
-
-
 def _cmd_generate(args) -> int:
-    gp = _resolve_generator(args)
+    gp = derive_generator_params(args.m, args.A, args.D)
     p = derive_model_params(gp)
     g = generate(gp, args.n, args.seed)
     export_edge_list(g, args.out)
@@ -262,10 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="grow a graph, write an edge list")
     g.add_argument("--m", type=int, required=True)
-    g.add_argument("--A", type=float)
-    g.add_argument("--D", type=float)
-    g.add_argument("--beta", type=float)
-    g.add_argument("--c", type=float)
+    g.add_argument("--A", type=float, required=True)
+    g.add_argument("--D", type=float, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)

@@ -213,12 +213,12 @@ def run_scenario(s: Scenario, workers: int | None = None) -> ScenarioResult:
 
 def fit_power_exponent(points) -> tuple[float, float, float]:
     """Least-squares line through (ln x, ln y): returns (slope, intercept,
-    slope standard error).  All inputs must be positive."""
+    slope standard error).  All inputs must be positive and finite."""
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
-    if any(x <= 0 or y <= 0 for x, y in pts):
-        raise ValueError("power-law fit needs positive x and y")
+    if not all(0 < x < math.inf and 0 < y < math.inf for x, y in pts):  # NaN fails too
+        raise ValueError("power-law fit needs positive, finite x and y")
     lx = np.log([x for x, _ in pts])
     ly = np.log([y for _, y in pts])
     if np.ptp(lx) == 0:

@@ -59,7 +59,7 @@ __all__ = [
     "child_seed",
 ]
 
-_EDGE_CHUNK = 1 << 14  # edges per run of Multigraph.chunks
+_EDGE_CHUNK = 1 << 14  # edges (slots) per run: Multigraph.chunks, resolve_pointers, clustering
 
 
 def _id_type(num_edges: int) -> type:
@@ -147,16 +147,16 @@ class Multigraph:
     def _count_degrees(self) -> np.ndarray:
         """np.bincount reads int64 ids as they are, but would copy int32
         ones to intp first (8 B/edge), so those are counted in place by
-        np.add.at, through a fixed 70 KB buffer, once none is negative (it
-        would count one from the end; np.bincount raises) or >= n, which
-        raises ValueError, seen in bincount's length or a max of int32 ids."""
+        np.add.at, through a fixed 70 KB buffer.  An id < 0 (np.add.at
+        would count one from the end) or >= n raises ValueError, the latter
+        seen in bincount's length or a max of int32 ids."""
         deg = None
         for ids in (self.v,) if self.m else (self.v, self._u):
+            if ids.min(initial=0) < 0:
+                raise ValueError("negative vertex id")
             if ids.dtype == np.int64:
                 counts = np.bincount(ids, minlength=self.n)
                 top = len(counts) - 1
-            elif ids.min(initial=0) < 0:
-                raise ValueError("negative vertex id")
             else:
                 counts, top = None, int(ids.max(initial=0))
             if top >= self.n:
@@ -183,7 +183,6 @@ def seed_graph(m: int) -> Multigraph:
 
 
 _DRAW_BLOCK = 1 << 15  # slot draws tried per block of 32-bit words
-_RESOLVE_BLOCK = 1 << 14  # slots resolved per block, in slot order
 _LOW = np.uint64(0xFFFFFFFF)
 
 
@@ -293,14 +292,14 @@ def resolve_pointers(v: np.ndarray) -> None:
     """Replace, in place, every pointer ~j in v by the vertex its chain of
     pointers ends at (pointers must form a forest).
 
-    Synchronous pointer jumping, _RESOLVE_BLOCK slots at a time in slot
+    Synchronous pointer jumping, _EDGE_CHUNK slots at a time in slot
     order: each round gathers v at the pointed-to slots into a temporary
     before writing any of them, so every chain still open halves in
     length.  Earlier blocks are resolved already, so a pointer into one
     ends in one gather; a pointer forward only takes more rounds.
     """
-    for lo in range(0, len(v), _RESOLVE_BLOCK):
-        idx = np.flatnonzero(v[lo : lo + _RESOLVE_BLOCK] < 0)
+    for lo in range(0, len(v), _EDGE_CHUNK):
+        idx = np.flatnonzero(v[lo : lo + _EDGE_CHUNK] < 0)
         idx += lo
         while idx.size:
             nxt = v[~v[idx]]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphgen
 from .graphgen import Multigraph
 from .parallel import runs, thread_map
 
@@ -28,7 +29,6 @@ __all__ = [
 ]
 
 _WEDGE_CHUNK = 1 << 16
-_EDGE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,14 @@ def clustering(g: Multigraph) -> ClusteringProfile:
     of sources costing at most _WEDGE_CHUNK (k^2 for out-degree k, or one
     costlier source) list their wedges, and thread_map maps the runs that
     hold a wedge over its threads.  Keys are built from g.chunks(rank),
-    then compacted and counted _EDGE_CHUNK at a time, in one array, the
-    only one as long as the edges: at m = 2 the tracemalloc peak is 20.0
-    B/edge at n = 1e6 (degrees 4, int32 ranks 2, keys 8, out-degrees 4,
-    int32 ends 2), 20.4-20.9 at n = 2e5 (22.6-23.4 on two threads).  Two threads take 0.025-0.037 s at n = 2e5,
-    0.21-0.23 s at n = 1e6, 2.6-3.4 s at n = 1e7.
+    then compacted and counted graphgen._EDGE_CHUNK at a time, in one
+    array, the only one as long as the edges: at m = 2 the tracemalloc
+    peak is 20.0 B/edge at n = 1e6 (degrees 4, int32 ranks 2, keys 8,
+    out-degrees 4, int32 ends 2), 20.4-20.9 at n = 2e5 (22.6-23.4 on two
+    threads).  Two threads take 0.025-0.037 s at n = 2e5, 0.21-0.23 s at
+    n = 1e6, 2.6-3.4 s at n = 1e7.
     """
-    n, E = g.n, g.num_edges
+    n, E, chunk = g.n, g.num_edges, graphgen._EDGE_CHUNK
     ids = np.int32 if max(n, 2 * E) < 2**31 else np.int64  # rank ids, list ends and triangle corners
     s = (n - 1).bit_length()  # simple edge {x, y}, x < y in rank, has key x << s | y
     low = (1 << s) - 1
@@ -119,8 +120,8 @@ def clustering(g: Multigraph) -> ClusteringProfile:
     # Drop repeats in place, a chunk of keys at a time (the key before a
     # chunk is not yet overwritten), and count out-degrees: work[x + 1].
     work, k = np.zeros(n + 1, dtype=np.int64), 0
-    for lo in range(0, E, _EDGE_CHUNK):
-        new = key[lo : lo + _EDGE_CHUNK]
+    for lo in range(0, E, chunk):
+        new = key[lo : lo + chunk]
         new = new[new != (key[lo - 1 : lo - 1 + len(new)] if lo else np.r_[-1, new[:-1]])]
         key[k : k + len(new)] = new
         k += len(new)
@@ -165,9 +166,9 @@ def clustering(g: Multigraph) -> ClusteringProfile:
     hits = thread_map(triangles, wedge_runs)
     del ends  # before sdeg is made: key is the one edge-sized array left
     sdeg = np.zeros(n, dtype=np.int64)  # simple degrees
-    for lo in range(0, k, _EDGE_CHUNK):
-        np.add.at(sdeg, key[lo : lo + _EDGE_CHUNK] >> s, 1)
-        np.add.at(sdeg, key[lo : lo + _EDGE_CHUNK] & low, 1)
+    for lo in range(0, k, chunk):
+        np.add.at(sdeg, key[lo : lo + chunk] >> s, 1)
+        np.add.at(sdeg, key[lo : lo + chunk] & low, 1)
     del key
     tri = np.zeros(n, dtype=np.int64)
     while hits:

@@ -37,8 +37,9 @@ __all__ = [
 class RecurrenceTable:
     """Integrated expectations recorded at the checkpoint sizes n_values.
 
-    N[i][d], S[i][d] and W[i] are E N_n(d), E S_n(d) and E W_n at
-    n = n_values[i].
+    N[i][d], S[i][d] and W[i] are the integrated N_n(d), S_n(d) and W_n
+    at n = n_values[i]: leading-order expectations, W[i] short of E W_n
+    by the double-hit term (see the module docstring).
     """
 
     params: ModelParams

@@ -196,8 +196,9 @@ def expected_triangles(p: ModelParams, d):
     return float(out) if out.ndim == 0 else out
 
 
-def dnn_hypothesis(p: ModelParams, d, n: int, C: float, form: str = "preasymptotic"):
-    """The paper's A >= 1/2 average-neighbor-degree predictor, E W_n ~ C n^(2A).
+def dnn_hypothesis(p: ModelParams, d, n: int, form: str = "preasymptotic"):
+    """The paper's A >= 1/2 average-neighbor-degree predictor, E W_n ~ C n^(2A),
+    with its one constant worked out as C = E W_n/n^(2A) (expected_W).
 
     form="preasymptotic" is C n^(2A-1) (Ad+B+1)/d k(d), with _boundary's
     k(d): dnn_overlay's E W_n term.  It equals the paper's supercritical
@@ -209,10 +210,9 @@ def dnn_hypothesis(p: ModelParams, d, n: int, C: float, form: str = "preasymptot
     """
     if p.A < 0.5:
         raise ValueError(f"hypothesis predictor needs A >= 1/2, got A={p.A}")
-    if C <= 0:
-        raise ValueError(f"C must be > 0, got {C}")
     n = size(n, p.m)
     m, A, B = p.m, p.A, p.B
+    C = expected_W(p, n) / n ** (2.0 * A)
     (k,) = _scan(p, d, _boundary(p)[2])
     d = np.asarray(d, dtype=float)
     if form == "asymptotic":
@@ -275,8 +275,8 @@ def _rows(**columns) -> list[dict]:
 
 def theory_tables(p: ModelParams, d_max: int, n_list=()) -> list[dict]:
     """Theory-only rows per degree d in [m, d_max]: subcritical closed
-    forms for A < 1/2; for A >= 1/2 dnn_hypothesis in its two forms, with
-    C = E W_n/n^(2A), one block per size n (10^5 if none).  Below A = 1/2
+    forms for A < 1/2; for A >= 1/2 dnn_hypothesis in its two forms, one
+    block per size n (10^5 if none).  Below A = 1/2
     n_list is checked but ignored, since the closed forms have no size; a
     theory-only preset passes its sizes there (at A = 0.2), while `panet
     theory` rejects --n there."""
@@ -294,8 +294,7 @@ def theory_tables(p: ModelParams, d_max: int, n_list=()) -> list[dict]:
     rows = []
     for n in n_list:
         n_col = np.full(d.shape, n, dtype=np.int64)
-        C = expected_W(p, n) / n ** (2.0 * p.A)
-        y, y_asym = dnn_hypothesis(p, d, n, C), dnn_hypothesis(p, d, n, C, form="asymptotic")
+        y, y_asym = dnn_hypothesis(p, d, n), dnn_hypothesis(p, d, n, form="asymptotic")
         rows += _rows(d=d, n=n_col, c_exact=c, dnn_hyp=y, dnn_hyp_asym=y_asym)
     return rows
 

@@ -65,8 +65,11 @@ class TestFitPowerExponent:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="3 points"):
             fit_power_exponent([(1, 1), (2, 2)])
-        with pytest.raises(ValueError, match="positive"):
-            fit_power_exponent([(1, 1), (2, -1), (3, 2)])
+        # A NaN point once slipped past the sign check and gave (nan, nan,
+        # nan); an infinite one raised numpy's RuntimeWarning.
+        for bad in ([(1, 1), (2, -1), (3, 2)], [(1, 1), (2, math.nan), (3, 3)], [(1, 1), (2, math.inf), (3, 3)]):
+            with pytest.raises(ValueError, match="^power-law fit needs positive, finite x and y$"):
+                fit_power_exponent(bad)
         with pytest.raises(ValueError, match="degenerate"):
             fit_power_exponent([(2, 1), (2, 2), (2, 3)])
 
@@ -457,19 +460,20 @@ class TestCLI:
         assert len(graphs) == 1 and counted == graphs
         assert graphs[0]._deg is None
 
-    def test_generate_by_knobs(self, tmp_path):
+    def test_generate_by_knobs(self, tmp_path, capsys):
+        # (m, A, D) is generate's one parameterization: the knobs (beta, c)
+        # they fix are no input, and neither of A and D comes alone.
         out = tmp_path / "g.txt"
-        assert self._run(
-            "generate", "--m", "2", "--beta", "0.3", "--c", "24",
-            "--n", "100", "--out", str(out),
-        ) == 0
-
-    def test_conflicting_param_styles_rejected(self, tmp_path):
-        code = self._run(
-            "generate", "--m", "2", "--A", "0.2", "--beta", "0.3",
-            "--n", "100", "--out", str(tmp_path / "g.txt"),
-        )
-        assert code == 2
+        for args, missing in (
+            (["--beta", "0.3", "--c", "24"], "--A, --D"),
+            (["--A", "0.2", "--beta", "0.3"], "--D"),
+            (["--A", "0.25"], "--D"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                self._run("generate", "--m", "2", *args, "--n", "100", "--out", str(out))
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f"error: the following arguments are required: {missing}\n")
+            assert not out.exists()
 
     def test_invalid_params_exit_2(self, tmp_path):
         code = self._run(
@@ -675,8 +679,6 @@ class TestCLI:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["generate", "--m", "2", "--beta", "0.1", "--c", "nan", "--n", "100"], "c must exceed -m = -2 and be finite, got nan"),
-            (["generate", "--m", "2", "--beta", "0.1", "--c", "inf", "--n", "100"], "c must exceed -m = -2 and be finite, got inf"),
             (["generate", "--m", "2", "--A", "nan", "--D", "0.2", "--n", "100"], "(m=2, A=nan, D=0.2) is outside the reachable region A in (0.1, 0.9)"),
             (["theory", "--m", "2", "--A", "0.2", "--D", "nan", "--d-max", "5"], "D must be a finite number >= 0, got nan"),
             (["theory", "--m", "2", "--A", "0.2", "--D", "inf", "--d-max", "5"], "D must be a finite number >= 0, got inf"),
@@ -685,8 +687,6 @@ class TestCLI:
             (["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "-4"], "size n must be an integer >= 3, got -4"),
             (["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "0"], "size n must be an integer >= 3, got 0"),
             (["theory", "--m", "2", "--A", "1", "--D", "0", "--d-max", "6"], "A must satisfy 0 < A < 1, got 1.0"),
-            (["generate", "--m", "2", "--A", "0.25", "--n", "100"], "--A and --D must be given together"),
-            (["generate", "--m", "2", "--beta", "0.3", "--n", "100"], "--beta and --c must be given together"),
             # Below m the theory curve once had no degree and said only that.
             (["oracle", "--m", "2", "--A", "0.25", "--D", "0.3", "--n-end", "100", "--d-max", "1"], "d_max must be >= 2m = 4 to hold the seed"),
             (["oracle", "--m", "2", "--A", "0.25", "--D", "0.3", "--n-end", "100", "--d-max", "3"], "d_max must be >= 2m = 4 to hold the seed"),
@@ -696,9 +696,9 @@ class TestCLI:
             (["theory", "--m", "2", "--A", "0.2", "--D", "0.3", "--d-max", "5", "--n", "1000"], "--n sizes the hypothesis columns, which need A >= 1/2, got A=0.2"),
         ],
         ids=[
-            "generate_c_nan", "generate_c_inf", "generate_A_nan", "theory_D_nan", "theory_D_inf",
+            "generate_A_nan", "theory_D_nan", "theory_D_inf",
             "oracle_D_nan", "oracle_D_inf", "theory_n_negative", "theory_n_zero", "theory_A_one",
-            "generate_A_without_D", "generate_beta_without_c", "oracle_d_max_below_m", "oracle_d_max_below_2m",
+            "oracle_d_max_below_m", "oracle_d_max_below_2m",
             "oracle_A_supercritical", "theory_n_subcritical",
         ],
     )

@@ -422,7 +422,6 @@ class TestHeldDegrees:
         for h in (g, _imported(g, tmp_path), _with_isolated_vertex(A, D, n, seed)):
             cp, prof = clustering(h), degree_profile(h)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(metrics, "_EDGE_CHUNK", chunk)
                 mp.setattr(graphgen, "_EDGE_CHUNK", chunk)
                 mp.setattr(parallel, "cpu_count", lambda: threads)
                 with h.held_degrees():

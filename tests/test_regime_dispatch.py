@@ -4,11 +4,12 @@ function inside.  Its boundary at d = m and its k(d) recursion
 (theory._boundary) are read by every d_nn curve: dnn_overlay,
 build_theory_curve and dnn_hypothesis.  The paper's one A >= 1/2
 predictor is printed, not overlaid: in src/panet only theory.py names it
-or defines theory_tables, and only theory_tables calls it.  The paper's
-own forms (X_const and the two predictors it replaced) live in
-tests/reference.py, and no == or != against 0.5 is left in src/panet.  A
-dispatch anywhere else fails here.  The sources are only parsed, never
-imported."""
+or defines theory_tables, and only theory_tables calls it.  It takes no
+constant: it works C = E W_n/n^(2A) out from expected_W, which only
+theory.py names.  The paper's own forms (X_const and the two predictors
+it replaced) live in tests/reference.py, and no == or != against 0.5 is
+left in src/panet.  A dispatch anywhere else fails here.  The sources are
+only parsed, never imported."""
 
 from __future__ import annotations
 
@@ -96,6 +97,7 @@ def test_scanners_find_what_they_look_for():
 def test_only_theory_names_the_predictors(name):
     tree = _tree(name)
     assert not PREDICTORS & set(_names(tree)), f"{name} names a hypothesis predictor"
+    assert "expected_W" not in _names(tree), f"{name} names expected_W"
     defs = {f.name for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert "theory_tables" not in defs, f"{name} defines theory_tables"
 
@@ -106,6 +108,14 @@ def test_theory_picks_the_predictor_in_one_place():
     inside = _calls(_functions(tree)["theory_tables"], "dnn_hypothesis")
     assert len(inside) == 2
     assert _calls(tree, "dnn_hypothesis") == inside
+
+
+def test_dnn_hypothesis_works_out_its_constant():
+    # (m, A, D) fix C = E W_n/n^(2A), so no caller passes it.
+    f = _functions(_tree("theory.py"))["dnn_hypothesis"]
+    assert [a.arg for a in f.args.args] == ["p", "d", "n", "form"]
+    assert not (f.args.vararg or f.args.kwarg or f.args.kwonlyargs)
+    assert _calls(f, "expected_W")
 
 
 @pytest.mark.parametrize("name", ALL)

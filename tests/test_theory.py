@@ -44,7 +44,7 @@ P = make_model_params(2, 0.25, 0.3)
 
 
 def hypothesis_constant(p, n):
-    """C = E W_n/n^(2A), the constant theory_tables gives dnn_hypothesis."""
+    """C = E W_n/n^(2A), the constant dnn_hypothesis works out."""
     return expected_W(p, n) / n ** (2.0 * p.A)
 
 
@@ -322,64 +322,54 @@ class TestHypothesisPredictors:
 
     def test_supercritical_forms_agree_at_large_d(self):
         p = make_model_params(2, 0.6, 0.2)
-        pre = dnn_hypothesis(p, 10**5, 10**6, 2.0)
-        asym = dnn_hypothesis(p, 10**5, 10**6, 2.0, form="asymptotic")
+        pre = dnn_hypothesis(p, 10**5, 10**6)
+        asym = dnn_hypothesis(p, 10**5, 10**6, form="asymptotic")
         assert pre / asym == pytest.approx(1.0, rel=0.01)
 
     def test_supercritical_scalings(self):
         p = make_model_params(2, 0.6, 0.2)
-        f = lambda d, n: dnn_hypothesis(p, d, n, 1.0, form="asymptotic")
+        # Divided by its constant, the predictor is the pure power law.
+        f = lambda d, n: dnn_hypothesis(p, d, n, form="asymptotic") / hypothesis_constant(p, n)
         assert f(4, 10**5 * 10) / f(4, 10**5) == pytest.approx(10 ** (2 * 0.6 - 1))
         assert f(40, 10**5) / f(4, 10**5) == pytest.approx(10 ** (1 / 0.6 - 2))
 
     def test_supercritical_gate(self):
         with pytest.raises(ValueError, match=r"^hypothesis predictor needs A >= 1/2, got A=0.4$"):
-            dnn_hypothesis(make_model_params(2, 0.4, 0.2), 3, 1000, 1.0)
-        assert dnn_hypothesis(make_model_params(2, 0.5, 0.2), 3, 1000, 1.0) > 0
+            dnn_hypothesis(make_model_params(2, 0.4, 0.2), 3, 1000)
+        assert dnn_hypothesis(make_model_params(2, 0.5, 0.2), 3, 1000) > 0
 
     def test_critical_gate(self):
         # The gate sits at 1/2 itself: the float just below is rejected.
         with pytest.raises(ValueError, match="A >= 1/2"):
-            dnn_hypothesis(make_model_params(2, float(np.nextafter(0.5, 0.0)), 0.2), 3, 1000, 1.0)
+            dnn_hypothesis(make_model_params(2, float(np.nextafter(0.5, 0.0)), 0.2), 3, 1000)
 
     @pytest.mark.parametrize("form", ["preasymptotic", "asymptotic"])
     def test_supercritical_rejects_A_one(self, form):
         # c(m,d) = 0 for d > m at A = 1: the preasymptotic form once
         # divided by it and returned inf with RuntimeWarnings.
         with pytest.raises(ValueError, match="A < 1"):
-            dnn_hypothesis(make_model_params(2, 1.0, 0.0), 3, 1000, 1.0, form=form)
+            dnn_hypothesis(make_model_params(2, 1.0, 0.0), 3, 1000, form=form)
 
     @pytest.mark.parametrize("form", ["preasymptotic", "asymptotic"])
     def test_non_integer_degree_rejected(self, form):
         # The asymptotic form once read d = 2.5 as a degree.
         with pytest.raises(ValueError, match="degree must be an integer"):
-            dnn_hypothesis(make_model_params(2, 0.6, 0.2), [3, 2.5], 1000, 1.0, form=form)
+            dnn_hypothesis(make_model_params(2, 0.6, 0.2), [3, 2.5], 1000, form=form)
 
     def test_critical_value_and_finite_d_factor(self):
         # At A = 1/2, n^(2A-1) = 1: the flat C/(2(m+1)) and its (d+2)/d.
-        p = make_model_params(2, 0.5, 0.2)
-        base = dnn_hypothesis(p, 4, 10**4, 3.0, form="asymptotic")
-        assert base == pytest.approx(3.0 / 6.0, rel=1e-12)
-        assert dnn_hypothesis(p, 4, 10**4, 3.0) == pytest.approx(base * 1.5, rel=1e-12)
-        flat = dnn_hypothesis(p, np.array([2, 9]), 10**4, 3.0, form="asymptotic")
+        p, n = make_model_params(2, 0.5, 0.2), 10**4
+        base = dnn_hypothesis(p, 4, n, form="asymptotic")
+        assert base == pytest.approx(hypothesis_constant(p, n) / 6.0, rel=1e-12)
+        assert dnn_hypothesis(p, 4, n) == pytest.approx(base * 1.5, rel=1e-12)
+        flat = dnn_hypothesis(p, np.array([2, 9]), n, form="asymptotic")
         assert flat.tolist() == [base, base]
 
-    def test_constant_must_be_positive(self):
-        with pytest.raises(ValueError, match=r"^C must be > 0, got -1.0$"):
-            dnn_hypothesis(make_model_params(2, 0.5, 0.2), 3, 100, -1.0)
-
-    @pytest.mark.parametrize(
-        "A, kw, message",
-        [
-            (0.6, {"C": 0}, "C must be > 0, got 0"),
-            (0.6, {"C": 1.0, "form": "bogus"}, "unknown form 'bogus'"),
-            (0.5, {"C": 1.0, "form": "bogus"}, "unknown form 'bogus'"),
-        ],
-        ids=["supercritical_C1_zero", "supercritical_form", "critical_form"],
-    )
-    def test_bad_constant_or_form_rejected(self, A, kw, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            dnn_hypothesis(make_model_params(2, A, 0.2), 3, 100, **kw)
+    # dnn_hypothesis works its constant out, so only a form can be bad.
+    @pytest.mark.parametrize("A", [0.6, 0.5], ids=["supercritical_form", "critical_form"])
+    def test_bad_constant_or_form_rejected(self, A):
+        with pytest.raises(ValueError, match="^unknown form 'bogus'$"):
+            dnn_hypothesis(make_model_params(2, A, 0.2), 3, 100, form="bogus")
 
     @pytest.mark.parametrize("A", [0.5, 0.6])
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -388,7 +378,7 @@ class TestHypothesisPredictors:
         # (critical), and n = 2 passed, below the seed of m+1 = 3 vertices.
         p = make_model_params(2, A, 0.2)
         message = rf"size n must be an integer >= 3, got {n}"
-        for f in (lambda p, d, n: dnn_hypothesis(p, d, n, 1.0), dnn_overlay, lambda p, d, n: expected_W(p, n)):
+        for f in (dnn_hypothesis, dnn_overlay, lambda p, d, n: expected_W(p, n)):
             with pytest.raises(ValueError, match=message):
                 f(p, 3, n)
 
@@ -400,14 +390,14 @@ class TestHypothesisPredictors:
         for m in (1, 2, 3):
             p = make_model_params(m, A, 0.2)
             d, C = np.arange(m, 301), hypothesis_constant(p, n)
-            got = dnn_hypothesis(p, d, n, C)
+            got = dnn_hypothesis(p, d, n)
             if A > 0.5:
                 np.testing.assert_allclose(got, reference.dnn_hypothesis_supercritical(p, d, n, C), rtol=1e-14, atol=0)
                 continue
             C2 = C / math.log(n)
             np.testing.assert_allclose(got, reference.dnn_hypothesis_critical(p, d, n, C2), rtol=1e-14, atol=0)
             flat = reference.dnn_hypothesis_critical(p, d, n, C2, form="asymptotic")
-            np.testing.assert_allclose(dnn_hypothesis(p, d, n, C, form="asymptotic"), flat, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(dnn_hypothesis(p, d, n, form="asymptotic"), flat, rtol=1e-14, atol=0)
 
 
 # Each (A, m) case of the form against the oracle at D = 0.2 (the
@@ -531,8 +521,8 @@ class TestTheoryTables:
     @pytest.mark.parametrize("n_list", [(), (1000, 10**4)])
     def test_hypothesis_cells_are_the_predictors(self, A, predictor, n_list):
         # Each cell, bit for bit, is the predictor in its two forms at its
-        # own (d, n), with the constant from E W_n, at A = 1/2 as above it;
-        # one block per size, 10^5 if none.
+        # own (d, n), at A = 1/2 as above it; one block per size, 10^5 if
+        # none.
         p = make_model_params(2, A, 0.2)
         rows = theory_tables(p, 40, n_list)
         assert [(r["n"], r["d"]) for r in rows] == [(n, d) for n in n_list or (10**5,) for d in range(2, 41)]
@@ -540,8 +530,8 @@ class TestTheoryTables:
             d, n = r["d"], r["n"]
             assert type(d) is int and type(n) is int
             assert r["c_exact"] == c_exact(p, d)
-            assert r["dnn_hyp"] == predictor(p, d, n, hypothesis_constant(p, n))
-            assert r["dnn_hyp_asym"] == predictor(p, d, n, hypothesis_constant(p, n), form="asymptotic")
+            assert r["dnn_hyp"] == predictor(p, d, n)
+            assert r["dnn_hyp_asym"] == predictor(p, d, n, form="asymptotic")
 
     def test_subcritical_cells_are_the_closed_forms(self):
         rows = theory_tables(P, 30)
@@ -588,8 +578,8 @@ class TestSizeRule:
             (lambda p, pc: dnn_overlay(p, 3, 1000.5), FRACTIONAL),
             (lambda p, pc: dnn_overlay(pc, 3, 1000.5), FRACTIONAL),
             (lambda p, pc: expected_W(p, 1000.5), FRACTIONAL),
-            (lambda p, pc: dnn_hypothesis(p, 3, 1000.5, 1.0), FRACTIONAL),
-            (lambda p, pc: dnn_hypothesis(pc, 3, 1000.5, 1.0), FRACTIONAL),
+            (lambda p, pc: dnn_hypothesis(p, 3, 1000.5), FRACTIONAL),
+            (lambda p, pc: dnn_hypothesis(pc, 3, 1000.5), FRACTIONAL),
             # Once float d cells up to 6.0, past d_max.
             (lambda p, pc: theory_tables(p, 5.5), "d_max must be an integer >= 2, got 5.5"),
             # Once read as d_max = 1.
