@@ -41,6 +41,17 @@ _EXIT_INVALID = 2
 _EXIT_CHECK_FAILED = 3
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one `error: ...` line, as main does the rest."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _fmt(x) -> str:
     return format(x, ".10g") if isinstance(x, float) else str(x)
 
@@ -228,7 +239,7 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="panet",
         description="Preferential-attachment multigraph simulator with "
         "triangle steps: generation, metrics, closed-form theory and "
@@ -287,10 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:  # numpy's MemoryError names the size it could not allocate
+    except (_UsageError, ValueError, OSError, MemoryError) as exc:  # numpy's MemoryError names the size it could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
 

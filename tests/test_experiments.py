@@ -462,18 +462,19 @@ class TestCLI:
 
     def test_generate_by_knobs(self, tmp_path, capsys):
         # (m, A, D) is generate's one parameterization: the knobs (beta, c)
-        # they fix are no input, and neither of A and D comes alone.
+        # they fix are no input.
         out = tmp_path / "g.txt"
-        for args, missing in (
-            (["--beta", "0.3", "--c", "24"], "--A, --D"),
-            (["--A", "0.2", "--beta", "0.3"], "--D"),
-            (["--A", "0.25"], "--D"),
-        ):
-            with pytest.raises(SystemExit) as exc:
-                self._run("generate", "--m", "2", *args, "--n", "100", "--out", str(out))
-            assert exc.value.code == 2
-            assert capsys.readouterr().err.endswith(f"error: the following arguments are required: {missing}\n")
-            assert not out.exists()
+        code = self._run("generate", "--m", "2", "--beta", "0.3", "--c", "24", "--n", "100", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: the following arguments are required: --A, --D\n"
+        assert not out.exists()
+
+    def test_conflicting_param_styles_rejected(self, tmp_path):
+        code = self._run(
+            "generate", "--m", "2", "--A", "0.2", "--beta", "0.3",
+            "--n", "100", "--out", str(tmp_path / "g.txt"),
+        )
+        assert code == 2
 
     def test_invalid_params_exit_2(self, tmp_path):
         code = self._run(
@@ -587,10 +588,9 @@ class TestCLI:
         f = tmp_path / "s.json"
         f.write_text(scenario_json(Scenario(name="mini", m=2, A=0.25, D=0.3, n_list=(400,))))
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            self._run("experiment", "run", str(f), "--check", "--out-dir", str(out))
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --check" in capsys.readouterr().err
+        code = self._run("experiment", "run", str(f), "--check", "--out-dir", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --check\n"
         assert not out.exists()
 
     def test_preset_rerun_byte_identical(self, tmp_path):
@@ -687,6 +687,8 @@ class TestCLI:
             (["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "-4"], "size n must be an integer >= 3, got -4"),
             (["theory", "--m", "2", "--A", "0.6", "--D", "0.2", "--d-max", "3", "--n", "0"], "size n must be an integer >= 3, got 0"),
             (["theory", "--m", "2", "--A", "1", "--D", "0", "--d-max", "6"], "A must satisfy 0 < A < 1, got 1.0"),
+            # Once two lines, usage and error, raised as SystemExit.
+            (["generate", "--m", "2", "--A", "0.25", "--n", "100"], "the following arguments are required: --D"),
             # Below m the theory curve once had no degree and said only that.
             (["oracle", "--m", "2", "--A", "0.25", "--D", "0.3", "--n-end", "100", "--d-max", "1"], "d_max must be >= 2m = 4 to hold the seed"),
             (["oracle", "--m", "2", "--A", "0.25", "--D", "0.3", "--n-end", "100", "--d-max", "3"], "d_max must be >= 2m = 4 to hold the seed"),
@@ -698,7 +700,7 @@ class TestCLI:
         ids=[
             "generate_A_nan", "theory_D_nan", "theory_D_inf",
             "oracle_D_nan", "oracle_D_inf", "theory_n_negative", "theory_n_zero", "theory_A_one",
-            "oracle_d_max_below_m", "oracle_d_max_below_2m",
+            "generate_A_without_D", "oracle_d_max_below_m", "oracle_d_max_below_2m",
             "oracle_A_supercritical", "theory_n_subcritical",
         ],
     )
